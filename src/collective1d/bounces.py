@@ -21,26 +21,24 @@ one printed source formula.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, SYMMETRIC, validate
+from .core import ModelParams, SYMMETRIC, as_sector, validate
 from .greens import (
     ComplexEnergy,
-    ConvergenceError,
     GreensError,
     OverflowGuardError,
-    as_sector,
     continuum_weight_grid,
     eta_evaluator,
     find_pole,
     form_factor_sq,
     form_factor_sq_derivative,
+    newton,
     one_atom_pole,
 )
+from .io import write_csv, write_json
 from .quadrature import QuadratureSpec, fourier_halfline
 
 __all__ = [
@@ -60,6 +58,10 @@ __all__ = [
     "amplitude_to_csv",
     "resummation_report_to_json",
 ]
+
+
+TAIL_REL = 1e-12           # resummed stops after 3 terms below TAIL_REL of the sum
+N_CAP = 120                # resummed sums at most N_CAP + 1 bounce terms
 
 
 class ResummationError(GreensError):
@@ -219,17 +221,12 @@ class Zs1Result:
 
 
 def find_zs1(x21: float, params: ModelParams, quad: QuadratureSpec) -> Zs1Result:
-    """The single lower-half-plane root of eta_s1^+ (Newton from z_1)."""
+    """The single lower-half-plane root of eta_s1^+: `newton` from z_1 to
+    1e-12 relative, with N = 1/eta_s1^+'(z_s1)."""
     validate(params, two_atom=True)
     z1 = one_atom_pole(params, quad)
-    z = z1.value
-    for _ in range(80):
-        f, df = eta_s1_derivative(z, x21, params, quad)
-        z = z - f / df
-        if abs(f) < 1e-12 * max(1.0, abs(z)):
-            break
-    else:
-        raise ConvergenceError("eta_s1 Newton did not converge")
+    z, df = newton(lambda z: eta_s1_derivative(z, x21, params, quad), z1.value,
+                   1e-12, 80, "eta_s1 Newton")
     rec = ComplexEnergy.from_root(z, None, 0, 1.0 / df)
     rec = ComplexEnergy(rec.value, "s1", 0, rec.normalization, True)
     return Zs1Result(rec, z1, abs(z - z1.value) < params.lam**2)
@@ -304,36 +301,36 @@ class ResummationReport:
     exact_residue: complex       # 1 / eta_s^+'(z_s)
 
 
-def _pole_equation_root(dec: BounceDecomposition) -> complex:
-    z = dec.z_s1.value
-    for _ in range(60):
-        f = z - dec.z_s1.value - dec.delta(z)
-        df = 1.0 - _delta_derivative(z, dec.x21, dec.params)
-        z = z - f / df
-        if abs(f) < 1e-14:
-            return z
-    raise ConvergenceError("pole equation k = z_s1 + Delta(k) did not converge")
+def _pole_equation_root(dec: BounceDecomposition) -> tuple[complex, complex]:
+    """Root z of k = z_s1 + Delta(k) by `newton` from z_s1, with 1 - Delta'(z).
+    The tolerance 5e-15 relative is |f| < 1e-14 where the poles sit, |z| ~ 2."""
+    zs1 = dec.z_s1.value
+
+    def fdf(z):
+        return z - zs1 - dec.delta(z), 1.0 - _delta_derivative(z, dec.x21, dec.params)
+
+    return newton(fdf, zs1, 5e-15, 60, "pole equation k = z_s1 + Delta(k) Newton")
 
 
-def resummed(t: float, dec: BounceDecomposition, tail_rel: float = 1e-12,
-             n_cap: int = 120, allow_divergent: bool = False) -> ResummationReport:
+def resummed(t: float, dec: BounceDecomposition,
+             allow_divergent: bool = False) -> ResummationReport:
     """Untruncated bounce series vs the collective-pole closed form.
 
-    Sums f_n until the tail bound (three consecutive terms below tail_rel of
-    the running sum), and independently evaluates N e^{-i z t} from the
-    decomposition's own pole equation. Growth over five consecutive terms is
-    flagged as divergence (the series radius shrinks like 1/x21; it diverges
-    for x21 beyond ~12 at default coupling) and raises unless
-    allow_divergent."""
+    Sums f_n until the tail bound (three consecutive terms below TAIL_REL of
+    the running sum, at most N_CAP + 1 terms), and independently evaluates
+    N e^{-i z t} from the decomposition's own pole equation. Growth over
+    five consecutive terms is flagged as divergence (the series radius
+    shrinks like 1/x21; it diverges for x21 beyond ~12 at default coupling)
+    and raises unless allow_divergent."""
     if t < 0:
         raise ValueError("resummed needs t >= 0")
-    z_t = _pole_equation_root(dec)
-    weak_n = 1.0 / (1.0 - _delta_derivative(z_t, dec.x21, dec.params))
+    z_t, df_t = _pole_equation_root(dec)
+    weak_n = 1.0 / df_t
     pole_value = weak_n * np.exp(-1j * z_t * t)
 
-    dj = dec.delta_jet(n_cap)
-    ej = dec._exp_jet(t, n_cap)
-    power = Jet.constant(1.0, dec.z_s1.value, n_cap)
+    dj = dec.delta_jet(N_CAP)
+    ej = dec._exp_jet(t, N_CAP)
+    power = Jet.constant(1.0, dec.z_s1.value, N_CAP)
     total = 0j
     small_streak = 0
     grow_streak = 0
@@ -341,13 +338,13 @@ def resummed(t: float, dec: BounceDecomposition, tail_rel: float = 1e-12,
     min_mag = np.inf
     converged = False
     n_used = 0
-    for n in range(n_cap + 1):
+    for n in range(N_CAP + 1):
         term = (power * ej).coeffs[n]
         total += term
         n_used = n
         mag = abs(term)
         min_mag = min(min_mag, mag)
-        if n >= 4 and mag <= tail_rel * max(abs(total), 1e-300):
+        if n >= 4 and mag <= TAIL_REL * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 3:
                 converged = True
@@ -361,7 +358,7 @@ def resummed(t: float, dec: BounceDecomposition, tail_rel: float = 1e-12,
         else:
             grow_streak = 0
         prev_mag = mag
-        if n < n_cap:
+        if n < N_CAP:
             power = power * dj
 
     z1 = one_atom_pole(dec.params, dec.quad)
@@ -375,7 +372,7 @@ def resummed(t: float, dec: BounceDecomposition, tail_rel: float = 1e-12,
     )
     if not converged and not allow_divergent:
         raise ResummationError(
-            f"bounce series tail bound not reached within n_cap={n_cap} "
+            f"bounce series tail bound not reached within n_cap={N_CAP} "
             f"(x21={dec.x21}: growth factor |Delta(z_s1)|*e*x21 = "
             f"{abs(dec.delta(dec.z_s1.value)) * np.e * dec.x21:.2f})"
         )
@@ -404,32 +401,21 @@ def amplitude_quadrature(t, sector, x21: float, params: ModelParams,
     return out if np.ndim(t) else complex(np.atleast_1d(out)[0])
 
 
-_FMT = "%.17g"
-
-
 def amplitude_to_csv(times, amplitudes, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "re_I", "im_I", "abs2_half"])
-        for t, a in zip(times, amplitudes):
-            writer.writerow([_FMT % t, _FMT % a.real, _FMT % a.imag, _FMT % (0.5 * abs(a) ** 2)])
+    write_csv(path, ["t", "re_I", "im_I", "abs2_half"],
+              ([t, a.real, a.imag, 0.5 * abs(a) ** 2] for t, a in zip(times, amplitudes)))
 
 
 def resummation_report_to_json(reports, path) -> None:
-    payload = []
-    for rep in reports:
-        payload.append({
-            "t": rep.t,
-            "series": [rep.series_value.real, rep.series_value.imag],
-            "pole": [rep.pole_value.real, rep.pole_value.imag],
-            "rel_discrepancy": rep.rel_discrepancy,
-            "n_used": rep.n_used,
-            "converged": rep.converged,
-            "z_tilde": [rep.z_tilde.real, rep.z_tilde.imag],
-            "weak_normalization": [rep.weak_normalization.real, rep.weak_normalization.imag],
-            "z_s_greens": [rep.z_s_greens.real, rep.z_s_greens.imag],
-            "exact_residue": [rep.exact_residue.real, rep.exact_residue.imag],
-        })
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, [{
+        "t": rep.t,
+        "series": [rep.series_value.real, rep.series_value.imag],
+        "pole": [rep.pole_value.real, rep.pole_value.imag],
+        "rel_discrepancy": rep.rel_discrepancy,
+        "n_used": rep.n_used,
+        "converged": rep.converged,
+        "z_tilde": [rep.z_tilde.real, rep.z_tilde.imag],
+        "weak_normalization": [rep.weak_normalization.real, rep.weak_normalization.imag],
+        "z_s_greens": [rep.z_s_greens.real, rep.z_s_greens.imag],
+        "exact_residue": [rep.exact_residue.real, rep.exact_residue.imag],
+    } for rep in reports])

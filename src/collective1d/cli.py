@@ -25,11 +25,12 @@ from . import greens as gr
 from . import sweep as sw
 from . import waveguide as wg
 from .core import ModelError, ModelParams, validate
+from .io import write_json
 from .quadrature import QuadratureError, QuadratureSpec
 
 DEFAULT_CONFIG = {
     "model": {"omega1": 2.0, "lambda": 0.05, "omegaM": 5.0, "n_ff": 1, "x1": 0.0, "x2": 1.0},
-    "quad": {"cutoff": None, "rel_tol": 1e-10, "abs_tol": 1e-12, "max_panels": 4000},
+    "quad": {"cutoff": None},
     "lattice": {"L": 500.0, "n_modes": 2501},
     "poles": {"x21": 29.025, "n_min": -3, "n_max": 3, "write_contour": False},
     "contour": {"x21": 29.025, "sector": "s", "re_min": 1.3, "re_max": 2.7,
@@ -84,19 +85,20 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 def _resolve(cfg: dict):
     m = cfg["model"]
     # construct unvalidated so commands can issue their own diagnostics
-    params = ModelParams(omega1=m["omega1"], lam=m["lambda"], omegaM=m["omegaM"],
-                         n_ff=int(m["n_ff"]), x1=m["x1"], x2=m["x2"])
-    qc = dict(cfg["quad"])
-    if qc.get("cutoff") in (None, 0):
-        qc["cutoff"] = 200.0 * params.omegaM
-    quad = QuadratureSpec(**qc)
+    # (validate rejects a non-integer n_ff)
+    cutoff = cfg["quad"]["cutoff"]
+    try:
+        params = ModelParams(omega1=float(m["omega1"]), lam=float(m["lambda"]),
+                             omegaM=float(m["omegaM"]), n_ff=m["n_ff"],
+                             x1=float(m["x1"]), x2=float(m["x2"]))
+        quad = QuadratureSpec(cutoff=200.0 * params.omegaM if cutoff in (None, 0) else float(cutoff))
+    except TypeError as exc:
+        raise ConfigError(f"model and quad parameters must be numbers: {exc}") from exc
     return params, quad
 
 
 def _sidecar(path: Path, cfg: dict) -> None:
-    with open(path.with_name(path.name + ".config.json"), "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path.with_name(path.name + ".config.json"), cfg)
 
 
 def _check_coupled(params: ModelParams) -> None:
@@ -128,9 +130,11 @@ def cmd_contour(cfg: dict, out: Path) -> list[Path]:
     params, quad = _resolve(cfg)
     _check_coupled(params)
     c = cfg["contour"]
+    grid = (int(c["nx"]), int(c["ny"]))
+    if min(grid) < 1:
+        raise ConfigError("contour.nx and contour.ny must be >= 1")
     cmap = gr.contour_map((c["re_min"], c["re_max"], c["im_min"], c["im_max"]),
-                          (int(c["nx"]), int(c["ny"])), c["sector"], float(c["x21"]),
-                          params, quad)
+                          grid, c["sector"], float(c["x21"]), params, quad)
     path = out / f"contour_{c['sector']}.csv"
     gr.contour_to_csv(cmap, path)
     return [path]
@@ -173,7 +177,12 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
     params, quad = _resolve(cfg)
     _check_coupled(params)
     s = cfg["sweep"]
-    grid = np.arange(float(s["x21_min"]), float(s["x21_max"]) + 1e-12, float(s["step"]))
+    step = float(s["step"])
+    if not step > 0:
+        raise ConfigError("sweep.step must be positive")
+    grid = np.arange(float(s["x21_min"]), float(s["x21_max"]) + 1e-12, step)
+    if grid.size < 3:
+        raise ConfigError("sweep grid from x21_min to x21_max must hold at least 3 points")
     records = sw.sweep_poles(grid, params, quad)
     force = sw.force_indicator(records)
     path = out / "sweep.csv"

@@ -6,6 +6,7 @@ and times share its inverse.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ __all__ = [
     "SYMMETRIC",
     "ANTISYMMETRIC",
     "ModelError",
+    "as_sector",
     "validate",
     "instability_margin",
     "stability_class",
@@ -41,6 +43,20 @@ class SymmetrySector:
 
 SYMMETRIC = SymmetrySector("symmetric", +1)
 ANTISYMMETRIC = SymmetrySector("antisymmetric", -1)
+
+
+def as_sector(obj) -> SymmetrySector | None:
+    """Normalize a sector spelling ('s', 'a', 'one-atom', None, instances)."""
+    if obj is None or obj == "one-atom":
+        return None
+    if isinstance(obj, SymmetrySector):
+        return obj
+    key = str(obj).lower()
+    if key in ("s", "sym", "symmetric", "+1", "1"):
+        return SYMMETRIC
+    if key in ("a", "anti", "antisymmetric", "-1"):
+        return ANTISYMMETRIC
+    raise ValueError(f"unknown sector {obj!r}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +92,9 @@ def validate(params: ModelParams, two_atom: bool = False) -> ModelParams:
     The coincident-atom check only applies when a two-atom quantity is about
     to be computed, so it is gated behind ``two_atom``.
     """
+    for name in ("omega1", "lam", "omegaM", "x1", "x2"):
+        if not math.isfinite(getattr(params, name)):
+            raise ModelError(f"{name} must be finite")
     if not params.lam > 0:
         raise ModelError("coupling must be positive")
     if not params.omegaM > 0:
@@ -136,8 +155,6 @@ def params_from_json(source: str | Path | dict) -> ModelParams:
     for key in _JSON_KEYS:
         if key in doc:
             kwargs["lam" if key == "lambda" else key] = doc[key]
-    if "n_ff" in kwargs:
-        kwargs["n_ff"] = int(kwargs["n_ff"])
     return validate(ModelParams(**kwargs))
 
 

@@ -14,23 +14,20 @@ retained as the equivalence oracle.
 """
 from __future__ import annotations
 
-import csv
-import hashlib
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from .core import ModelParams, SymmetrySector, validate
+from .core import ModelParams, SymmetrySector, as_sector, validate
 from .greens import (
     ComplexEnergy,
     OverflowGuardError,
-    as_sector,
     find_pole,
     one_atom_pole,
 )
+from .io import write_csv
 from .quadrature import QuadratureSpec, RayKernel, ray_scale
 
 __all__ = [
@@ -47,7 +44,6 @@ __all__ = [
     "collective_field",
     "timeseries_to_csv",
     "profile_to_csv",
-    "eigensystem_cache_key",
 ]
 
 _MAX_DIM = 20000
@@ -169,37 +165,13 @@ def build_lattice(params: ModelParams, box_length: float, n_modes: int,
     return LatticeModel(params, float(box_length), n_modes, None, k, ham, coup)
 
 
-def eigensystem_cache_key(params: ModelParams, box_length: float, n_modes: int,
-                          sector) -> str:
-    sector = None if sector in (None, "full") else as_sector(sector)
-    blob = repr((params, float(box_length), int(n_modes),
-                 None if sector is None else sector.tag)).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def diagonalize(model: LatticeModel, cache_dir=None) -> LatticeModel:
+def diagonalize(model: LatticeModel) -> LatticeModel:
     """Fill in the spectral decomposition (full real spectrum, orthonormal
     basis). The Hermitian problem is handled by LAPACK through scipy.linalg.eigh
     (tridiagonal reduction + implicit-shift iteration family), which meets the
-    orthonormality contract; an npz cache keyed by the model content hash can
-    short-circuit repeated builds."""
-    if model.evals is not None:
-        return model
-    cache_file = None
-    if cache_dir is not None:
-        key = eigensystem_cache_key(model.params, model.box_length, model.n_modes, model.sector)
-        cache_file = Path(cache_dir) / f"eig-{key}.npz"
-        if cache_file.exists():
-            data = np.load(cache_file)
-            model.evals = data["evals"]
-            model.evecs = data["evecs"]
-            return model
-    evals, evecs = scipy.linalg.eigh(model.hamiltonian)
-    model.evals = evals
-    model.evecs = evecs
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(cache_file, evals=evals, evecs=evecs)
+    orthonormality contract."""
+    if model.evals is None:
+        model.evals, model.evecs = scipy.linalg.eigh(model.hamiltonian)
     return model
 
 
@@ -365,20 +337,9 @@ def collective_field(params: ModelParams, sector, x21, xs, t: float,
     return FieldProfile(xs, intensity, float(t), label=f"P_z{pole.sector[0]}(x,t={t:g})")
 
 
-_FMT = "%.17g"
-
-
 def timeseries_to_csv(series: TimeSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in zip(series.times, series.values):
-            writer.writerow([_FMT % t, _FMT % np.real(v)])
+    write_csv(path, ["t", "value"], zip(series.times, np.real(series.values)))
 
 
 def profile_to_csv(profile: FieldProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "intensity"])
-        for x, v in zip(profile.positions, profile.intensity):
-            writer.writerow([_FMT % x, _FMT % v])
+    write_csv(path, ["x", "intensity"], zip(profile.positions, profile.intensity))

@@ -24,15 +24,15 @@ precision at gamma*x21 > 650 and is guarded, not saturated.
 """
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import ANTISYMMETRIC, SYMMETRIC, ModelParams, SymmetrySector, validate
+from .core import ANTISYMMETRIC, SYMMETRIC, ModelParams, SymmetrySector, as_sector, validate
+from .io import write_csv
 from .quadrature import (
     ContinuationDomainError,
     QuadratureSpec,
@@ -53,6 +53,8 @@ __all__ = [
     "eta_plus",
     "eta_plus_derivative",
     "eta_evaluator",
+    "newton",
+    "fixed_point",
     "find_pole",
     "one_atom_pole",
     "pole_scan",
@@ -61,12 +63,14 @@ __all__ = [
     "continuum_weight_grid",
     "contour_map",
     "ContourMap",
-    "as_sector",
     "pole_records_to_csv",
     "contour_to_csv",
 ]
 
 ROOT_TOL = 1e-11
+_MAX_DAMPED = 400          # find_pole's backtracking phase
+_MAX_NEWTON = 60
+_WEAK_COUPLING_MAX_ITER = 3000
 _FAST_REGION_SLOPE = 0.7   # fast path requires |Im z| < slope * Re z
 OVERFLOW_EXPONENT = 650.0
 
@@ -89,20 +93,6 @@ class OverflowGuardError(GreensError):
 
 class FormFactorPoleError(ValueError):
     """z too close to the form-factor poles at +-i*omegaM."""
-
-
-def as_sector(obj) -> SymmetrySector | None:
-    """Normalize a sector spelling ('s', 'a', 'one-atom', None, instances)."""
-    if obj is None or obj == "one-atom":
-        return None
-    if isinstance(obj, SymmetrySector):
-        return obj
-    key = str(obj).lower()
-    if key in ("s", "sym", "symmetric", "+1", "1"):
-        return SYMMETRIC
-    if key in ("a", "anti", "antisymmetric", "-1"):
-        return ANTISYMMETRIC
-    raise ValueError(f"unknown sector {obj!r}")
 
 
 @dataclass(frozen=True)
@@ -242,26 +232,63 @@ def eta_plus_derivative(z, sector, x21, params: ModelParams, quad: QuadratureSpe
     return eta_evaluator(sector, x21, params, quad).values(z, derivative=True)
 
 
-def find_pole(sector, x21, seed, params: ModelParams, quad: QuadratureSpec,
-              tol: float = ROOT_TOL, lattice_index: int = 0,
-              max_damped: int = 400, max_newton: int = 60,
-              newton_only: bool = False) -> ComplexEnergy:
-    """Root of eta^+ from a damped fixed point (z <- z - alpha*eta, backtracking
-    on alpha) switched to Newton once |eta| < 1e-3. Returns a certified record
-    with normalization N = 1/eta^+'(z).
+def newton(fdf, z, tol: float, max_iter: int, what: str, f=None, df=None):
+    """Newton iteration z <- z - f/f' with fdf(z) = (f(z), f'(z)).
 
-    newton_only skips the fixed-point phase: the damped map is a global
-    contraction toward the principal pole, which is exactly wrong when
-    hunting lattice poles z_{j,n!=0} from their local seeds."""
+    Converged when |f| < tol*max(1, |z|) at the z returned; returns (z, f'(z))
+    so a residue 1/f' belongs to that root. Pass (f, df) when they are
+    already known at z. Leaving the evaluation region
+    (ContinuationDomainError) or running out of max_iter steps raises
+    ConvergenceError naming the solve `what`.
+    """
+    z = complex(z)
+    try:
+        if f is None:
+            f, df = fdf(z)
+        for _ in range(max_iter):
+            if abs(f) < tol * max(1.0, abs(z)):
+                return z, df
+            z = z - f / df
+            f, df = fdf(z)
+    except ContinuationDomainError as exc:
+        last = "none" if f is None else f"{abs(f):.2e}"
+        raise ConvergenceError(f"{what} left the evaluation region at z={z} (last |f|={last})") from exc
+    if abs(f) < tol * max(1.0, abs(z)):
+        return z, df
+    raise ConvergenceError(f"{what} did not converge in {max_iter} steps (|f|={abs(f):.2e} at z={z})")
+
+
+def fixed_point(g, x: float, tol: float, max_iter: int, what: str):
+    """Damped fixed point x <- (x + g(x))/2 until |g(x) - x| < tol.
+
+    Returns (g(x), |g(x) - x|). g raises its own domain errors; a stall
+    after max_iter steps raises ConvergenceError naming the solve `what`.
+    """
+    residual = np.inf
+    for _ in range(max_iter):
+        gx = g(x)
+        residual = abs(gx - x)
+        if residual < tol:
+            return gx, residual
+        x = 0.5 * (x + gx)
+    raise ConvergenceError(f"{what} stalled at residual {residual:.2e}")
+
+
+def find_pole(sector, x21, seed, params: ModelParams, quad: QuadratureSpec,
+              lattice_index: int = 0) -> ComplexEnergy:
+    """Root of eta^+ from a damped fixed point (z <- z - alpha*eta, backtracking
+    on alpha, at most _MAX_DAMPED steps) switched to `newton` once
+    |eta| < 1e-3, converged to ROOT_TOL within _MAX_NEWTON steps. Returns a
+    certified record with normalization N = 1/eta^+'(z)."""
     sector = as_sector(sector)
-    ev = eta_evaluator(sector, x21, params, quad)
+    fdf = partial(eta_evaluator(sector, x21, params, quad).values, derivative=True)
     z = complex(seed)
     try:
-        f, df = ev.values(z, derivative=True)
+        f, df = fdf(z)
     except ContinuationDomainError as exc:
         raise ConvergenceError(f"seed {z} outside the evaluation region: {exc}") from exc
     alpha = 0.5
-    for _ in range(0 if newton_only else max_damped):
+    for _ in range(_MAX_DAMPED):
         if abs(f) < 1e-3:
             break
         z_try = z - alpha * f
@@ -270,7 +297,7 @@ def find_pole(sector, x21, seed, params: ModelParams, quad: QuadratureSpec,
             if alpha < 1e-6:
                 raise ConvergenceError(f"damped iteration left the evaluation region near {z}")
             continue
-        f_try, df_try = ev.values(z_try, derivative=True)
+        f_try, df_try = fdf(z_try)
         if abs(f_try) < abs(f):
             z, f, df = z_try, f_try, df_try
             alpha = min(1.0, 1.3 * alpha)
@@ -278,18 +305,7 @@ def find_pole(sector, x21, seed, params: ModelParams, quad: QuadratureSpec,
             alpha *= 0.5
             if alpha < 1e-6:
                 break
-    scale = max(1.0, abs(z))
-    for _ in range(max_newton):
-        z = z - f / df
-        try:
-            f, df = ev.values(z, derivative=True)
-        except ContinuationDomainError as exc:
-            raise ConvergenceError(f"Newton left the evaluation region at {z}") from exc
-        scale = max(1.0, abs(z))
-        if abs(f) < tol * scale:
-            break
-    else:
-        raise ConvergenceError(f"pole iteration did not converge (|eta|={abs(f):.2e} at z={z})")
+    z, df = newton(fdf, z, ROOT_TOL, _MAX_NEWTON, "pole Newton", f, df)
     return ComplexEnergy.from_root(z, sector, lattice_index, 1.0 / df)
 
 
@@ -305,6 +321,11 @@ def pole_scan(sector, x21, n_range, params: ModelParams, quad: QuadratureSpec):
 
     Returns (records sorted by Re z, missing_n). Missed indices are reported,
     not fatal; duplicates within 1e-6*omega1 collapse onto one record.
+
+    The rung seeds go to `newton` directly, without find_pole's damped
+    phase: the damped map is a global contraction toward the principal
+    pole, which is exactly wrong when hunting lattice poles z_{j,n!=0} from
+    their local seeds.
     """
     sector = as_sector(sector)
     if sector is None:
@@ -317,6 +338,7 @@ def pole_scan(sector, x21, n_range, params: ModelParams, quad: QuadratureSpec):
         warnings.warn(f"x21={x21} beyond 1/gamma_1={1.0 / z1.gamma:.1f}; Eq-lattice seeding degrades",
                       stacklevel=2)
     principal = find_pole(sector, x21, z1.value, params, quad, lattice_index=0)
+    fdf = partial(eta_evaluator(sector, x21, params, quad).values, derivative=True)
     sigma = sector.sigma
     spacing = 2.0 * np.pi / x21
     dedup = 1e-6 * params.omega1
@@ -344,8 +366,8 @@ def pole_scan(sector, x21, n_range, params: ModelParams, quad: QuadratureSpec):
         for rung in rungs:
             seed = complex(target, -rung - 0.004)
             try:
-                cand = find_pole(sector, x21, seed, params, quad, lattice_index=n,
-                                 newton_only=True)
+                z, df = newton(fdf, seed, ROOT_TOL, _MAX_NEWTON, f"lattice pole n={n} Newton")
+                cand = ComplexEnergy.from_root(z, sector, n, 1.0 / df)
             except GreensError:
                 continue
             if abs(cand.omega_tilde - target) > 0.35 * spacing:
@@ -367,8 +389,7 @@ class EstimateDivergence(GreensError):
 
 
 def weak_coupling_estimate(sector, x21, params: ModelParams,
-                           quad: QuadratureSpec | None = None,
-                           max_iter: int = 3000) -> ComplexEnergy:
+                           quad: QuadratureSpec | None = None) -> ComplexEnergy:
     """Self-consistent weak-coupling pole estimate (seed generator, O(lam^4)).
 
     Iterates the pole-contribution equations for (omega_tilde, gamma),
@@ -382,7 +403,7 @@ def weak_coupling_estimate(sector, x21, params: ModelParams,
     sigma = 0 if sector is None else sector.sigma
     lam2 = params.lam**2
     om, ga = z1.omega_tilde, z1.gamma
-    for _ in range(max_iter):
+    for _ in range(_WEAK_COUPLING_MAX_ITER):
         v2 = float(np.real(form_factor_sq(om, params)))
         if sigma == 0:
             om_new, ga_new = z1.omega_tilde, 2.0 * np.pi * lam2 * v2
@@ -521,25 +542,13 @@ def contour_map(region, grid, sector, x21, params: ModelParams, quad: Quadrature
     return ContourMap(res, ims, values, overflow, sentinel)
 
 
-_FMT = "%.17g"
-
-
 def pole_records_to_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sector", "n", "re", "im", "gamma", "re_N", "im_N"])
-        for rec in records:
-            writer.writerow([
-                rec.sector, rec.lattice_index,
-                _FMT % rec.value.real, _FMT % rec.value.imag, _FMT % rec.gamma,
-                _FMT % rec.normalization.real, _FMT % rec.normalization.imag,
-            ])
+    write_csv(path, ["sector", "n", "re", "im", "gamma", "re_N", "im_N"], (
+        [rec.sector, rec.lattice_index, rec.value.real, rec.value.imag, rec.gamma,
+         rec.normalization.real, rec.normalization.imag] for rec in records))
 
 
 def contour_to_csv(cmap: ContourMap, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "log_inv_abs_eta"])
-        for iy, im in enumerate(cmap.im):
-            for ix, re in enumerate(cmap.re):
-                writer.writerow([_FMT % re, _FMT % im, _FMT % cmap.values[iy, ix]])
+    write_csv(path, ["re", "im", "log_inv_abs_eta"], (
+        [re, im, cmap.values[iy, ix]]
+        for iy, im in enumerate(cmap.im) for ix, re in enumerate(cmap.re)))

@@ -4,23 +4,22 @@ dimension-dependence of the subradiance condition.
 """
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
 
-from .core import ANTISYMMETRIC, SYMMETRIC, ModelParams, validate
+from .core import ANTISYMMETRIC, SYMMETRIC, ModelParams, as_sector, validate
 from .greens import (
     ComplexEnergy,
     GreensError,
-    as_sector,
     eta_plus,
     find_pole,
+    fixed_point,
     one_atom_pole,
 )
+from .io import write_csv, write_json
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -37,6 +36,10 @@ __all__ = [
     "sweep_to_csv",
     "zero_decay_to_json",
 ]
+
+
+ZERO_DECAY_TOL = 1e-12
+_ZERO_DECAY_MAX_ITER = 400
 
 
 @dataclass
@@ -170,13 +173,13 @@ class ZeroDecaySolution:
 
 
 def zero_decay_solve(sector, n: int, params: ModelParams,
-                     quad: QuadratureSpec, tol: float = 1e-12,
-                     max_iter: int = 400) -> ZeroDecaySolution:
+                     quad: QuadratureSpec) -> ZeroDecaySolution:
     """Distance at which gamma_j vanishes exactly.
 
     Solves omega_o = omega1 + PV integral of 2 lam^2 v^2 (1 + sigma cos(m pi
     k / omega_o))/(omega_o - k), m = 2n+1 (symmetric) or 2n (antisymmetric),
-    by a damped fixed point; the principal value is the real part of the
+    by the damped `fixed_point` to ZERO_DECAY_TOL within
+    _ZERO_DECAY_MAX_ITER steps; the principal value is the real part of the
     continued eta integral at x_eff = m pi / omega_o. Requires the unstable
     regime (which guarantees a solution)."""
     sector = as_sector(sector)
@@ -190,21 +193,16 @@ def zero_decay_solve(sector, n: int, params: ModelParams,
     m = 2 * n + 1 if sector.sigma > 0 else 2 * n
     if m <= 0:
         raise ValueError("need 2n+1 >= 1 (symmetric) or 2n >= 2 (antisymmetric)")
-    om = one_atom_pole(params, quad).omega_tilde
-    residual = np.inf
-    for _ in range(max_iter):
-        x_eff = m * np.pi / om
-        eta = complex(eta_plus(complex(om), sector, x_eff, params, quad))
+
+    def g(om):
+        eta = complex(eta_plus(complex(om), sector, m * np.pi / om, params, quad))
         om_new = params.omega1 + (om - params.omega1 - eta).real
-        residual = abs(om_new - om)
         if not (0.0 < om_new < params.omegaM):
             raise GreensError(f"zero-decay fixed point left (0, omegaM): {om_new}")
-        if residual < tol:
-            om = om_new
-            break
-        om = 0.5 * (om + om_new)
-    else:
-        raise GreensError(f"zero-decay fixed point stalled at residual {residual:.2e}")
+        return om_new
+
+    om, residual = fixed_point(g, one_atom_pole(params, quad).omega_tilde, ZERO_DECAY_TOL,
+                               _ZERO_DECAY_MAX_ITER, "zero-decay fixed point")
     return ZeroDecaySolution(sector.tag, n, float(om), float(m * np.pi / om), float(residual))
 
 
@@ -301,29 +299,22 @@ def subradiance_roots(d: int, sector, u_range: tuple[float, float],
     return np.asarray(roots)
 
 
-_FMT = "%.17g"
-
-
 def sweep_to_csv(records: list[SweepRecord], path,
                  force: dict[str, tuple[np.ndarray, np.ndarray]] | None = None) -> None:
     force = force or {}
-    fs = dict(zip(force.get("s", (np.array([]),) * 2)[0], force.get("s", (np.array([]),) * 2)[1]))
-    fa = dict(zip(force.get("a", (np.array([]),) * 2)[0], force.get("a", (np.array([]),) * 2)[1]))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x21", "re_zs", "gamma_s", "re_za", "gamma_a", "Fs", "Fa", "flags"])
-        for rec in records:
-            flags = ("s" if rec.converged_s else "-") + ("a" if rec.converged_a else "-")
-            row = [_FMT % rec.x21]
-            row += ([_FMT % rec.z_s.omega_tilde, _FMT % rec.z_s.gamma]
-                    if rec.z_s else ["nan", "nan"])
-            row += ([_FMT % rec.z_a.omega_tilde, _FMT % rec.z_a.gamma]
-                    if rec.z_a else ["nan", "nan"])
-            for lookup in (fs, fa):
-                val = lookup.get(rec.x21, np.nan)
-                row.append(_FMT % val if np.isfinite(val) else "nan")
-            row.append(flags)
-            writer.writerow(row)
+    fs = dict(zip(*force.get("s", ((), ()))))
+    fa = dict(zip(*force.get("a", ((), ()))))
+    rows = []
+    for rec in records:
+        row = [rec.x21]
+        for z in (rec.z_s, rec.z_a):
+            row += [z.omega_tilde, z.gamma] if z else ["nan", "nan"]
+        for lookup in (fs, fa):
+            val = lookup.get(rec.x21, np.nan)
+            row.append(val if np.isfinite(val) else "nan")
+        row.append(("s" if rec.converged_s else "-") + ("a" if rec.converged_a else "-"))
+        rows.append(row)
+    write_csv(path, ["x21", "re_zs", "gamma_s", "re_za", "gamma_a", "Fs", "Fa", "flags"], rows)
 
 
 def zero_decay_to_json(solutions: list[ZeroDecaySolution], path,
@@ -334,6 +325,4 @@ def zero_decay_to_json(solutions: list[ZeroDecaySolution], path,
         "x21_zero": s.x21_zero, "residual": s.residual,
         "gamma_check": gamma_checks.get((s.sector, s.n)),
     } for s in solutions]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

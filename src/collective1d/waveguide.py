@@ -11,12 +11,13 @@ rather than a numeric prediction.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greens import ComplexEnergy, ConvergenceError
+from .core import as_sector
+from .greens import ComplexEnergy, fixed_point, newton
+from .io import write_json
 from .quadrature import QuadratureSpec, adaptive_integral
 
 __all__ = [
@@ -109,8 +110,6 @@ def trap_distance(xi: float, n: int, sector, W: float) -> float:
     """g(xi) = n / sqrt(xi - E_{0,1}); n odd for the symmetric sector, even
     for the antisymmetric, which is exactly what makes
     1 + sigma cos(k0(xi) g(xi)) = 0."""
-    from .greens import as_sector
-
     sector = as_sector(sector)
     if sector is None:
         raise WaveguideError("trap_distance needs a two-cavity sector")
@@ -125,10 +124,10 @@ def trap_distance(xi: float, n: int, sector, W: float) -> float:
 
 
 _WG_QUAD = QuadratureSpec(cutoff=800.0, rel_tol=1e-11, abs_tol=1e-13, max_panels=4000)
-
-
-def _k_top(wg: WaveguideParams, quad: QuadratureSpec) -> float:
-    return quad.cutoff
+TRAP_TOL = 1e-12
+_TRAP_MAX_ITER = 300
+# |eta_wg| < 1e-11 at the default trap, where |z| ~ xi0 = 2
+WG_POLE_TOL = 5e-12
 
 
 def _closed_channel_sum(wg: WaveguideParams, quad: QuadratureSpec, integrand_for_l) -> float:
@@ -137,7 +136,7 @@ def _closed_channel_sum(wg: WaveguideParams, quad: QuadratureSpec, integrand_for
     total = 0.0
     prev = None
     for l in range(2, wg.l_max + 1):
-        term = float(np.real(adaptive_integral(integrand_for_l(l), 1e-12, _k_top(wg, quad), quad)))
+        term = float(np.real(adaptive_integral(integrand_for_l(l), 1e-12, quad.cutoff, quad)))
         total += term
         prev = term
     if prev is not None and abs(prev) > 0:
@@ -168,7 +167,7 @@ def existence_check(wg: WaveguideParams, quad: QuadratureSpec = _WG_QUAD) -> Exi
     def open_integrand(k):
         return v0(k, 1) ** 2 * np.pi**2 / k**2     # E_{k,1} - E01 = k^2/pi^2
 
-    total = float(np.real(adaptive_integral(open_integrand, 1e-12, _k_top(wg, quad), quad)))
+    total = float(np.real(adaptive_integral(open_integrand, 1e-12, quad.cutoff, quad)))
     total += _closed_channel_sum(
         wg, quad, lambda l: (lambda k: v0(k, l) ** 2 / (lead_energy(k, l, wg.W) - E01)))
     margin = wg.xi0 - E01 - 2.0 * total
@@ -186,16 +185,13 @@ class TrapSolution:
 
 
 def solve_trap(wg: WaveguideParams, n: int, sector,
-               quad: QuadratureSpec = _WG_QUAD,
-               tol: float = 1e-12, max_iter: int = 300) -> TrapSolution:
+               quad: QuadratureSpec = _WG_QUAD) -> TrapSolution:
     """Self-consistent trapped energy xi_tilde and distance x21 = g(xi_tilde).
 
-    Damped fixed point of the principal-value trap equation; the open-channel
-    PV uses subtraction around k0 (the leftover PV of 1/(k0^2 - k^2) over the
-    half-line is exactly zero).
+    Damped `fixed_point` of the principal-value trap equation, to TRAP_TOL
+    within _TRAP_MAX_ITER steps; the open-channel PV uses subtraction around
+    k0 (the leftover PV of 1/(k0^2 - k^2) over the half-line is exactly zero).
     """
-    from .greens import as_sector
-
     sector = as_sector(sector)
     wg.validate()
     report = existence_check(wg, quad)
@@ -205,9 +201,8 @@ def solve_trap(wg: WaveguideParams, n: int, sector,
     E01 = wg.threshold
     v0 = wg.coupling
     sigma = sector.sigma
-    xi = wg.xi0
-    residual = np.inf
-    for _ in range(max_iter):
+
+    def trap_map(xi):
         g = trap_distance(xi, n, sector, wg.W)
         k0 = np.pi * np.sqrt(xi - E01)
 
@@ -219,8 +214,8 @@ def solve_trap(wg: WaveguideParams, n: int, sector,
         def subtracted(k):
             return (h_open(k) - h0) * np.pi**2 / (k0**2 - k**2)
 
-        seeds = [0.0, 0.5 * k0, k0, 1.5 * k0, 3 * k0, _k_top(wg, quad)]
-        total = float(np.real(adaptive_integral(subtracted, 1e-12, _k_top(wg, quad), quad,
+        seeds = [0.0, 0.5 * k0, k0, 1.5 * k0, 3 * k0, quad.cutoff]
+        total = float(np.real(adaptive_integral(subtracted, 1e-12, quad.cutoff, quad,
                                                 seed_edges=seeds)))
         total += _closed_channel_sum(
             wg, quad,
@@ -229,13 +224,9 @@ def solve_trap(wg: WaveguideParams, n: int, sector,
         xi_new = wg.xi0 + 2.0 * total
         if not (E01 < xi_new < lead_energy(0.0, 2, wg.W)):
             raise WaveguideError(f"trap fixed point left the single-channel window: {xi_new}")
-        residual = abs(xi_new - xi)
-        if residual < tol:
-            xi = xi_new
-            break
-        xi = 0.5 * (xi + xi_new)
-    else:
-        raise ConvergenceError(f"trap fixed point stalled at residual {residual:.2e}")
+        return xi_new
+
+    xi, residual = fixed_point(trap_map, wg.xi0, TRAP_TOL, _TRAP_MAX_ITER, "trap fixed point")
     return TrapSolution(sector.tag, n, wg.xi0, float(xi),
                         float(trap_distance(xi, n, sector, wg.W)), float(residual))
 
@@ -261,8 +252,8 @@ def _eta_wg(z: complex, wg: WaveguideParams, sigma: int, x21: float,
         return (h - hz) * np.pi**2 / (kz**2 - k**2)
 
     k0r = abs(kz)
-    seeds = [0.0, 0.5 * k0r, k0r, 1.5 * k0r, 3 * k0r, _k_top(wg, quad)]
-    j1 = adaptive_integral(subtracted, 1e-12, _k_top(wg, quad), quad, seed_edges=seeds)
+    seeds = [0.0, 0.5 * k0r, k0r, 1.5 * k0r, 3 * k0r, quad.cutoff]
+    j1 = adaptive_integral(subtracted, 1e-12, quad.cutoff, quad, seed_edges=seeds)
     j1 = j1 - 1j * np.pi**3 * hz / (2.0 * kz)
     total = j1
     for l in range(2, wg.l_max + 1):
@@ -271,35 +262,29 @@ def _eta_wg(z: complex, wg: WaveguideParams, sigma: int, x21: float,
                                  "assumption violated")
         total += adaptive_integral(
             lambda k: v0(k, l) ** 2 * (1.0 + sigma * np.cos(k * x21)) / (z - lead_energy(k, l, wg.W)),
-            1e-12, _k_top(wg, quad), quad)
+            1e-12, quad.cutoff, quad)
     return z - wg.xi0 - 2.0 * total
 
 
 def collective_pole_wg(wg: WaveguideParams, sector, x21: float,
                        quad: QuadratureSpec = _WG_QUAD,
-                       seed: complex | None = None, tol: float = 1e-11) -> ComplexEnergy:
-    """Collective pole of the waveguide pair at separation x21 (Newton with a
-    numerical derivative). gamma vanishes to solver tolerance exactly at
-    x21 = g(xi_tilde) from solve_trap."""
-    from .greens import as_sector
-
+                       seed: complex | None = None) -> ComplexEnergy:
+    """Collective pole of the waveguide pair at separation x21: `newton` to
+    WG_POLE_TOL, with a central-difference derivative. gamma vanishes to
+    solver tolerance exactly at x21 = g(xi_tilde) from solve_trap."""
     sector = as_sector(sector)
     wg.validate()
-    z = complex(seed) if seed is not None else complex(wg.xi0, -1e-4)
-    step = 1e-7
-    f = _eta_wg(z, wg, sector.sigma, x21, quad)
-    for _ in range(80):
-        df = (_eta_wg(z + step, wg, sector.sigma, x21, quad)
-              - _eta_wg(z - step, wg, sector.sigma, x21, quad)) / (2 * step)
-        z = z - f / df
-        f = _eta_wg(z, wg, sector.sigma, x21, quad)
-        if abs(f) < tol:
-            break
-    else:
-        raise ConvergenceError(f"waveguide pole Newton stalled (|eta|={abs(f):.2e})")
-    dfe = (_eta_wg(z + step, wg, sector.sigma, x21, quad)
-           - _eta_wg(z - step, wg, sector.sigma, x21, quad)) / (2 * step)
-    return ComplexEnergy.from_root(z, sector, 0, 1.0 / dfe, gamma_tol=1e-9)
+
+    def eta(z):
+        return _eta_wg(z, wg, sector.sigma, x21, quad)
+
+    def fdf(z):
+        h = 1e-7
+        return eta(z), (eta(z + h) - eta(z - h)) / (2 * h)
+
+    z, df = newton(fdf, complex(wg.xi0, -1e-4) if seed is None else seed,
+                   WG_POLE_TOL, 80, "waveguide pole Newton")
+    return ComplexEnergy.from_root(z, sector, 0, 1.0 / df, gamma_tol=1e-9)
 
 
 def trap_report_to_json(solution: TrapSolution, pole: ComplexEnergy,
@@ -313,6 +298,4 @@ def trap_report_to_json(solution: TrapSolution, pole: ComplexEnergy,
         "gamma_residual": pole.gamma,
         "margin": report.margin,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

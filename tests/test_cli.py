@@ -126,3 +126,20 @@ def test_solver_failure_is_exit_2(tmp_path, capsys):
     code = run(tmp_path, "poles", "quad.cutoff=10.0")
     assert code == 2
     assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, override", [
+    ("sweep", "sweep.step=0"),
+    ("sweep", "sweep.step=-1"),
+    ("poles", "model.omega1=1e400"),
+    ("poles", "model.n_ff=1.5"),
+    ("contour", "contour.nx=0"),
+    ("poles", "quad.rel_tol=-1"),
+    ("poles", "quad.cutoff=abc"),
+])
+def test_bad_input_is_one_line_config_error(tmp_path, capsys, command, override):
+    code = run(tmp_path, command, override)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

@@ -47,6 +47,10 @@ def test_invalid_fields_named():
         validate(ModelParams(omega1=0.0))
     with pytest.raises(ModelError, match="n_ff"):
         validate(ModelParams(n_ff=0))
+    with pytest.raises(ModelError, match="lam must be finite"):
+        validate(ModelParams(lam=float("inf")))
+    with pytest.raises(ModelError, match="n_ff"):
+        params_from_json({"n_ff": 1.5})      # rejected, not truncated
 
 
 def test_instability_margin_matches_closed_form(params):

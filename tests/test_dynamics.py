@@ -17,7 +17,6 @@ from collective1d import (
 from collective1d.dynamics import (
     FieldProfile,
     TimeSeries,
-    eigensystem_cache_key,
     profile_to_csv,
     timeseries_to_csv,
 )
@@ -273,16 +272,3 @@ def test_csv_writers(tmp_path, small_reduced):
     profile_to_csv(prof, ppath)
     assert ppath.read_text().splitlines()[0] == "x,intensity"
 
-
-def test_eigensystem_cache(tmp_path):
-    p = ModelParams(x1=0.0, x2=5.0)
-    key1 = eigensystem_cache_key(p, 60.0, 201, "s")
-    key2 = eigensystem_cache_key(p, 60.0, 201, "s")
-    assert key1 == key2
-    assert key1 != eigensystem_cache_key(p, 60.0, 201, "a")
-    model = build_lattice(p, 60.0, 201, "s")
-    diagonalize(model, cache_dir=tmp_path)
-    assert list(tmp_path.glob("eig-*.npz"))
-    fresh = build_lattice(p, 60.0, 201, "s")
-    diagonalize(fresh, cache_dir=tmp_path)
-    assert np.array_equal(fresh.evals, model.evals)

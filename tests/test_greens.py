@@ -22,7 +22,14 @@ from collective1d import (
     pole_scan,
     weak_coupling_estimate,
 )
-from collective1d.greens import EstimateDivergence, pole_records_to_csv
+from collective1d.greens import (
+    ConvergenceError,
+    EstimateDivergence,
+    GreensError,
+    fixed_point,
+    newton,
+    pole_records_to_csv,
+)
 
 X21 = 29.025
 
@@ -196,6 +203,39 @@ def test_wrong_branch_raises():
         from collective1d.greens import ComplexEnergy
 
         ComplexEnergy.from_root(2.0 + 0.1j, None, 0, 1.0 + 0j)
+
+
+# ------------------------------------------------------------- shared solvers
+
+def test_newton_closed_form_root_and_derivative():
+    c = 3.0 - 4.0j                      # principal square root 2 - i
+    z, df = newton(lambda z: (z * z - c, 2.0 * z), 1.0, 1e-13, 50, "sqrt")
+    assert abs(z * z - c) < 1e-13 * max(1.0, abs(z))
+    assert z == pytest.approx(2.0 - 1.0j, abs=1e-12)
+    assert df == 2.0 * z                # f' at the returned root, not the previous iterate
+
+
+def test_newton_failures_name_the_solve():
+    no_root = lambda z: (1.0 + 0j, 1.0)     # steps z -> z - 1 forever
+    with pytest.raises(ConvergenceError, match=r"unit step did not converge in 5 steps \(\|f\|=1"):
+        newton(no_root, 2.5, 1e-12, 5, "unit step")
+
+    def fenced(z):
+        if z.real <= 0:
+            raise ContinuationDomainError("Re z <= 0")
+        return no_root(z)
+
+    with pytest.raises(ConvergenceError, match=r"fenced step left the evaluation region .*\|f\|=1"):
+        newton(fenced, 2.5, 1e-12, 50, "fenced step")
+
+
+def test_fixed_point_contraction_and_stall():
+    x, residual = fixed_point(np.cos, 1.0, 1e-13, 200, "cosine")
+    assert residual < 1e-13
+    assert x == pytest.approx(0.7390851332151607, abs=1e-12)
+    with pytest.raises(ConvergenceError, match="drift stalled at residual 1.00e"):
+        fixed_point(lambda x: x + 1.0, 0.0, 1e-12, 30, "drift")
+    assert issubclass(ConvergenceError, GreensError)
 
 
 # ------------------------------------------------------------------ pole_scan
