@@ -17,7 +17,6 @@ from collective1d import (
     bounce_sum,
     build_lattice,
     collective_survival,
-    diagonalize,
     find_pole,
     find_zs1,
     one_atom_pole,
@@ -31,7 +30,7 @@ x21 = 29.025
 p = params.with_x21(x21)
 
 print("building the L=500, 2501-mode lattice (symmetric sector) ...")
-model = diagonalize(build_lattice(p, 500.0, 2501, "s"))
+model = build_lattice(p, 500.0, 2501, "s")
 
 z1 = one_atom_pole(params, quad)
 zs = find_pole("s", x21, z1.value, params, quad)

@@ -13,7 +13,6 @@ from collective1d import (
     QuadratureSpec,
     build_lattice,
     collective_field,
-    diagonalize,
     field_intensity,
     find_pole,
     one_atom_pole,
@@ -25,7 +24,7 @@ x21 = 29.025
 p = params.with_x21(x21)
 
 print("building the lattice ...")
-model = diagonalize(build_lattice(p, 500.0, 2501, "s"))
+model = build_lattice(p, 500.0, 2501, "s")
 pole = find_pole("s", x21, one_atom_pole(params, quad).value, params, quad)
 
 t_early = 0.32 * x21

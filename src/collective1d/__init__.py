@@ -19,7 +19,6 @@ from .quadrature import (
     ContinuationDomainError,
     QuadratureError,
     QuadratureSpec,
-    continued_halfline_integral,
     fourier_halfline,
     halfline_integral,
 )
@@ -50,7 +49,6 @@ from .dynamics import (
     build_lattice,
     collective_field,
     collective_survival,
-    diagonalize,
     evolve,
     field_intensity,
     survival_probability,

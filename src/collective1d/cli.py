@@ -24,12 +24,12 @@ from . import dynamics as dyn
 from . import greens as gr
 from . import sweep as sw
 from . import waveguide as wg
-from .core import ModelError, ModelParams, validate
+from .core import ModelError, ModelParams, params_to_dict, validate
 from .io import write_json
 from .quadrature import QuadratureError, QuadratureSpec
 
 DEFAULT_CONFIG = {
-    "model": {"omega1": 2.0, "lambda": 0.05, "omegaM": 5.0, "n_ff": 1, "x1": 0.0, "x2": 1.0},
+    "model": params_to_dict(ModelParams()),
     "quad": {"cutoff": None},
     "lattice": {"L": 500.0, "n_modes": 2501},
     "poles": {"x21": 29.025, "n_min": -3, "n_max": 3, "write_contour": False},
@@ -97,6 +97,19 @@ def _resolve(cfg: dict):
     return params, quad
 
 
+def _integer(cfg: dict, dotted: str, minimum: int | None = None) -> int:
+    """The integer config value at block.key; a non-integral value or one
+    below minimum is a ConfigError, never truncated."""
+    block, key = dotted.split(".")
+    value = cfg[block][key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ConfigError(f"{dotted} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{dotted} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _sidecar(path: Path, cfg: dict) -> None:
     write_json(path.with_name(path.name + ".config.json"), cfg)
 
@@ -112,7 +125,7 @@ def cmd_poles(cfg: dict, out: Path) -> list[Path]:
     _check_coupled(params)
     block = cfg["poles"]
     x21 = float(block["x21"])
-    n_range = range(int(block["n_min"]), int(block["n_max"]) + 1)
+    n_range = range(_integer(cfg, "poles.n_min"), _integer(cfg, "poles.n_max") + 1)
     written = []
     for tag in ("s", "a"):
         records, missing = gr.pole_scan(tag, x21, n_range, params, quad)
@@ -130,9 +143,7 @@ def cmd_contour(cfg: dict, out: Path) -> list[Path]:
     params, quad = _resolve(cfg)
     _check_coupled(params)
     c = cfg["contour"]
-    grid = (int(c["nx"]), int(c["ny"]))
-    if min(grid) < 1:
-        raise ConfigError("contour.nx and contour.ny must be >= 1")
+    grid = (_integer(cfg, "contour.nx", 1), _integer(cfg, "contour.ny", 1))
     cmap = gr.contour_map((c["re_min"], c["re_max"], c["im_min"], c["im_max"]),
                           grid, c["sector"], float(c["x21"]), params, quad)
     path = out / f"contour_{c['sector']}.csv"
@@ -147,20 +158,18 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
     initial = str(e["initial"])
     if initial not in ("s", "a"):
         raise ConfigError("evolve.initial must be 's' or 'a'")
-    if int(e["n_t"]) < 2:
-        raise ConfigError("evolve.n_t must give a non-empty time grid")
+    n_t, n_x = _integer(cfg, "evolve.n_t", 2), _integer(cfg, "evolve.n_x", 1)
     x21 = float(e["x21"])
     p = params.with_x21(x21)
-    lat = cfg["lattice"]
-    model = dyn.build_lattice(p, float(lat["L"]), int(lat["n_modes"]), initial)
-    dyn.diagonalize(model)
-    times = np.linspace(0.0, float(e["t_max_factor"]) * x21, int(e["n_t"]))
+    model = dyn.build_lattice(p, float(cfg["lattice"]["L"]),
+                              _integer(cfg, "lattice.n_modes"), initial)
+    times = np.linspace(0.0, float(e["t_max_factor"]) * x21, n_t)
     series = dyn.survival_probability(model, initial, times)
     overlay = dyn.collective_survival(p, initial, x21, times, quad)
     paths = [out / f"p1_{initial}.csv", out / f"p1_{initial}_collective.csv"]
     dyn.timeseries_to_csv(series, paths[0])
     dyn.timeseries_to_csv(overlay, paths[1])
-    xs = np.linspace(-1.5 * x21 + p.x1, p.x2 + 1.5 * x21, int(e["n_x"]))
+    xs = np.linspace(-1.5 * x21 + p.x1, p.x2 + 1.5 * x21, n_x)
     for fac in e["profile_time_factors"]:
         t = float(fac) * x21
         prof = dyn.field_intensity(model, initial, xs, t)
@@ -190,7 +199,7 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
     solutions = []
     checks = {}
     for tag in ("s", "a"):
-        for n in range(1, int(s["zero_decay_max_n"]) + 1):
+        for n in range(1, _integer(cfg, "sweep.zero_decay_max_n", 0) + 1):
             try:
                 sol = sw.zero_decay_solve(tag, n, params, quad)
             except (gr.GreensError, ValueError):
@@ -212,7 +221,7 @@ def cmd_bounces(cfg: dict, out: Path) -> list[Path]:
     x21 = float(b["x21"])
     t_max = float(b["t_max_factor"]) * x21
     dec = bn.BounceDecomposition.build(x21, params, quad, t_max=t_max)
-    times = np.linspace(0.0, t_max, int(b["n_t"]))
+    times = np.linspace(0.0, t_max, _integer(cfg, "bounces.n_t", 1))
     amps = np.array([bn.bounce_sum(t, dec) for t in times])
     path = out / "bounce_amplitude.csv"
     bn.amplitude_to_csv(times, amps, path)
@@ -226,12 +235,12 @@ def cmd_bounces(cfg: dict, out: Path) -> list[Path]:
 def cmd_waveguide(cfg: dict, out: Path) -> list[Path]:
     w = cfg["waveguide"]
     guide = wg.WaveguideParams(
-        D=float(w["D"]), W=float(w["W"]), m0=int(w["m0"]), n0=int(w["n0"]),
-        l_max=int(w["l_max"]),
+        D=float(w["D"]), W=float(w["W"]), m0=_integer(cfg, "waveguide.m0"),
+        n0=_integer(cfg, "waveguide.n0"), l_max=_integer(cfg, "waveguide.l_max"),
         coupling=wg.default_coupling(float(w["g0"]), float(w["k_c"]),
                                      float(w["channel_decay"])))
     report = wg.existence_check(guide)
-    solution = wg.solve_trap(guide, int(w["n"]), w["sector"])
+    solution = wg.solve_trap(guide, _integer(cfg, "waveguide.n", 1), w["sector"])
     pole = wg.collective_pole_wg(guide, w["sector"], solution.x21_trap,
                                  seed=solution.xi_tilde - 1e-5j)
     path = out / "waveguide_trap.json"

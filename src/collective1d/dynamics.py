@@ -1,16 +1,15 @@
-"""Finite-box dynamics: Hamiltonian assembly, exact evolution by spectral
-decomposition, survival probabilities and field-intensity profiles, plus the
-single-pole (collective-state) approximants they converge to.
+"""Finite-box dynamics: the parity-reduced box Hamiltonian, exact evolution
+from its closed-form eigenvectors, survival probabilities and field-intensity
+profiles, plus the single-pole (collective-state) approximants they converge
+to.
 
-Two builds are provided. The full build keeps both atoms and all signed
-modes k_m = 2 pi m / L (complex Hermitian, dimension n_modes + 2). The
-sector-reduced build rotates each degenerate {+k, -k} pair into the single
-combination that couples to |j> = (|1> + sigma|2>)/sqrt(2); the coupling
-becomes the real number lam V_k sqrt(2 (1 + sigma cos k x21)) and the matrix
-real symmetric of dimension (n_modes - 1)/2 + 2. The reduction is exact for
-every observable reachable from |s> or |a> (the opposite-parity combinations
-never populate) and is the default for production runs; the full build is
-retained as the equivalence oracle.
+Each degenerate mode pair {+k, -k}, k = 2 pi m / L, couples to
+|j> = (|1> + sigma|2>)/sqrt(2) through one combination only, with the real
+coupling g_k = lam V_k sqrt(2 (1 + sigma cos k x21)); the opposite-parity
+combinations never populate. The reduction is exact for every observable
+reachable from |s> or |a>, and |1>, |2> = (|s> +- |a>)/sqrt(2). The reduced
+Hamiltonian is an arrowhead matrix (|j> against the diagonal modes), solved
+without forming its eigenvector matrix.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import ModelParams, SymmetrySector, as_sector, validate
 from .greens import (
@@ -36,7 +34,6 @@ __all__ = [
     "FieldProfile",
     "LatticeError",
     "build_lattice",
-    "diagonalize",
     "evolve",
     "survival_probability",
     "collective_survival",
@@ -46,7 +43,10 @@ __all__ = [
     "profile_to_csv",
 ]
 
-_MAX_DIM = 20000
+_MAX_DIM = 20000         # dense eigvalsh input: 8 dim^2 bytes
+_BLOCK = 256             # eigenvalue rows per (rows, modes) work array
+_NEWTON_STEPS = 2
+_EPS = np.finfo(float).eps
 
 
 class LatticeError(ValueError):
@@ -86,120 +86,116 @@ class FieldProfile:
 
 @dataclass
 class LatticeModel:
+    """A solved parity-reduced box in the basis |j>, |k=0>, |k_1>, |k_2>, ...
+
+    The spectrum lists the eigenvalues that |j> reaches: those of the arrowhead
+    block of |j> and the modes with g_k > 0. The k = 0 slot (v(0) = 0) and the
+    modes with g_k = 0 are eigenstates of their own, E = k with weight 0 on
+    |j>, and are left out of it.
+    """
     params: ModelParams
     box_length: float
     n_modes: int
-    sector: SymmetrySector | None      # None -> full two-atom build
-    k: np.ndarray                      # positive mode momenta (reduced) or signed (full)
-    hamiltonian: np.ndarray
-    couplings: np.ndarray              # reduced: real G(k); full: complex (2, n_modes)
-    evals: np.ndarray | None = None
-    evecs: np.ndarray | None = None
+    sector: SymmetrySector
+    k: np.ndarray              # positive mode momenta 2 pi m / L
+    couplings: np.ndarray      # g_k
+    coupled: np.ndarray        # indices into k of the modes with g_k > 0
+    evals: np.ndarray          # ascending eigenvalues E
+    weights: np.ndarray        # |<j|E>|^2
+    nearest: np.ndarray        # index into k[coupled] of the pole nearest each E
+    offsets: np.ndarray        # E - k[coupled][nearest], to full relative accuracy
 
     @property
     def dim(self) -> int:
-        return self.hamiltonian.shape[0]
-
-    @property
-    def reduced(self) -> bool:
-        return self.sector is not None
+        return self.k.size + 2
 
 
 def build_lattice(params: ModelParams, box_length: float, n_modes: int,
-                  sector=None) -> LatticeModel:
-    """Assemble the discretized Hamiltonian.
-
-    sector: a SymmetrySector (or 's'/'a') gives the parity-reduced real
-    symmetric build; None (or 'full') the full complex-Hermitian one.
-    """
+                  sector) -> LatticeModel:
+    """Assemble and solve the parity-reduced box of sector 's' or 'a' with
+    n_modes signed modes, i.e. (n_modes - 1)/2 pairs {+k, -k}."""
     validate(params, two_atom=True)
-    if sector == "full":
-        sector = None
     sector = as_sector(sector)
+    if sector is None:
+        raise LatticeError("the box is built for one sector, 's' or 'a'")
     if n_modes % 2 == 0 or n_modes < 3:
         raise LatticeError("n_modes must be odd and >= 3")
     if box_length <= 2.0 * params.x21:
         raise LatticeError(f"box L={box_length} must exceed 2*x21={2 * params.x21} "
                            "so both light cones fit")
     n_half = (n_modes - 1) // 2
-    lam = params.lam
-
-    if sector is not None:
-        dim = n_half + 2
-        if dim > _MAX_DIM:
-            raise LatticeError(f"dimension {dim} beyond memory budget {_MAX_DIM}")
-        k = 2.0 * np.pi * np.arange(1, n_half + 1) / box_length
-        vk = np.sqrt(np.maximum(np.real_if_close(k / (1 + (k / params.omegaM) ** 2) ** (2 * params.n_ff)), 0.0))
-        big_v = np.sqrt(2.0 * np.pi / box_length) * vk
-        mod = 2.0 * (1.0 + sector.sigma * np.cos(k * params.x21))
-        g = lam * big_v * np.sqrt(np.maximum(mod, 0.0))
-        ham = np.zeros((dim, dim))
-        ham[0, 0] = params.omega1           # |j>
-        # slot 1 is the k=0 mode: energy 0, coupling 0 (v(0) = 0)
-        idx = np.arange(2, dim)
-        ham[idx, idx] = k
-        ham[0, idx] = g
-        ham[idx, 0] = g
-        return LatticeModel(params, float(box_length), n_modes, sector, k, ham, g)
-
-    dim = n_modes + 2
-    if dim > _MAX_DIM:
-        raise LatticeError(f"dimension {dim} beyond memory budget {_MAX_DIM}")
-    m = np.arange(-n_half, n_half + 1)
-    k = 2.0 * np.pi * m / box_length
-    absk = np.abs(k)
-    vk = np.sqrt(absk / (1 + (absk / params.omegaM) ** 2) ** (2 * params.n_ff))
+    if n_half + 2 > _MAX_DIM:
+        raise LatticeError(f"dimension {n_half + 2} beyond memory budget {_MAX_DIM}")
+    k = 2.0 * np.pi * np.arange(1, n_half + 1) / box_length
+    vk = np.sqrt(k / (1 + (k / params.omegaM) ** 2) ** (2 * params.n_ff))
     big_v = np.sqrt(2.0 * np.pi / box_length) * vk
-    ham = np.zeros((dim, dim), dtype=complex)
-    ham[0, 0] = params.omega1
-    ham[1, 1] = params.omega1
-    idx = np.arange(2, dim)
-    ham[idx, idx] = absk
-    coup = np.empty((2, n_modes), dtype=complex)
-    coup[0] = lam * big_v * np.exp(1j * k * params.x1)
-    coup[1] = lam * big_v * np.exp(1j * k * params.x2)
-    ham[0, idx] = coup[0]
-    ham[1, idx] = coup[1]
-    ham[idx, 0] = np.conj(coup[0])
-    ham[idx, 1] = np.conj(coup[1])
-    return LatticeModel(params, float(box_length), n_modes, None, k, ham, coup)
+    mod = 2.0 * (1.0 + sector.sigma * np.cos(k * params.x21))
+    g = params.lam * big_v * np.sqrt(np.maximum(mod, 0.0))
+    # a coupling below the rounding of the eigensolver moves no eigenvalue
+    # by more than that rounding: deflate it, as LAPACK's dlaed2 does
+    coupled = np.flatnonzero(g > 8.0 * _EPS * max(abs(params.omega1), k[-1]))
+    evals, weights, nearest, offsets = _arrowhead_spectrum(params.omega1, k[coupled], g[coupled])
+    return LatticeModel(params, float(box_length), n_modes, sector, k, g, coupled,
+                        evals, weights, nearest, offsets)
 
 
-def diagonalize(model: LatticeModel) -> LatticeModel:
-    """Fill in the spectral decomposition (full real spectrum, orthonormal
-    basis). The Hermitian problem is handled by LAPACK through scipy.linalg.eigh
-    (tridiagonal reduction + implicit-shift iteration family), which meets the
-    orthonormality contract."""
-    if model.evals is None:
-        model.evals, model.evecs = scipy.linalg.eigh(model.hamiltonian)
-    return model
+def _blocks(n: int):
+    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
 
 
-def _initial_vector(model: LatticeModel, initial) -> np.ndarray:
-    if isinstance(initial, np.ndarray):
-        if initial.shape != (model.dim,):
-            raise LatticeError(f"initial vector must have shape ({model.dim},)")
-        return initial.astype(complex)
-    label = str(initial)
-    vec = np.zeros(model.dim, dtype=complex)
-    if model.reduced:
-        if label in ("s", "a"):
-            if label != ("s" if model.sector.sigma > 0 else "a"):
-                raise LatticeError(f"initial |{label}> does not live in the "
-                                   f"{model.sector.tag} reduced model")
-            vec[0] = 1.0
-            return vec
-        raise LatticeError("reduced models evolve |s> or |a> only; use the full build for |1>, |2>")
-    if label == "1":
-        vec[0] = 1.0
-    elif label == "2":
-        vec[1] = 1.0
-    elif label in ("s", "a"):
-        vec[0] = 1.0 / np.sqrt(2.0)
-        vec[1] = (1.0 if label == "s" else -1.0) / np.sqrt(2.0)
-    else:
-        raise LatticeError(f"unknown initial state {initial!r}")
-    return vec
+def _gaps(d: np.ndarray, nearest: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """E - d for a block of eigenvalues (rows) against all poles d (columns).
+    The gap to the nearest pole is the offset itself, so it keeps full
+    relative accuracy however close E sits to it."""
+    return (d[nearest, None] - d) + offsets[:, None]
+
+
+def _arrowhead_spectrum(omega1: float, d: np.ndarray, g: np.ndarray):
+    """Eigenvalues E of [[omega1, g], [g, diag(d)]] (d ascending, g > 0), their
+    weights |<j|E>|^2 = 1 / (1 + sum g^2 / (E - d)^2), and for each E the
+    index of its nearest pole d_n and the offset tau = E - d_n.
+
+    numpy.linalg.eigvalsh gives each E to eps ||H|| absolute. By interlacing
+    E_i lies between d_{i-1} and d_i, and tau is taken from the nearer one.
+    Newton steps on the secular equation E - omega1 - sum g^2 / (E - d) = 0,
+    multiplied through by tau so that it stays smooth at tau = 0, then give
+    tau to full relative accuracy. The weights of weakly coupled modes
+    (w ~ tau^2 / g_n^2) and the eigenvectors <d|E> = g / (E - d) <j|E> need
+    that accuracy (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172).
+    """
+    m = d.size
+    if m == 0:
+        return np.array([omega1]), np.ones(1), np.zeros(1, dtype=int), np.zeros(1)
+    h = np.diag(np.concatenate(([omega1], d)))
+    h[1:, 0] = g                      # eigvalsh reads the lower triangle
+    evals = np.linalg.eigvalsh(h)
+    del h
+    i = np.arange(m + 1)
+    left, right = np.maximum(i - 1, 0), np.minimum(i, m - 1)
+    nearest = np.where((i == m) | ((i > 0) & (evals - d[left] < d[right] - evals)), left, right)
+    offsets = evals - d[nearest]
+    g2 = g * g
+    for _ in range(_NEWTON_STEPS):
+        for rows in _blocks(m + 1):
+            n, tau = nearest[rows], offsets[rows]
+            gaps = _gaps(d, n, tau)
+            gaps[np.arange(n.size), n] = np.inf      # the nearest pole is factored out
+            terms = g2 / gaps
+            rest = d[n] + tau - omega1 - terms.sum(axis=1)
+            slope = rest + tau * (1.0 + (terms / gaps).sum(axis=1))
+            offsets[rows] = tau - (tau * rest - g2[n]) / slope
+    weights = np.empty(m + 1)
+    for rows in _blocks(m + 1):
+        gaps = _gaps(d, nearest[rows], offsets[rows])
+        weights[rows] = 1.0 / (1.0 + np.sum(g2 / gaps ** 2, axis=1))
+    return d[nearest] + offsets, weights, nearest, offsets
+
+
+def _check_initial(model: LatticeModel, initial) -> None:
+    tag = model.sector.tag[0]
+    if str(initial) != tag:
+        raise LatticeError(f"the {model.sector.tag} box evolves |{tag}> only; "
+                           "|1>, |2> = (|s> +- |a>)/sqrt(2) combine both boxes")
 
 
 def _check_horizon(model: LatticeModel, t_max: float) -> None:
@@ -210,34 +206,33 @@ def _check_horizon(model: LatticeModel, t_max: float) -> None:
 
 
 def evolve(model: LatticeModel, initial, t: float) -> np.ndarray:
-    """e^{-iHt} applied to the initial state, via the eigen-expansion."""
-    diagonalize(model)
+    """e^{-iHt}|j> in the basis |j>, |k=0>, |k_1>, ...:
+
+        <j|psi(t)> = sum_E w_E e^{-iEt},
+        <k|psi(t)> = g_k sum_E w_E e^{-iEt} / (E - k),
+
+    summed over blocks of eigenvalues, so no N x N array is formed."""
+    _check_initial(model, initial)
     _check_horizon(model, float(t))
-    vec = _initial_vector(model, initial)
-    coeff = model.evecs.conj().T @ vec
-    return model.evecs @ (np.exp(-1j * model.evals * t) * coeff)
+    phased = model.weights * np.exp(-1j * model.evals * t)
+    d = model.k[model.coupled]
+    modes = np.zeros(d.size, dtype=complex)
+    for rows in _blocks(phased.size if d.size else 0):     # no coupled mode: |j> alone
+        modes += phased[rows] @ (1.0 / _gaps(d, model.nearest[rows], model.offsets[rows]))
+    state = np.zeros(model.dim, dtype=complex)
+    state[0] = phased.sum()
+    state[2 + model.coupled] = model.couplings[model.coupled] * modes
+    return state
 
 
 def survival_probability(model: LatticeModel, initial, times) -> TimeSeries:
-    """P_1(t) = |<1| e^{-iHt} |initial>|^2 on the provided grid.
-
-    In a reduced model with initial |j>, <1|psi(t)> = A_j(t)/sqrt(2) with
-    A_j the survival amplitude of |j>, so P_1 = |A_j|^2 / 2.
-    """
-    diagonalize(model)
+    """P_1(t) = |<1| e^{-iHt} |j>|^2 on the provided grid. With <1|j> = 1/sqrt(2)
+    and the survival amplitude A_j(t) = sum_E w_E e^{-iEt}, P_1 = |A_j|^2 / 2."""
+    _check_initial(model, initial)
     times = np.asarray(times, dtype=float)
     _check_horizon(model, float(times.max()))
-    vec = _initial_vector(model, initial)
-    coeff = model.evecs.conj().T @ vec
-    if model.reduced:
-        proj = model.evecs[0, :].conj()
-        amp = (proj * coeff)[None, :] @ np.exp(-1j * np.outer(model.evals, times))
-        values = 0.5 * np.abs(amp[0]) ** 2
-    else:
-        proj = model.evecs[0, :].conj()
-        amp = (proj * coeff)[None, :] @ np.exp(-1j * np.outer(model.evals, times))
-        values = np.abs(amp[0]) ** 2
-    return TimeSeries(times, values, label=f"P1 initial={initial}")
+    amp = np.exp(-1j * np.outer(times, model.evals)) @ model.weights
+    return TimeSeries(times, 0.5 * np.abs(amp) ** 2, label=f"P1 initial={initial}")
 
 
 def collective_survival(params: ModelParams, sector, x21, times,
@@ -255,39 +250,23 @@ def collective_survival(params: ModelParams, sector, x21, times,
                       label=f"P1_z{pole.sector[0]}")
 
 
-def _field_weights(model: LatticeModel, x: float) -> np.ndarray:
-    """<psi(x)| components on the populated mode basis (k=0 excluded)."""
-    p = model.params
-    if model.reduced:
-        k = model.k
-        g = model.couplings
-        base = 1.0 / np.sqrt(2.0 * k * model.box_length)
-        num = np.cos(k * (x - p.x1)) + model.sector.sigma * np.cos(k * (x - p.x2))
-        denom = np.sqrt(np.maximum(1.0 + model.sector.sigma * np.cos(k * p.x21), 1e-300))
-        w = base * num / denom
-        return np.where(g > 1e-14, w, 0.0)
-    k = model.k
-    w = np.zeros(k.shape, dtype=complex)
-    nz = k != 0.0
-    w[nz] = np.exp(1j * k[nz] * x) / np.sqrt(2.0 * np.abs(k[nz]) * model.box_length)
-    return w
-
-
 def field_intensity(model: LatticeModel, initial, xs, t: float,
                     label: str = "") -> FieldProfile:
     """P(x, t) = |<psi(x)| e^{-iHt} |initial>|^2 with
-    <psi(x)| = sum_k (2 omega_k L)^{-1/2} e^{ikx} <k| (k=0 dropped)."""
+    <psi(x)| = sum_k (2 omega_k L)^{-1/2} e^{ikx} <k| (k=0 dropped), which on
+    the reduced mode k of sector sigma is
+    (2 k L)^{-1/2} (cos k(x - x1) + sigma cos k(x - x2)) / sqrt(1 + sigma cos k x21)."""
     xs = np.asarray(xs, dtype=float)
-    center = 0.5 * (model.params.x1 + model.params.x2)
-    if np.any(np.abs(xs - center) > 0.5 * model.box_length):
+    p = model.params
+    if np.any(np.abs(xs - 0.5 * (p.x1 + p.x2)) > 0.5 * model.box_length):
         raise LatticeError("x grid leaves the periodic box around the emitter pair")
-    state = evolve(model, initial, t)
-    mode_amp = state[2:]
-    out = np.empty(xs.shape)
-    for i, x in enumerate(xs):
-        w = _field_weights(model, x)
-        out[i] = abs(np.sum(w * mode_amp)) ** 2
-    return FieldProfile(xs, out, float(t), label=label or f"P(x,t={t:g})")
+    mode_amp = evolve(model, initial, t)[2 + model.coupled]
+    k, sigma = model.k[model.coupled], model.sector.sigma
+    x = xs[:, None]
+    weights = ((np.cos(k * (x - p.x1)) + sigma * np.cos(k * (x - p.x2)))
+               / np.sqrt(2.0 * k * model.box_length * (1.0 + sigma * np.cos(k * p.x21))))
+    return FieldProfile(xs, np.abs(weights @ mode_amp) ** 2, float(t),
+                        label=label or f"P(x,t={t:g})")
 
 
 def _phase_integral(z: complex, c: float, params: ModelParams) -> complex:

@@ -37,7 +37,6 @@ from .quadrature import (
     ContinuationDomainError,
     QuadratureSpec,
     RayKernel,
-    continued_halfline_integral,
     ray_scale,
 )
 

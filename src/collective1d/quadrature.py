@@ -1,6 +1,6 @@
-"""Quadrature backbone: adaptive Gauss panels, the analytically continued
-half-line integral, rotated-ray kernels for Fourier-type integrands, and a
-Filon integrator for strongly oscillatory transforms.
+"""Quadrature backbone: adaptive Gauss panels, rotated-ray kernels for the
+analytically continued and Fourier-type integrands, and a Filon integrator
+for strongly oscillatory transforms.
 
 Every integral in this package is one of
 
@@ -22,7 +22,6 @@ __all__ = [
     "ContinuationDomainError",
     "adaptive_integral",
     "halfline_integral",
-    "continued_halfline_integral",
     "RayKernel",
     "fourier_halfline",
 ]
@@ -31,7 +30,6 @@ _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _RAY_NODES, _RAY_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
-_AXIS_TOL = 1e-13
 
 
 class QuadratureError(RuntimeError):
@@ -142,68 +140,6 @@ def _tail_integral(f, spec: QuadratureSpec) -> complex:
 def halfline_integral(f, spec: QuadratureSpec) -> complex:
     """int_0^inf f(k) dk for f decaying at least like k^-2."""
     return adaptive_integral(f, 0.0, spec.cutoff, spec) + _tail_integral(f, spec)
-
-
-def continued_halfline_integral(f, z: complex, spec: QuadratureSpec,
-                                include_tail: bool = True) -> complex:
-    """The + branch of int_0^inf f(k)/(z-k) dk.
-
-    Im z > 0 : plain integral.
-    Im z = 0 : principal value minus i*pi*f(z) (boundary value from above).
-    Im z < 0 : plain integral minus 2*pi*i*f(z).
-
-    f must be evaluable at complex arguments near z (the subtraction and the
-    continuation term both need f(z)). z on the negative real axis is
-    rejected: the k=0 endpoint is a fixed feature of the integration ray and
-    its treatment belongs to the caller. include_tail=False truncates at the
-    cutoff (the only sensible reading for non-decaying f, e.g. the constant-f
-    closed form c*[ln(z) - ln(z - cutoff)]).
-    """
-    z = complex(z)
-    lam = spec.cutoff
-    if abs(z.imag) <= _AXIS_TOL and z.real <= _AXIS_TOL:
-        raise ContinuationDomainError("z on the negative real axis; handle the k=0 endpoint in the caller")
-
-    if abs(z.imag) <= _AXIS_TOL:
-        omega = z.real
-        if omega >= lam:
-            raise ContinuationDomainError("real z beyond the quadrature cutoff")
-        f_at = complex(np.asarray(f(np.array([omega + 0j])))[0])
-        h = 1e-7 * max(1.0, abs(omega))
-        df_at = complex(
-            (np.asarray(f(np.array([omega + h + 0j])))[0] - np.asarray(f(np.array([omega - h + 0j])))[0]) / (2 * h)
-        )
-
-        def subtracted(k):
-            k = np.asarray(k)
-            out = np.empty(k.shape, dtype=complex)
-            d = omega - k
-            near = np.abs(d) < 1e-9 * max(1.0, abs(omega))
-            out[~near] = (np.asarray(f(k[~near])) - f_at) / d[~near]
-            out[near] = -df_at
-            return out
-
-        pv = adaptive_integral(subtracted, 0.0, lam, spec, seed_edges=[0.0, omega, lam])
-        pv += f_at * (np.log(omega) - np.log(lam - omega))
-        if include_tail:
-            pv += _tail_integral(lambda k: f(k) / (omega - k), spec)
-        return pv - 1j * np.pi * f_at
-
-    def integrand(k):
-        k = np.asarray(k)
-        return np.asarray(f(k)) / (z - k)
-
-    seeds = [0.0, lam]
-    if 0.0 < z.real < lam:
-        w = abs(z.imag)
-        seeds += [z.real - 5 * w, z.real, z.real + 5 * w, z.real - 50 * w, z.real + 50 * w]
-    plain = adaptive_integral(integrand, 0.0, lam, spec, seed_edges=seeds)
-    if include_tail:
-        plain += _tail_integral(integrand, spec)
-    if z.imag < 0:
-        f_at = complex(np.asarray(f(np.array([z])))[0])
-        plain -= 2j * np.pi * f_at
-    return plain
 
 
 class RayKernel:

@@ -8,7 +8,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .core import ANTISYMMETRIC, SYMMETRIC, ModelParams, as_sector, validate
 from .greens import (
@@ -241,8 +240,8 @@ def angular_factor(d: int, sector, u) -> float | np.ndarray:
 
     d=1: 2 (1 + sigma cos u)               (the one-dimensional condition)
     d=3: 2 (1 + sigma sin(u)/u)            (weight sin(theta))
-    d=2: quadrature with weight 1 -- the weight is not fixed by the source
-         material, so the d=2 value is provisional.
+    d=2: pi (1 + sigma J0(u))               (weight 1 -- the weight is not
+         fixed by the source material, so the d=2 value is provisional)
     """
     sector = as_sector(sector)
     sigma = sector.sigma
@@ -255,11 +254,14 @@ def angular_factor(d: int, sector, u) -> float | np.ndarray:
         sinc = np.where(u_arr == 0.0, 1.0, np.sin(u_arr) / np.where(u_arr == 0, 1.0, u_arr))
         out = 2.0 * (1.0 + sigma * sinc)
     elif d == 2:
-        out = np.array([
-            scipy.integrate.quad(lambda th: 1.0 + sigma * np.cos(uu * np.cos(th)),
-                                 0.0, np.pi, epsabs=1e-12, epsrel=1e-12)[0]
-            for uu in u_arr
-        ])
+        # J0(u) = (1/pi) int_0^pi cos(u cos theta): the integrand is even and
+        # 2 pi-periodic, so the trapezoid rule of m panels errs by ~J_2m(u),
+        # below round-off once m > u + 32
+        m = int(np.ceil(u_arr.max(initial=0.0))) + 32
+        weights = np.full(m + 1, 1.0 / m)
+        weights[[0, -1]] *= 0.5
+        j0 = np.cos(np.outer(u_arr, np.cos(np.linspace(0.0, np.pi, m + 1)))) @ weights
+        out = np.pi * (1.0 + sigma * j0)
     else:
         raise ValueError("d must be 1, 2 or 3")
     return out if np.ndim(u) else float(out[0])

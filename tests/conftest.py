@@ -6,7 +6,6 @@ from collective1d import (
     QuadratureSpec,
     build_lattice,
     continuum_weight_grid,
-    diagonalize,
     find_pole,
     one_atom_pole,
     sweep_poles,
@@ -44,8 +43,7 @@ def za29(params, quad, z1):
 @pytest.fixture(scope="session")
 def model_s29(params):
     """Reduced symmetric-sector lattice at the figure setup (L=500, 2501 modes)."""
-    model = build_lattice(params.with_x21(X21_FIG), 500.0, 2501, "s")
-    return diagonalize(model)
+    return build_lattice(params.with_x21(X21_FIG), 500.0, 2501, "s")
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +59,7 @@ def models_127(params):
     p = params.with_x21(X21_TRAP)
     out = {}
     for tag in ("s", "a"):
-        out[tag] = diagonalize(build_lattice(p, 250.0, 2501, tag))
+        out[tag] = build_lattice(p, 250.0, 2501, tag)
     return out
 
 

@@ -1,0 +1,145 @@
+"""Reference implementations that exist only to cross-check the package.
+
+* ``continued_halfline_integral``: the + branch of int_0^inf f(k)/(z - k) dk
+  by adaptive real-axis quadrature, the oracle of the rotated-ray eta^+.
+* ``FullBox``: the finite box with both atoms and all signed modes
+  k_m = 2 pi m / L (complex Hermitian, dimension n_modes + 2), solved densely
+  by ``numpy.linalg.eigh``; the oracle of the parity-reduced arrowhead in
+  ``collective1d.dynamics``.
+* ``reduced_hamiltonian``: the dense arrowhead of a reduced ``LatticeModel``.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from collective1d import ModelParams, validate
+from collective1d.quadrature import (
+    ContinuationDomainError,
+    QuadratureSpec,
+    _tail_integral,
+    adaptive_integral,
+)
+
+_AXIS_TOL = 1e-13
+
+
+def continued_halfline_integral(f, z: complex, spec: QuadratureSpec,
+                                include_tail: bool = True) -> complex:
+    """The + branch of int_0^inf f(k)/(z-k) dk.
+
+    Im z > 0 : plain integral.
+    Im z = 0 : principal value minus i*pi*f(z) (boundary value from above).
+    Im z < 0 : plain integral minus 2*pi*i*f(z).
+
+    f must be evaluable at complex arguments near z (the subtraction and the
+    continuation term both need f(z)). z on the negative real axis is
+    rejected: the k=0 endpoint is a fixed feature of the integration ray and
+    its treatment belongs to the caller. include_tail=False truncates at the
+    cutoff (the only sensible reading for non-decaying f, e.g. the constant-f
+    closed form c*[ln(z) - ln(z - cutoff)]).
+    """
+    z = complex(z)
+    lam = spec.cutoff
+    if abs(z.imag) <= _AXIS_TOL and z.real <= _AXIS_TOL:
+        raise ContinuationDomainError("z on the negative real axis; handle the k=0 endpoint in the caller")
+
+    if abs(z.imag) <= _AXIS_TOL:
+        omega = z.real
+        if omega >= lam:
+            raise ContinuationDomainError("real z beyond the quadrature cutoff")
+        f_at = complex(np.asarray(f(np.array([omega + 0j])))[0])
+        h = 1e-7 * max(1.0, abs(omega))
+        df_at = complex(
+            (np.asarray(f(np.array([omega + h + 0j])))[0] - np.asarray(f(np.array([omega - h + 0j])))[0]) / (2 * h)
+        )
+
+        def subtracted(k):
+            k = np.asarray(k)
+            out = np.empty(k.shape, dtype=complex)
+            d = omega - k
+            near = np.abs(d) < 1e-9 * max(1.0, abs(omega))
+            out[~near] = (np.asarray(f(k[~near])) - f_at) / d[~near]
+            out[near] = -df_at
+            return out
+
+        pv = adaptive_integral(subtracted, 0.0, lam, spec, seed_edges=[0.0, omega, lam])
+        pv += f_at * (np.log(omega) - np.log(lam - omega))
+        if include_tail:
+            pv += _tail_integral(lambda k: f(k) / (omega - k), spec)
+        return pv - 1j * np.pi * f_at
+
+    def integrand(k):
+        k = np.asarray(k)
+        return np.asarray(f(k)) / (z - k)
+
+    seeds = [0.0, lam]
+    if 0.0 < z.real < lam:
+        w = abs(z.imag)
+        seeds += [z.real - 5 * w, z.real, z.real + 5 * w, z.real - 50 * w, z.real + 50 * w]
+    plain = adaptive_integral(integrand, 0.0, lam, spec, seed_edges=seeds)
+    if include_tail:
+        plain += _tail_integral(integrand, spec)
+    if z.imag < 0:
+        f_at = complex(np.asarray(f(np.array([z])))[0])
+        plain -= 2j * np.pi * f_at
+    return plain
+
+
+def reduced_hamiltonian(model) -> np.ndarray:
+    """Dense H of a reduced box in the basis |j>, |k=0>, |k_1>, ...: omega1 on
+    |j>, the momenta on the modes (0 on the k=0 slot), g_k between |j> and |k>."""
+    dim = model.dim
+    ham = np.zeros((dim, dim))
+    ham[0, 0] = model.params.omega1
+    idx = np.arange(2, dim)
+    ham[idx, idx] = model.k
+    ham[0, idx] = ham[idx, 0] = model.couplings
+    return ham
+
+
+class FullBox:
+    """Both atoms and the signed modes k_m = 2 pi m / L, m = -(n-1)/2 .. (n-1)/2,
+    in the basis |1>, |2>, |k_m>; atom i couples to mode k with
+    lam sqrt(2 pi / L) v(|k|) e^{i k x_i}."""
+
+    def __init__(self, params: ModelParams, box_length: float, n_modes: int):
+        validate(params, two_atom=True)
+        n_half = (n_modes - 1) // 2
+        self.k = 2.0 * np.pi * np.arange(-n_half, n_half + 1) / box_length
+        absk = np.abs(self.k)
+        vk = np.sqrt(absk / (1 + (absk / params.omegaM) ** 2) ** (2 * params.n_ff))
+        big_v = np.sqrt(2.0 * np.pi / box_length) * vk
+        dim = n_modes + 2
+        ham = np.zeros((dim, dim), dtype=complex)
+        ham[0, 0] = ham[1, 1] = params.omega1
+        idx = np.arange(2, dim)
+        ham[idx, idx] = absk
+        for atom, x in enumerate((params.x1, params.x2)):
+            ham[atom, idx] = params.lam * big_v * np.exp(1j * self.k * x)
+            ham[idx, atom] = np.conj(ham[atom, idx])
+        self.hamiltonian = ham
+        self.evals, self.evecs = np.linalg.eigh(ham)
+
+    @property
+    def dim(self) -> int:
+        return self.hamiltonian.shape[0]
+
+    @staticmethod
+    def initial(label: str, dim: int) -> np.ndarray:
+        """|1>, |2>, |s> or |a> = (|1> +- |2>)/sqrt(2)."""
+        vec = np.zeros(dim, dtype=complex)
+        if label in ("1", "2"):
+            vec[int(label) - 1] = 1.0
+        else:
+            vec[:2] = np.array([1.0, 1.0 if label == "s" else -1.0]) / np.sqrt(2.0)
+        return vec
+
+    def evolve(self, initial: str, t: float) -> np.ndarray:
+        coeff = self.evecs.conj().T @ self.initial(initial, self.dim)
+        return self.evecs @ (np.exp(-1j * self.evals * t) * coeff)
+
+    def amplitude(self, bra: str, ket: str, times) -> np.ndarray:
+        """<bra| e^{-iHt} |ket> on a time grid."""
+        left = self.evecs.conj().T @ self.initial(bra, self.dim)
+        right = self.evecs.conj().T @ self.initial(ket, self.dim)
+        return np.exp(-1j * np.outer(times, self.evals)) @ (left.conj() * right)

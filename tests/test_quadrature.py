@@ -5,11 +5,11 @@ from collective1d import (
     ContinuationDomainError,
     QuadratureError,
     QuadratureSpec,
-    continued_halfline_integral,
     fourier_halfline,
     halfline_integral,
 )
 from collective1d.quadrature import RayKernel, adaptive_integral, ray_scale
+from reference import continued_halfline_integral
 
 
 def test_levelshift_integrand_oracle(params, quad):
