@@ -24,7 +24,7 @@ from . import dynamics as dyn
 from . import greens as gr
 from . import sweep as sw
 from . import waveguide as wg
-from .core import ModelError, ModelParams, params_to_dict, validate
+from .core import ModelError, ModelParams, as_sector, params_to_dict, validate
 from .io import write_json
 from .quadrature import QuadratureError, QuadratureSpec
 
@@ -197,18 +197,25 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
     path = out / "sweep.csv"
     sw.sweep_to_csv(records, path, force)
     solutions = []
-    checks = {}
     for tag in ("s", "a"):
         for n in range(1, _integer(cfg, "sweep.zero_decay_max_n", 0) + 1):
             try:
                 sol = sw.zero_decay_solve(tag, n, params, quad)
-            except (gr.GreensError, ValueError):
+            except (gr.GreensError, ValueError) as exc:
+                print(f"sweep: zero-decay solution ({tag}, {n}) skipped: {exc}", file=sys.stderr)
                 continue
             if grid[0] <= sol.x21_zero <= grid[-1]:
                 solutions.append(sol)
-                pole = gr.find_pole(tag, sol.x21_zero,
-                                    gr.one_atom_pole(params, quad).value, params, quad)
-                checks[(sol.sector, sol.n)] = pole.gamma
+    checks = {}
+    if solutions:
+        # gamma at every zero-decay distance, seeded at z1, as one batched solve
+        ev = gr.EtaEvaluator(params, [as_sector(sol.sector).sigma for sol in solutions],
+                             [sol.x21_zero for sol in solutions], quad)
+        z1 = gr.one_atom_pole(params, quad).value
+        for sol, pole in zip(solutions, gr.solve_poles(ev, [z1] * len(solutions))):
+            if isinstance(pole, gr.GreensError):
+                raise pole
+            checks[(sol.sector, sol.n)] = pole.gamma
     zpath = out / "zero_decay.json"
     sw.zero_decay_to_json(solutions, zpath, checks)
     return [path, zpath]

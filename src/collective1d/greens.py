@@ -26,22 +26,24 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import ANTISYMMETRIC, SYMMETRIC, ModelParams, SymmetrySector, as_sector, validate
+from .core import ANTISYMMETRIC, SYMMETRIC, ModelParams, as_sector, validate
 from .io import write_csv
 from .quadrature import (
     ContinuationDomainError,
     QuadratureSpec,
-    RayKernel,
+    ray_integrals,
+    ray_rows,
     ray_scale,
 )
 
 __all__ = [
     "ComplexEnergy",
+    "EtaEvaluator",
     "GreensError",
     "ConvergenceError",
     "WrongBranchError",
@@ -54,6 +56,7 @@ __all__ = [
     "eta_evaluator",
     "newton",
     "fixed_point",
+    "solve_poles",
     "find_pole",
     "one_atom_pole",
     "pole_scan",
@@ -67,7 +70,7 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-11
-_MAX_DAMPED = 400          # find_pole's backtracking phase
+_MAX_DAMPED = 400          # solve_poles' backtracking phase
 _MAX_NEWTON = 60
 _WEAK_COUPLING_MAX_ITER = 3000
 _FAST_REGION_SLOPE = 0.7   # fast path requires |Im z| < slope * Re z
@@ -148,74 +151,118 @@ def form_factor_sq_derivative(z, params: ModelParams):
     return out if np.ndim(z) else complex(out)
 
 
+@lru_cache(maxsize=8)
+def _a_kernel(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the A ray kernel, which no distance enters."""
+    nodes, weights = ray_rows(partial(form_factor_sq, params=params), 0.0,
+                              ray_scale(0.0, params.omegaM))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+_SECTORS = {0: None, SYMMETRIC.sigma: SYMMETRIC, ANTISYMMETRIC.sigma: ANTISYMMETRIC}
+
+
+def _overflow_error() -> OverflowGuardError:
+    return OverflowGuardError(
+        f"gamma*x21 exceeds {OVERFLOW_EXPONENT}: cos(z*x21) overflows; "
+        "this is an error by contract, not a saturation"
+    )
+
+
 class EtaEvaluator:
-    """Vectorized eta^+ (and d eta^+/dz) for one (params, sector, x21)."""
+    """Vectorized eta^+ (and d eta^+/dz) on rows (sigma_r, x21_r).
 
-    def __init__(self, params: ModelParams, sector: SymmetrySector | None,
-                 x21: float, quad: QuadratureSpec):
-        validate(params, two_atom=sector is not None)
+    sigma is +1 or -1 on every row (two-atom sectors at distance x21 > 0) or
+    0 on every row (the one-atom function; x21 is ignored). All rows share
+    the A kernel of params. Each distinct distance keeps one row of B^+
+    nodes and weights for both sectors: the B^- ray is the mirror image of
+    the B^+ ray, so I^-(z) = conj(I^+(conj z)).
+    """
+
+    def __init__(self, params: ModelParams, sigma, x21, quad: QuadratureSpec):
+        sigma = np.atleast_1d(np.asarray(sigma, dtype=int))
+        self.two_atom = bool(sigma[0] != 0)
+        validate(params, two_atom=self.two_atom)
         quad.check_cutoff(params.omegaM)
+        if np.any((sigma != 0) != self.two_atom):
+            raise ValueError("an evaluator holds two-atom rows or one-atom rows, not both")
         self.params = params
-        self.sector = sector
-        self.sigma = 0 if sector is None else sector.sigma
-        self.x21 = float(x21) if sector is not None else 0.0
         self.quad = quad
-        numer = lambda k: form_factor_sq(k, params)
-        self._A = RayKernel(numer, 0.0, ray_scale(0.0, params.omegaM))
-        if sector is not None:
-            self._Bp = RayKernel(numer, +self.x21, ray_scale(self.x21, params.omegaM))
-            self._Bm = RayKernel(numer, -self.x21, ray_scale(self.x21, params.omegaM))
+        self.sigma = sigma
+        self._a_nodes, self._a_weights = _a_kernel(params)
+        if not self.two_atom:
+            self.x21 = np.zeros(sigma.shape)
+            return
+        self.x21 = np.broadcast_to(np.asarray(x21, dtype=float), sigma.shape)
+        if not np.all(np.isfinite(self.x21) & (self.x21 > 0)):
+            raise ValueError("two-atom eta^+ needs finite distances x21 > 0")
+        dist, self._b_row = np.unique(self.x21, return_inverse=True)
+        self._b_nodes, self._b_weights = ray_rows(
+            partial(form_factor_sq, params=params), dist,
+            [ray_scale(x, params.omegaM) for x in dist])
 
-    def _guard(self, z_arr: np.ndarray) -> None:
-        if np.any(z_arr.real <= 0):
-            raise ContinuationDomainError("eta^+ fast path requires Re z > 0")
-        if np.any(np.abs(z_arr.imag) >= _FAST_REGION_SLOPE * z_arr.real):
-            raise ContinuationDomainError("z outside the |arg z| < pi/4 evaluation region")
-        if self.sector is not None and np.any(-z_arr.imag * self.x21 > OVERFLOW_EXPONENT):
-            raise OverflowGuardError(
-                f"gamma*x21 exceeds {OVERFLOW_EXPONENT}: cos(z*x21) overflows; "
-                "this is an error by contract, not a saturation"
-            )
+    @staticmethod
+    def off_domain(z, x21):
+        """Masks of the points z outside the evaluation region Re z > 0,
+        |Im z| < _FAST_REGION_SLOPE Re z, and of those inside it where
+        gamma*x21 > OVERFLOW_EXPONENT (x21 broadcast against z; 0 for the
+        one-atom function)."""
+        outside = ~((z.real > 0) & (np.abs(z.imag) < _FAST_REGION_SLOPE * z.real))
+        return outside, ~outside & (-z.imag * x21 > OVERFLOW_EXPONENT)
 
-    def values(self, z, derivative: bool = False):
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        self._guard(z_arr)
-        lam2 = self.params.lam**2
-        v2 = form_factor_sq(z_arr, self.params)
-        if derivative:
-            a1, a2 = self._A.integrals(z_arr, second=True)
+    def values(self, z, derivative: bool = False, rows=None):
+        """eta^+(z) (and d eta^+/dz). rows=None evaluates every z on the
+        evaluator's only row; otherwise z[i] (with any trailing axes) is
+        evaluated on row rows[i]. Raises ContinuationDomainError or
+        OverflowGuardError if any point is off the domain."""
+        z_in = np.asarray(z, dtype=complex)
+        if rows is None:
+            if self.sigma.size != 1:
+                raise ValueError("rows are required on a multi-row evaluator")
+            rows = slice(None)
+            zz = z_in.reshape(1, -1)
         else:
-            a1 = self._A.integrals(z_arr)
+            zz = z_in.reshape(len(rows), -1)
+        x21 = self.x21[rows, None]
+        outside, overflow = self.off_domain(zz, x21)
+        if outside.any():
+            raise ContinuationDomainError(
+                f"z outside the evaluation region Re z > 0, |Im z| < {_FAST_REGION_SLOPE} Re z")
+        if overflow.any():
+            raise _overflow_error()
+        lam2 = self.params.lam**2
+        v2 = form_factor_sq(zz, self.params)
+        a1, a2 = ray_integrals(zz, self._a_nodes, self._a_weights, derivative)
         J = 2.0 * lam2 * (a1 - 2j * np.pi * v2)
         if derivative:
-            dv2 = form_factor_sq_derivative(z_arr, self.params)
+            dv2 = form_factor_sq_derivative(zz, self.params)
             dJ = 2.0 * lam2 * (-a2 - 2j * np.pi * dv2)
-        if self.sector is not None:
-            osc = np.exp(1j * z_arr * self.x21)
+        if self.two_atom:
+            sigma = self.sigma[rows, None]
+            osc = np.exp(1j * zz * x21)
+            index = self._b_row[rows]
+            bp1, bp2 = ray_integrals(zz, self._b_nodes, self._b_weights, derivative, index)
+            bm1, bm2 = ray_integrals(zz.conj(), self._b_nodes, self._b_weights, derivative, index)
+            J = J + sigma * lam2 * (bp1 - 2j * np.pi * v2 * osc + bm1.conj())
             if derivative:
-                bp1, bp2 = self._Bp.integrals(z_arr, second=True)
-                bm1, bm2 = self._Bm.integrals(z_arr, second=True)
-            else:
-                bp1 = self._Bp.integrals(z_arr)
-                bm1 = self._Bm.integrals(z_arr)
-            J = J + self.sigma * lam2 * (bp1 - 2j * np.pi * v2 * osc + bm1)
-            if derivative:
-                dJ = dJ + self.sigma * lam2 * (
-                    -bp2 - 2j * np.pi * (dv2 + 1j * self.x21 * v2) * osc - bm2
+                dJ = dJ + sigma * lam2 * (
+                    -bp2 - 2j * np.pi * (dv2 + 1j * x21 * v2) * osc - bm2.conj()
                 )
-        eta = z_arr - self.params.omega1 - J
-        if np.ndim(z) == 0:
-            return (complex(eta[0]), complex(1.0 - dJ[0])) if derivative else complex(eta[0])
-        return (eta, 1.0 - dJ) if derivative else eta
+        eta = (zz - self.params.omega1 - J).reshape(z_in.shape)
+        if derivative:
+            deta = (1.0 - dJ).reshape(z_in.shape)
+            return (complex(eta), complex(deta)) if z_in.ndim == 0 else (eta, deta)
+        return complex(eta) if z_in.ndim == 0 else eta
 
 
 @lru_cache(maxsize=64)
 def _evaluator(params: ModelParams, sigma_key, x21: float, quad: QuadratureSpec) -> EtaEvaluator:
-    sector = None if sigma_key is None else (SYMMETRIC if sigma_key > 0 else ANTISYMMETRIC)
-    return EtaEvaluator(params, sector, x21, quad)
+    return EtaEvaluator(params, 0 if sigma_key is None else sigma_key, x21, quad)
 
 
 def eta_evaluator(sector, x21: float, params: ModelParams, quad: QuadratureSpec) -> EtaEvaluator:
+    """The cached one-row evaluator of (sector, x21); sector None is one-atom."""
     sector = as_sector(sector)
     key = None if sector is None else sector.sigma
     return _evaluator(params, key, 0.0 if sector is None else float(x21), quad)
@@ -273,43 +320,106 @@ def fixed_point(g, x: float, tol: float, max_iter: int, what: str):
     raise ConvergenceError(f"{what} stalled at residual {residual:.2e}")
 
 
+def _root_record(z, sigma, deta):
+    """The certified record of a converged root, or its WrongBranchError."""
+    try:
+        return ComplexEnergy.from_root(complex(z), _SECTORS[sigma], 0, 1.0 / complex(deta))
+    except WrongBranchError as exc:
+        return exc
+
+
+def solve_poles(ev: EtaEvaluator, seeds, rows=None) -> list:
+    """Roots of eta^+ on rows of ev, seeds[i] on row rows[i] (default row i).
+
+    Every row runs the same two phases, masked, with one batched eta^+
+    evaluation per round: a damped fixed point z <- z - alpha*eta that
+    backtracks on alpha (at most _MAX_DAMPED steps) until |eta| < 1e-3, then
+    Newton until |eta| < ROOT_TOL*max(1, |z|) (at most _MAX_NEWTON steps).
+    Each row keeps its own alpha and step budgets. A row whose seed or step
+    leaves the evaluation region, trips the overflow guard, runs out of
+    steps or converges onto the wrong branch fails alone.
+
+    Returns per row a certified ComplexEnergy with normalization
+    N = 1/eta^+'(z), or the GreensError the row failed with.
+    """
+    z = np.array(seeds, dtype=complex).ravel()
+    rows = np.arange(z.size) if rows is None else np.asarray(rows, dtype=int)
+    x21 = ev.x21[rows]
+    f = np.zeros(z.size, dtype=complex)
+    df = np.zeros(z.size, dtype=complex)
+    alpha = np.full(z.size, 0.5)
+    damped_steps = np.zeros(z.size, dtype=int)
+    newton_steps = np.zeros(z.size, dtype=int)
+    newton = np.zeros(z.size, dtype=bool)
+    live = np.ones(z.size, dtype=bool)
+    result = [None] * z.size
+
+    def fail(mask, error):
+        if mask.any():
+            for i in np.flatnonzero(mask & live):
+                result[i] = error(i)
+            live[mask] = False
+
+    def evaluate(points, mask):
+        """Fail the rows of mask whose point trips the overflow guard; return
+        the rows evaluated, eta and eta' there, and the rows outside."""
+        outside, overflow = ev.off_domain(points, x21)
+        fail(mask & overflow, lambda i: _overflow_error())
+        ok = mask & live & ~outside
+        eta, deta = ev.values(points[ok], True, rows[ok]) if ok.any() else (f[ok], df[ok])
+        return ok, eta, deta, mask & outside
+
+    ok, f_ok, df_ok, outside = evaluate(z, live.copy())
+    f[ok], df[ok] = f_ok, df_ok
+    fail(outside, lambda i: ConvergenceError(f"seed {z[i]} outside the evaluation region"))
+    while live.any():
+        abs_f = np.abs(f)
+        newton |= live & ((abs_f < 1e-3) | (damped_steps >= _MAX_DAMPED))
+        done = live & newton & (abs_f < ROOT_TOL * np.maximum(1.0, np.abs(z)))
+        if done.any():
+            for i in np.flatnonzero(done):
+                result[i] = _root_record(z[i], ev.sigma[rows[i]], df[i])
+            live &= ~done
+        fail(live & newton & (newton_steps >= _MAX_NEWTON), lambda i: ConvergenceError(
+            f"pole Newton did not converge in {_MAX_NEWTON} steps (|f|={abs(f[i]):.2e} at z={z[i]})"))
+        step_n, step_d = live & newton, live & ~newton
+        trial = z.copy()
+        trial[step_n] -= f[step_n] / df[step_n]
+        trial[step_d] -= alpha[step_d] * f[step_d]
+        newton_steps += step_n
+        damped_steps += step_d
+        ok, f_new, df_new, outside = evaluate(trial, step_n | step_d)
+        fail(outside & step_n, lambda i: ConvergenceError(
+            f"pole Newton left the evaluation region at z={trial[i]} (last |f|={abs(f[i]):.2e})"))
+        alpha[outside & step_d] *= 0.5
+        fail(outside & step_d & (alpha < 1e-6), lambda i: ConvergenceError(
+            f"damped iteration left the evaluation region near {z[i]}"))
+        take = step_n[ok] | (np.abs(f_new) < abs_f[ok])
+        accept = np.zeros(z.size, dtype=bool)
+        accept[ok] = take
+        z[accept], f[accept], df[accept] = trial[accept], f_new[take], df_new[take]
+        alpha[accept & step_d] = np.minimum(1.0, 1.3 * alpha[accept & step_d])
+        reject = ok & ~accept
+        alpha[reject] *= 0.5
+        newton |= reject & (alpha < 1e-6)
+    return result
+
+
 def find_pole(sector, x21, seed, params: ModelParams, quad: QuadratureSpec,
               lattice_index: int = 0) -> ComplexEnergy:
-    """Root of eta^+ from a damped fixed point (z <- z - alpha*eta, backtracking
-    on alpha, at most _MAX_DAMPED steps) switched to `newton` once
-    |eta| < 1e-3, converged to ROOT_TOL within _MAX_NEWTON steps. Returns a
+    """Root of eta^+ from one seed: a one-row `solve_poles` on the cached
+    evaluator of (sector, x21). Raises the row's GreensError; returns a
     certified record with normalization N = 1/eta^+'(z)."""
-    sector = as_sector(sector)
-    fdf = partial(eta_evaluator(sector, x21, params, quad).values, derivative=True)
-    z = complex(seed)
-    try:
-        f, df = fdf(z)
-    except ContinuationDomainError as exc:
-        raise ConvergenceError(f"seed {z} outside the evaluation region: {exc}") from exc
-    alpha = 0.5
-    for _ in range(_MAX_DAMPED):
-        if abs(f) < 1e-3:
-            break
-        z_try = z - alpha * f
-        if z_try.real <= 0 or abs(z_try.imag) >= _FAST_REGION_SLOPE * z_try.real:
-            alpha *= 0.5
-            if alpha < 1e-6:
-                raise ConvergenceError(f"damped iteration left the evaluation region near {z}")
-            continue
-        f_try, df_try = fdf(z_try)
-        if abs(f_try) < abs(f):
-            z, f, df = z_try, f_try, df_try
-            alpha = min(1.0, 1.3 * alpha)
-        else:
-            alpha *= 0.5
-            if alpha < 1e-6:
-                break
-    z, df = newton(fdf, z, ROOT_TOL, _MAX_NEWTON, "pole Newton", f, df)
-    return ComplexEnergy.from_root(z, sector, lattice_index, 1.0 / df)
+    root = solve_poles(eta_evaluator(sector, x21, params, quad), [seed])[0]
+    if isinstance(root, GreensError):
+        raise root
+    return replace(root, lattice_index=lattice_index)
 
 
+@lru_cache(maxsize=8)
 def one_atom_pole(params: ModelParams, quad: QuadratureSpec) -> ComplexEnergy:
-    """z1 = omega_tilde_1 - i*gamma_1, seeded at the bare level."""
+    """z1 = omega_tilde_1 - i*gamma_1, seeded at the bare level; cached, since
+    every sweep, zero-decay solve and lattice scan starts from it."""
     return find_pole(None, 0.0, params.omega1, params, quad)
 
 
@@ -522,10 +632,8 @@ def contour_map(region, grid, sector, x21, params: ModelParams, quad: Quadrature
 
     def run_row(iy):
         z_row = res + 1j * ims[iy]
-        ok = np.ones(nx, dtype=bool)
-        if sector is not None:
-            ok &= (-z_row.imag * float(x21)) <= OVERFLOW_EXPONENT
-        ok &= (z_row.real > 0) & (np.abs(z_row.imag) < _FAST_REGION_SLOPE * z_row.real)
+        outside, overflow = ev.off_domain(z_row, ev.x21[0])
+        ok = ~(outside | overflow)
         row = np.full(nx, sentinel)
         if ok.any():
             eta = ev.values(z_row[ok])

@@ -29,7 +29,9 @@ __all__ = [
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _RAY_NODES, _RAY_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
+# ray-kernel blocks: (z, node) pairs per broadcast (~32 MB) and rows per block
+_BLOCK_PAIRS = 2.0e6
+_ROW_CHUNK = 16
 
 
 class QuadratureError(RuntimeError):
@@ -159,38 +161,86 @@ class RayKernel:
     included here; callers add the residue terms appropriate to their branch.
     """
 
-    def __init__(self, numer, c: float, scale: float, n_panels: int = 24):
-        sign = 1.0 if c >= 0 else -1.0
-        phase = np.exp(1j * sign * np.pi / 4)
-        edges = np.linspace(0.0, 1.0, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        t = (mid[:, None] + half[:, None] * _RAY_NODES[None, :]).ravel()
-        gw = (half[:, None] * _RAY_WEIGHTS[None, :]).ravel()
-        r = scale * t / (1.0 - t)
-        self.nodes = r * phase
-        jac = scale / (1.0 - t) ** 2
-        osc = np.exp(1j * self.nodes * c) if c != 0.0 else 1.0
-        self.weights = numer(self.nodes) * osc * jac * phase * gw
-        self.c = c
-        self.ray_sign = sign
+    def __init__(self, numer, c: float, scale: float):
+        self.nodes, self.weights = ray_rows(numer, c, scale)
 
     def integrals(self, z, second: bool = False):
         """I_1(z) (and I_2(z) if second) for scalar or array z."""
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        i1 = np.empty(zz.shape, dtype=complex)
-        i2 = np.empty(zz.shape, dtype=complex) if second else None
-        # chunk to keep the (nz, nodes) broadcast under ~32 MB
-        step = max(1, int(2.0e6 / self.nodes.size))
-        for start in range(0, zz.size, step):
-            block = zz[start : start + step, None] - self.nodes[None, :]
-            inv = 1.0 / block
-            i1[start : start + step] = inv @ self.weights
+        i1, i2 = ray_integrals(zz.reshape(1, -1), self.nodes, self.weights, second)
+        if np.ndim(z) == 0:
+            return (complex(i1[0, 0]), complex(i2[0, 0])) if second else complex(i1[0, 0])
+        return (i1.reshape(zz.shape), i2.reshape(zz.shape)) if second else i1.reshape(zz.shape)
+
+
+def _ray_map() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t in (0, 1) and weights of 24 Gauss panels for the ray map
+    k = scale * t / (1 - t)."""
+    edges = np.linspace(0.0, 1.0, 25)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = (mid[:, None] + half[:, None] * _RAY_NODES[None, :]).ravel()
+    gw = (half[:, None] * _RAY_WEIGHTS[None, :]).ravel()
+    return t, gw
+
+
+_RAY_T, _RAY_GW = _ray_map()
+
+
+def ray_rows(numer, c, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of RayKernel(numer, c, scale), one row per entry of
+    the 1-D arrays c and scale (scalars give one 1-D row). The weights are
+    formed _ROW_CHUNK rows at a time, which bounds the temporaries."""
+    one_row = np.ndim(c) == 0
+    c = np.asarray(c, dtype=float).reshape(-1, 1)
+    scale = np.asarray(scale, dtype=float).reshape(-1, 1)
+    phase = np.exp(1j * np.where(c >= 0, 1.0, -1.0) * np.pi / 4)
+    nodes = scale * _RAY_T / (1.0 - _RAY_T) * phase
+    weights = np.empty_like(nodes)
+    for r0 in range(0, len(nodes), _ROW_CHUNK):
+        rs = slice(r0, r0 + _ROW_CHUNK)
+        jac = scale[rs] / (1.0 - _RAY_T) ** 2
+        weights[rs] = numer(nodes[rs]) * np.exp(1j * nodes[rs] * c[rs]) * jac * phase[rs] * _RAY_GW
+    return (nodes[0], weights[0]) if one_row else (nodes, weights)
+
+
+def ray_integrals(z, nodes, weights, second: bool = False, index=None):
+    """Pole integrals of ray kernels given as rows of nodes and weights.
+
+    z has shape (R, m). With index None, nodes and weights are one kernel of
+    shape (n,) shared by every row; otherwise they hold kernels as rows of
+    shape (D, n) and z row r uses kernel index[r]. Returns (I_1, I_2), each
+    of shape (R, m), with I_2 None unless second:
+
+        I_p[r, j] = sum_k weights[r, k] / (z[r, j] - nodes[r, k])^p.
+
+    Blocks of at most _ROW_CHUNK rows and _BLOCK_PAIRS (z, node) pairs are
+    reduced one (z row, kernel) product at a time, so no value depends on
+    which other rows share the call.
+    """
+    n_rows, m = z.shape
+    n = nodes.shape[-1]
+    if index is not None and len(nodes) == 1:     # one kernel: skip the per-block gathers
+        nodes, weights, index = nodes[0], weights[0], None
+    i1 = np.empty((n_rows, m), dtype=complex)
+    i2 = np.empty((n_rows, m), dtype=complex) if second else None
+    row_step = max(1, min(_ROW_CHUNK, int(_BLOCK_PAIRS / (m * n))))
+    point_step = max(1, int(_BLOCK_PAIRS / n))
+    for r0 in range(0, n_rows, row_step):
+        rs = slice(r0, r0 + row_step)
+        if index is None:
+            nd, w = nodes, weights[:, None]
+        else:
+            nd, w = nodes[index[rs], None, :], weights[index[rs], :, None]
+        for j0 in range(0, m, point_step):
+            js = slice(j0, j0 + point_step)
+            inv = np.subtract(z[rs, js, None], nd)
+            np.divide(1.0, inv, out=inv)
+            i1[rs, js] = (inv @ w)[..., 0]
             if second:
-                i2[start : start + step] = (inv * inv) @ self.weights
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return (complex(i1[0]), complex(i2[0])) if second else complex(i1[0])
-        return (i1, i2) if second else i1
+                np.multiply(inv, inv, out=inv)
+                i2[rs, js] = (inv @ w)[..., 0]
+    return i1, i2
 
 
 def ray_scale(c: float, omegaM: float) -> float:

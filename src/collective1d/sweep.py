@@ -12,11 +12,11 @@ import numpy as np
 from .core import ANTISYMMETRIC, SYMMETRIC, ModelParams, as_sector, validate
 from .greens import (
     ComplexEnergy,
+    EtaEvaluator,
     GreensError,
-    eta_plus,
-    find_pole,
     fixed_point,
     one_atom_pole,
+    solve_poles,
 )
 from .io import write_csv, write_json
 from .quadrature import QuadratureSpec
@@ -56,33 +56,69 @@ class SweepRecord:
         return self.z_a is not None
 
 
-def _solve_point(sector, x21, params, quad, seeds):
-    """Converge from every seed, keep the root closest to the real axis.
+_BLOCK = 64     # distances per batched solve: bounds the B^+ kernel rows held at once
 
-    Restarting from the one-atom pole at every point (the paper's recipe)
-    is what keeps the tracked root on the collective branch z_{j,0}: pure
-    continuation locks onto diving lattice branches past each superradiant
-    maximum.
+
+def _better(a: ComplexEnergy | None, b: ComplexEnergy | None) -> ComplexEnergy | None:
+    """The root closer to the real axis; a wins ties."""
+    return b if b is not None and (a is None or b.gamma < a.gamma) else a
+
+
+def _seed_bits(rec: ComplexEnergy | None):
+    return None if rec is None else np.complex128(rec.value).tobytes()
+
+
+def _sweep_block(xs: np.ndarray, z1: ComplexEnergy, carry: list, params: ModelParams,
+                 quad: QuadratureSpec) -> list:
+    """Sequential-rule roots on one block of distances, both sectors at once.
+
+    Rows 0..d-1 are symmetric and rows d..2d-1 antisymmetric; carry holds the
+    previous block's last choice per sector (None before the first block).
+    Pass 0 solves every row from z1. Each later pass seeds every row from the
+    previous pass's choice at its left neighbour (carry for the first row of
+    a sector) and re-solves only the rows whose seed changed bitwise. Once no
+    seed changes, every choice is the better of its z1 root and the root from
+    its left neighbour's choice: the sequential rule, whose solution is
+    unique from left to right.
     """
-    best = None
-    for seed in seeds:
-        try:
-            cand = find_pole(sector, x21, seed, params, quad)
-        except GreensError:
-            continue
-        if best is None or cand.gamma < best.gamma:
-            best = cand
-    return best
+    d = xs.size
+    ev = EtaEvaluator(params, np.repeat([SYMMETRIC.sigma, ANTISYMMETRIC.sigma], d),
+                      np.tile(xs, 2), quad)
+    from_z1 = [r if isinstance(r, ComplexEnergy) else None
+               for r in solve_poles(ev, np.full(2 * d, z1.value))]
+    chosen = list(from_z1)
+    seeds = [None] * (2 * d)
+    from_left = [None] * (2 * d)
+    while True:
+        new = [carry[i // d] if i % d == 0 else chosen[i - 1] for i in range(2 * d)]
+        changed = [i for i in range(2 * d) if _seed_bits(new[i]) != _seed_bits(seeds[i])]
+        if not changed:
+            return chosen
+        todo = [i for i in changed if new[i] is not None]
+        roots = solve_poles(ev, [new[i].value for i in todo], todo)
+        for i in changed:
+            from_left[i] = None
+        for i, root in zip(todo, roots):
+            from_left[i] = root if isinstance(root, ComplexEnergy) else None
+        seeds = new
+        chosen = [_better(a, b) for a, b in zip(from_z1, from_left)]
 
 
 def sweep_poles(x21_grid, params: ModelParams, quad: QuadratureSpec) -> list[SweepRecord]:
     """Collective poles z_s, z_a over a distance grid.
 
-    Every point is solved from the one-atom-pole seed and from the previous
-    converged root; non-converged points are flagged, never interpolated.
+    Every point is solved from the one-atom-pole seed and from the root
+    chosen at the previous point, and the root closer to the real axis wins;
+    non-converged points are flagged, never interpolated. Restarting from
+    the one-atom pole at every point (the paper's recipe) is what keeps the
+    tracked root on the collective branch z_{j,0}: pure continuation locks
+    onto diving lattice branches past each superradiant maximum. The grid
+    is solved left to right in blocks of _BLOCK distances (see _sweep_block).
     """
     validate(params)
     xs = np.asarray(x21_grid, dtype=float)
+    if not np.all(np.isfinite(xs) & (xs > 0)):
+        raise ValueError("x21 grid must be finite and positive")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("x21 grid must be strictly increasing")
     z1 = one_atom_pole(params, quad)
@@ -92,20 +128,13 @@ def sweep_poles(x21_grid, params: ModelParams, quad: QuadratureSpec) -> list[Swe
             "collective decay rates scale like 1/x21 there and seeding degrades",
             stacklevel=2)
     records = []
-    prev = {1: None, -1: None}
-    for x in xs:
-        rec = {}
-        for sector in (SYMMETRIC, ANTISYMMETRIC):
-            seeds = [z1.value]
-            if prev[sector.sigma] is not None:
-                seeds.append(prev[sector.sigma].value)
-            root = _solve_point(sector, x, params, quad, seeds)
-            rec[sector.sigma] = root
-            if root is not None:
-                prev[sector.sigma] = root
-            else:
-                prev[sector.sigma] = None   # restart from omega1 next point
-        records.append(SweepRecord(float(x), rec[1], rec[-1]))
+    carry = [None, None]
+    for start in range(0, xs.size, _BLOCK):
+        block = xs[start:start + _BLOCK]
+        chosen = _sweep_block(block, z1, carry, params, quad)
+        carry = [chosen[block.size - 1], chosen[-1]]
+        records += [SweepRecord(float(x), zs, za)
+                    for x, zs, za in zip(block, chosen[:block.size], chosen[block.size:])]
     return records
 
 
@@ -194,7 +223,9 @@ def zero_decay_solve(sector, n: int, params: ModelParams,
         raise ValueError("need 2n+1 >= 1 (symmetric) or 2n >= 2 (antisymmetric)")
 
     def g(om):
-        eta = complex(eta_plus(complex(om), sector, m * np.pi / om, params, quad))
+        # built outside the evaluator cache: x_eff moves every step, so a
+        # cached evaluator would never be reused and would evict others
+        eta = EtaEvaluator(params, sector.sigma, m * np.pi / om, quad).values(complex(om))
         om_new = params.omega1 + (om - params.omega1 - eta).real
         if not (0.0 < om_new < params.omegaM):
             raise GreensError(f"zero-decay fixed point left (0, omegaM): {om_new}")

@@ -7,18 +7,36 @@
   by ``numpy.linalg.eigh``; the oracle of the parity-reduced arrowhead in
   ``collective1d.dynamics``.
 * ``reduced_hamiltonian``: the dense arrowhead of a reduced ``LatticeModel``.
+* ``find_pole``, ``solve_point`` and ``sweep_poles``: the scalar pole solver
+  (one damped loop and one ``newton`` per seed) and the point-by-point
+  distance sweep; the oracles of the batched ``solve_poles`` and of the
+  blocked Jacobi passes in ``collective1d.sweep``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from collective1d import ModelParams, validate
+from collective1d import ANTISYMMETRIC, SYMMETRIC, ModelParams, validate
+from collective1d.core import as_sector
+from collective1d.greens import (
+    _FAST_REGION_SLOPE,
+    _MAX_DAMPED,
+    _MAX_NEWTON,
+    ROOT_TOL,
+    ComplexEnergy,
+    ConvergenceError,
+    GreensError,
+    eta_evaluator,
+    newton,
+    one_atom_pole,
+)
 from collective1d.quadrature import (
     ContinuationDomainError,
     QuadratureSpec,
     _tail_integral,
     adaptive_integral,
 )
+from collective1d.sweep import SweepRecord
 
 _AXIS_TOL = 1e-13
 
@@ -143,3 +161,71 @@ class FullBox:
         left = self.evecs.conj().T @ self.initial(bra, self.dim)
         right = self.evecs.conj().T @ self.initial(ket, self.dim)
         return np.exp(-1j * np.outer(times, self.evals)) @ (left.conj() * right)
+
+
+def find_pole(sector, x21, seed, params: ModelParams, quad: QuadratureSpec,
+              lattice_index: int = 0) -> ComplexEnergy:
+    """Root of eta^+ from a damped fixed point (z <- z - alpha*eta, backtracking
+    on alpha, at most _MAX_DAMPED steps) switched to `newton` once
+    |eta| < 1e-3, converged to ROOT_TOL within _MAX_NEWTON steps."""
+    sector = as_sector(sector)
+    ev = eta_evaluator(sector, x21, params, quad)
+
+    def fdf(z):
+        return ev.values(z, derivative=True)
+
+    z = complex(seed)
+    try:
+        f, df = fdf(z)
+    except ContinuationDomainError as exc:
+        raise ConvergenceError(f"seed {z} outside the evaluation region: {exc}") from exc
+    alpha = 0.5
+    for _ in range(_MAX_DAMPED):
+        if abs(f) < 1e-3:
+            break
+        z_try = z - alpha * f
+        if z_try.real <= 0 or abs(z_try.imag) >= _FAST_REGION_SLOPE * z_try.real:
+            alpha *= 0.5
+            if alpha < 1e-6:
+                raise ConvergenceError(f"damped iteration left the evaluation region near {z}")
+            continue
+        f_try, df_try = fdf(z_try)
+        if abs(f_try) < abs(f):
+            z, f, df = z_try, f_try, df_try
+            alpha = min(1.0, 1.3 * alpha)
+        else:
+            alpha *= 0.5
+            if alpha < 1e-6:
+                break
+    z, df = newton(fdf, z, ROOT_TOL, _MAX_NEWTON, "pole Newton", f, df)
+    return ComplexEnergy.from_root(z, sector, lattice_index, 1.0 / df)
+
+
+def solve_point(sector, x21, params: ModelParams, quad: QuadratureSpec, seeds):
+    """Converge from every seed, keep the root closest to the real axis."""
+    best = None
+    for seed in seeds:
+        try:
+            cand = find_pole(sector, x21, seed, params, quad)
+        except GreensError:
+            continue
+        if best is None or cand.gamma < best.gamma:
+            best = cand
+    return best
+
+
+def sweep_poles(x21_grid, params: ModelParams, quad: QuadratureSpec) -> list[SweepRecord]:
+    """Every point solved from z1 and from the previous point's root, in grid
+    order; the smaller gamma wins."""
+    z1 = one_atom_pole(params, quad)
+    records = []
+    prev = {1: None, -1: None}
+    for x in np.asarray(x21_grid, dtype=float):
+        rec = {}
+        for sector in (SYMMETRIC, ANTISYMMETRIC):
+            seeds = [z1.value]
+            if prev[sector.sigma] is not None:
+                seeds.append(prev[sector.sigma].value)
+            rec[sector.sigma] = prev[sector.sigma] = solve_point(sector, x, params, quad, seeds)
+        records.append(SweepRecord(float(x), rec[1], rec[-1]))
+    return records

@@ -96,6 +96,27 @@ def test_sweep_command(tmp_path):
     assert all(item["gamma_check"] < 1e-6 for item in zd)
 
 
+def test_sweep_reports_skipped_zero_decay_solutions(tmp_path, capsys, monkeypatch):
+    from collective1d import sweep as sw
+    from collective1d.greens import ConvergenceError
+
+    solve = sw.zero_decay_solve
+
+    def stalls_at_a2(sector, n, params, quad):
+        if (sector, n) == ("a", 2):
+            raise ConvergenceError("zero-decay fixed point stalled at residual 1.00e-03")
+        return solve(sector, n, params, quad)
+
+    monkeypatch.setattr(sw, "zero_decay_solve", stalls_at_a2)
+    cfg = {"sweep": {"x21_min": 7.5, "x21_max": 8.3, "step": 0.1, "zero_decay_max_n": 2}}
+    assert run(tmp_path, "sweep", config=cfg) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["sweep: zero-decay solution (a, 2) skipped: "
+                   "zero-decay fixed point stalled at residual 1.00e-03"]
+    zd = json.loads((tmp_path / "zero_decay.json").read_text())
+    assert [(item["sector"], item["n"]) for item in zd] == [("symmetric", 2)]
+
+
 def test_bounces_command_default_distance(tmp_path):
     code = run(tmp_path, "bounces", "bounces.n_t=13")
     assert code == 0
@@ -131,6 +152,8 @@ def test_solver_failure_is_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("command, override", [
     ("sweep", "sweep.step=0"),
     ("sweep", "sweep.step=-1"),
+    ("sweep", "sweep.x21_min=-1"),
+    ("sweep", "sweep.x21_min=0"),
     ("poles", "model.omega1=1e400"),
     ("poles", "model.n_ff=1.5"),
     ("contour", "contour.nx=0"),

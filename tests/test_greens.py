@@ -24,10 +24,12 @@ from collective1d import (
 from collective1d.greens import (
     ConvergenceError,
     EstimateDivergence,
+    EtaEvaluator,
     GreensError,
     fixed_point,
     newton,
     pole_records_to_csv,
+    solve_poles,
 )
 from reference import continued_halfline_integral
 
@@ -203,6 +205,54 @@ def test_wrong_branch_raises():
         from collective1d.greens import ComplexEnergy
 
         ComplexEnergy.from_root(2.0 + 0.1j, None, 0, 1.0 + 0j)
+
+
+class _UpperRootOnRow(EtaEvaluator):
+    """eta^+ except on one row, where eta = z - root with a root above the
+    real axis (a branch eta^+ itself never has)."""
+
+    def __init__(self, *args, row, root):
+        super().__init__(*args)
+        self.row, self.root = row, root
+
+    def values(self, z, derivative=False, rows=None):
+        eta, deta = super().values(z, derivative, rows)
+        on_row = np.asarray(rows) == self.row
+        eta[on_row] = z[on_row] - self.root
+        deta[on_row] = 1.0
+        return eta, deta
+
+
+def test_solve_poles_rows_fail_alone(params, quad, z1):
+    """A seed outside the region, a seed beyond the overflow guard and a row
+    converging onto the wrong branch each fail with their own error; every
+    other row equals its one-row solve bit for bit."""
+    sigma = [1, -1, 1, 1, -1, 1]
+    x21 = [X21, 12.7, 8.0, X21, 12.7, 20.0]
+    seeds = [z1.value, z1.value, -1.0 + 0j, 40.0 - 25.0j, z1.value, z1.value]
+    ev = _UpperRootOnRow(params, sigma, x21, quad, row=4, root=2.0 + 0.1j)
+    got = solve_poles(ev, seeds)
+    assert isinstance(got[2], ConvergenceError) and "outside the evaluation region" in str(got[2])
+    assert isinstance(got[3], OverflowGuardError)
+    assert isinstance(got[4], WrongBranchError)
+    for i in (0, 1, 5):
+        tag = "s" if sigma[i] > 0 else "a"
+        assert got[i] == find_pole(tag, x21[i], seeds[i], params, quad)
+    # the same rows, solved as a subset of a larger evaluator, agree as well
+    assert solve_poles(ev, [seeds[5], seeds[0]], rows=[5, 0]) == [got[5], got[0]]
+
+
+def test_find_pole_raises_the_row_error(params, quad):
+    with pytest.raises(ConvergenceError, match="outside the evaluation region"):
+        find_pole(SYMMETRIC, 8.0, -1.0 + 0j, params, quad)
+    with pytest.raises(OverflowGuardError):
+        find_pole(SYMMETRIC, X21, 40.0 - 25.0j, params, quad)
+
+
+@pytest.mark.parametrize("sigma, x21", [(1, 0.0), (-1, -3.0), (1, np.nan), ([1, 0], 5.0)])
+def test_evaluator_rejects_bad_rows(params, quad, sigma, x21):
+    with pytest.raises(ValueError):
+        EtaEvaluator(params, sigma, x21, quad)
 
 
 # ------------------------------------------------------------- shared solvers

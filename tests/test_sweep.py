@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collective1d import (
     ANTISYMMETRIC,
@@ -17,7 +21,11 @@ from collective1d import (
     sweep_poles,
     zero_decay_solve,
 )
+from collective1d import sweep
+from collective1d.greens import _evaluator
 from collective1d.sweep import sweep_to_csv, zero_decay_to_json
+
+import reference
 
 
 # ------------------------------------------------------------------- the sweep
@@ -32,6 +40,44 @@ def test_sweep_all_points_converged(sweep_records):
 def test_sweep_rejects_non_increasing_grid(params, quad):
     with pytest.raises(ValueError, match="strictly increasing"):
         sweep_poles(np.array([5.0, 5.0, 6.0]), params, quad)
+
+
+@pytest.mark.parametrize("grid", [[5.0, np.nan, 6.0], [-1.0, 0.0, 1.0], [0.0, 0.5, 1.0],
+                                  [5.0, 6.0, np.inf]])
+def test_sweep_rejects_non_finite_or_non_positive_grid(params, quad, grid):
+    with pytest.raises(ValueError, match="finite and positive"):
+        sweep_poles(np.array(grid), params, quad)
+
+
+@settings(max_examples=10, deadline=None)
+@given(origin=st.floats(5.0, 39.0), step=st.floats(0.01, 1.5), n=st.integers(1, 40),
+       block=st.sampled_from([1, 3, 7, 64]))
+def test_blocked_sweep_equals_sequential_sweep(params, quad, origin, step, n, block):
+    """The Jacobi passes reach the point-by-point rule: the same convergence
+    flags and the same roots to 1e-12, for any block size."""
+    grid = origin + step * np.arange(n)
+    grid = grid[grid <= 40.0]
+    with mock.patch.object(sweep, "_BLOCK", block):
+        got = sweep_poles(grid, params, quad)
+    want = reference.sweep_poles(grid, params, quad)
+    for g, w in zip(got, want, strict=True):
+        assert g.x21 == w.x21
+        for zg, zw in ((g.z_s, w.z_s), (g.z_a, w.z_a)):
+            assert (zg is None) == (zw is None)
+            if zg is not None:
+                assert abs(zg.value - zw.value) <= 1e-12
+                assert abs(zg.normalization - zw.normalization) <= 1e-10
+
+
+def test_sweep_and_zero_decay_leave_the_evaluator_cache_alone(params, quad):
+    """Both build their evaluators outside the cache, so they neither grow
+    it nor evict what other callers cached."""
+    _evaluator.cache_clear()
+    one_atom_pole(params, quad)
+    before = _evaluator.cache_info().currsize
+    sweep_poles(np.arange(7.5, 8.3, 0.1), params, quad)
+    zero_decay_solve(SYMMETRIC, 2, params, quad)
+    assert _evaluator.cache_info().currsize == before
 
 
 def test_gamma_oscillation_period(sweep_records, z1):
