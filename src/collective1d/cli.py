@@ -165,7 +165,8 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
                               _integer(cfg, "lattice.n_modes"), initial)
     times = np.linspace(0.0, float(e["t_max_factor"]) * x21, n_t)
     series = dyn.survival_probability(model, initial, times)
-    overlay = dyn.collective_survival(p, initial, x21, times, quad)
+    pole = gr.find_pole(initial, x21, gr.one_atom_pole(p, quad).value, p, quad)
+    overlay = dyn.collective_survival(p, initial, x21, times, quad, pole=pole)
     paths = [out / f"p1_{initial}.csv", out / f"p1_{initial}_collective.csv"]
     dyn.timeseries_to_csv(series, paths[0])
     dyn.timeseries_to_csv(overlay, paths[1])
@@ -173,7 +174,7 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
     for fac in e["profile_time_factors"]:
         t = float(fac) * x21
         prof = dyn.field_intensity(model, initial, xs, t)
-        col = dyn.collective_field(p, initial, x21, xs, t, quad)
+        col = dyn.collective_field(p, initial, x21, xs, t, quad, pole=pole)
         p1 = out / f"field_{initial}_t{fac:g}.csv"
         p2 = out / f"field_{initial}_t{fac:g}_collective.csv"
         dyn.profile_to_csv(prof, p1)

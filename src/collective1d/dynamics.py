@@ -8,8 +8,10 @@ Each degenerate mode pair {+k, -k}, k = 2 pi m / L, couples to
 coupling g_k = lam V_k sqrt(2 (1 + sigma cos k x21)); the opposite-parity
 combinations never populate. The reduction is exact for every observable
 reachable from |s> or |a>, and |1>, |2> = (|s> +- |a>)/sqrt(2). The reduced
-Hamiltonian is an arrowhead matrix (|j> against the diagonal modes), solved
-without forming its eigenvector matrix.
+Hamiltonian is an arrowhead matrix (|j> against the diagonal modes). Its
+eigenvalues are the roots of its secular equation, solved in blocks of rows
+with no dense eigensolve, and its eigenvectors follow in closed form, so
+neither the matrix nor its eigenvector matrix is ever formed.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import numpy as np
 from .core import ModelParams, SymmetrySector, as_sector, validate
 from .greens import (
     ComplexEnergy,
+    ConvergenceError,
     OverflowGuardError,
     find_pole,
     one_atom_pole,
@@ -43,9 +46,9 @@ __all__ = [
     "profile_to_csv",
 ]
 
-_MAX_DIM = 20000         # dense eigvalsh input: 8 dim^2 bytes
-_BLOCK = 256             # eigenvalue rows per (rows, modes) work array
-_NEWTON_STEPS = 2
+_MAX_DIM = 20000         # each secular iteration costs O(dim^2) time
+_BLOCK = 256             # eigenvalue (or time) rows per (rows, modes) work array
+_MAX_ITER = 40           # secular-equation evaluations per eigenvalue
 _EPS = np.finfo(float).eps
 
 
@@ -80,6 +83,8 @@ class FieldProfile:
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
         self.intensity = np.asarray(self.intensity, dtype=float)
+        if not np.all(np.isfinite(self.intensity)):
+            raise ValueError("non-finite field intensity")
         if np.any(self.intensity < 0):
             raise ValueError("field intensity must be non-negative")
 
@@ -120,12 +125,15 @@ def build_lattice(params: ModelParams, box_length: float, n_modes: int,
         raise LatticeError("the box is built for one sector, 's' or 'a'")
     if n_modes % 2 == 0 or n_modes < 3:
         raise LatticeError("n_modes must be odd and >= 3")
+    if not np.isfinite(box_length):
+        raise LatticeError(f"box length L={box_length} must be finite")
     if box_length <= 2.0 * params.x21:
         raise LatticeError(f"box L={box_length} must exceed 2*x21={2 * params.x21} "
                            "so both light cones fit")
     n_half = (n_modes - 1) // 2
     if n_half + 2 > _MAX_DIM:
-        raise LatticeError(f"dimension {n_half + 2} beyond memory budget {_MAX_DIM}")
+        raise LatticeError(f"dimension {n_half + 2} beyond {_MAX_DIM}: the secular solve "
+                           "takes O(dim^2) time per iteration")
     k = 2.0 * np.pi * np.arange(1, n_half + 1) / box_length
     vk = np.sqrt(k / (1 + (k / params.omegaM) ** 2) ** (2 * params.n_ff))
     big_v = np.sqrt(2.0 * np.pi / box_length) * vk
@@ -152,43 +160,139 @@ def _gaps(d: np.ndarray, nearest: np.ndarray, offsets: np.ndarray) -> np.ndarray
 
 def _arrowhead_spectrum(omega1: float, d: np.ndarray, g: np.ndarray):
     """Eigenvalues E of [[omega1, g], [g, diag(d)]] (d ascending, g > 0), their
-    weights |<j|E>|^2 = 1 / (1 + sum g^2 / (E - d)^2), and for each E the
-    index of its nearest pole d_n and the offset tau = E - d_n.
+    weights |<j|E>|^2 = 1 / f'(E), and for each E the index of its nearest
+    pole d_n and the offset tau = E - d_n, from the secular equation
 
-    numpy.linalg.eigvalsh gives each E to eps ||H|| absolute. By interlacing
-    E_i lies between d_{i-1} and d_i, and tau is taken from the nearer one.
-    Newton steps on the secular equation E - omega1 - sum g^2 / (E - d) = 0,
-    multiplied through by tau so that it stays smooth at tau = 0, then give
-    tau to full relative accuracy. The weights of weakly coupled modes
-    (w ~ tau^2 / g_n^2) and the eigenvectors <d|E> = g / (E - d) <j|E> need
-    that accuracy (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172).
+        f(E) = E - omega1 - sum g^2 / (E - d) = 0.
+
+    f rises from -inf to +inf between neighbouring poles, so by interlacing
+    root i lies in (d_{i-1}, d_i); the lowest root lies within ||g|| below
+    min(omega1, d_0) and the highest within ||g|| above max(omega1, d_{m-1})
+    (Weyl). The sign of f at each gap's midpoint picks the nearer pole as the
+    origin, and the root is solved in tau from there, where _gaps gives
+    E - d to full relative accuracy. Each step takes the root of a rational
+    model with one pole at the origin and one at the gap's other end (the
+    linear term rides with the far side), matched to f and f' at the iterate:
+    the "middle way" of R.-C. Li, LAPACK Working Note 89 (1993), behind
+    LAPACK's dlaed4; Bunch, Nielsen & Sorensen, Numer. Math. 31 (1978) 31. A
+    step that leaves the bracket bisects it. All rows of a block advance
+    together, one O(rows x m) pass per step, and converged rows drop out. A
+    root is accepted once |f| is within the rounding of its evaluation or its
+    step stalls, after one last Newton step; that gives tau to full relative
+    accuracy, which the weights of weakly coupled modes (w ~ tau^2 / g_n^2)
+    and the eigenvectors <d|E> = g / (E - d) <j|E> need (Gu & Eisenstat,
+    SIAM J. Matrix Anal. Appl. 16 (1995) 172). A root still open after
+    _MAX_ITER evaluations raises ConvergenceError.
     """
     m = d.size
     if m == 0:
         return np.array([omega1]), np.ones(1), np.zeros(1, dtype=int), np.zeros(1)
-    h = np.diag(np.concatenate(([omega1], d)))
-    h[1:, 0] = g                      # eigvalsh reads the lower triangle
-    evals = np.linalg.eigvalsh(h)
-    del h
-    i = np.arange(m + 1)
-    left, right = np.maximum(i - 1, 0), np.minimum(i, m - 1)
-    nearest = np.where((i == m) | ((i > 0) & (evals - d[left] < d[right] - evals)), left, right)
-    offsets = evals - d[nearest]
     g2 = g * g
-    for _ in range(_NEWTON_STEPS):
-        for rows in _blocks(m + 1):
-            n, tau = nearest[rows], offsets[rows]
-            gaps = _gaps(d, n, tau)
-            gaps[np.arange(n.size), n] = np.inf      # the nearest pole is factored out
-            terms = g2 / gaps
-            rest = d[n] + tau - omega1 - terms.sum(axis=1)
-            slope = rest + tau * (1.0 + (terms / gaps).sum(axis=1))
-            offsets[rows] = tau - (tau * rest - g2[n]) / slope
+    span = 1.01 * np.sqrt(g2.sum())     # Weyl's bound, widened: m = 1, omega1 = d_0 attains it
+    nearest = np.empty(m + 1, dtype=int)
+    offsets = np.empty(m + 1)
     weights = np.empty(m + 1)
     for rows in _blocks(m + 1):
-        gaps = _gaps(d, nearest[rows], offsets[rows])
-        weights[rows] = 1.0 / (1.0 + np.sum(g2 / gaps ** 2, axis=1))
+        i = np.arange(m + 1)[rows]
+        lo, hi = np.maximum(i - 1, 0), np.minimum(i, m - 1)
+        outer_lo, outer_hi = i == 0, i == m
+        # reference point: the gap midpoint, seen from d_lo; below/above the
+        # outer roots, the far end of their bracket
+        n = lo.copy()
+        ref = 0.5 * (d[hi] - d[lo])
+        ref[outer_lo] = min(omega1 - d[0], 0.0) - span
+        ref[outer_hi] = max(omega1 - d[-1], 0.0) + span
+        f_ref = _secular(d, g2, omega1, n, ref)[0]
+        # a root left of the midpoint is solved from d_lo, otherwise from d_hi
+        outer = outer_lo | outer_hi
+        from_hi = ~outer & ~(f_ref > 0)
+        n[from_hi] = hi[from_hi]
+        ref[from_hi] = -ref[from_hi]
+        # offset of the gap's other pole from the origin; the outer roots have none
+        far = np.where(outer, np.inf, 2.0 * ref)
+        g2_far = np.where(outer, 0.0, g2[lo + hi - n])
+        lower, upper = np.minimum(ref, 0.0), np.maximum(ref, 0.0)
+        lower[outer_hi] = max(omega1 - d[-1], 0.0)
+        upper[outer_lo] = min(omega1 - d[0], 0.0)
+        # first step from the model of the gap's two poles alone, the rest of
+        # f held at its reference value
+        w = 1.0 / far
+        tau = _step(ref, f_ref, g2[n] / ref ** 2, 1.0 + g2_far / (far - ref) ** 2, w, lower, upper)
+        offsets[rows], weights[rows] = _solve_rows(d, g2, omega1, n, tau, w, lower, upper)
+        nearest[rows] = n
     return d[nearest] + offsets, weights, nearest, offsets
+
+
+def _secular(d, g2, omega1, n, tau):
+    """f(E) at E = d_n + tau for a block of rows, the parts of f'(E) from the
+    poles on the near side of E (that of d_n) and from the far side plus the
+    linear term, and a bound on the rounding error of f."""
+    gaps = _gaps(d, n, tau)
+    near = np.signbit(gaps) == np.signbit(tau)[:, None]
+    terms = g2 / gaps
+    total = terms.sum(axis=1)
+    near_sum = terms.sum(axis=1, where=near)
+    linear = (d[n] - omega1) + tau
+    f = linear - total
+    np.divide(terms, gaps, out=terms)           # g^2 / (E - d)^2
+    del gaps
+    slope_near = terms.sum(axis=1, where=near)
+    slope_far = 1.0 + terms.sum(axis=1, where=~near)
+    noise = (np.abs(linear) + np.abs(near_sum) + np.abs(total - near_sum)
+             + np.abs(tau) * (slope_near + slope_far))
+    return f, slope_near, slope_far, noise
+
+
+def _step(tau, f, slope_near, slope_far, w, lower, upper):
+    """The next offset: the root x in [lower, upper], x != 0, of the model
+
+        f~(x) = c - Q / x + P / (1/w - x),    x = E - d_n,
+
+    whose pole at the origin carries slope_near and whose far pole (at
+    1/w; w = 0 for the outer roots, whose far side is the linear term)
+    carries slope_far, matched to f and f' at x = tau. The quadratic is
+    solved for x itself, not for a step from tau, so a root next to the
+    origin keeps full relative accuracy. The bracket midpoint where the
+    model has no root in the bracket."""
+    v = 1.0 - w * tau
+    a = v * slope_far - w * (f + tau * slope_near)
+    b = f + tau * slope_near - tau * v * slope_far + w * tau * tau * slope_near
+    c = -tau * tau * slope_near
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        roots = (q / a, c / q)
+    x = 0.5 * (lower + upper)
+    for root in roots:
+        x = np.where((lower <= root) & (root <= upper) & (root != 0.0), root, x)
+    return x
+
+
+def _solve_rows(d, g2, omega1, n, tau, w, lower, upper):
+    """Iterate _step on the rows until |f| is within 4 eps of its rounding
+    bound, the step stalls or the bracket has closed to the last bits, and
+    return each row's tau and 1/f'(E). Converged rows leave the work arrays."""
+    offsets, weights = np.empty(tau.size), np.empty(tau.size)
+    live = np.arange(tau.size)
+    for _ in range(_MAX_ITER):
+        f, slope_near, slope_far, noise = _secular(d, g2, omega1, n[live], tau[live])
+        t = tau[live]
+        lower[live] = np.where(f < 0, t, lower[live])
+        upper[live] = np.where(f > 0, t, upper[live])
+        step = _step(t, f, slope_near, slope_far, w[live], lower[live], upper[live])
+        done = ((np.abs(f) <= 4.0 * _EPS * noise) | (step == t)
+                | (upper[live] - lower[live] <= 4.0 * _EPS * np.abs(t)))
+        slope = slope_near[done] + slope_far[done]
+        # one last Newton step, kept inside the bracket, takes off the residual
+        offsets[live[done]] = np.clip(t[done] - f[done] / slope,
+                                      lower[live[done]], upper[live[done]])
+        weights[live[done]] = 1.0 / slope
+        tau[live] = step
+        live = live[~done]
+        if live.size == 0:
+            return offsets, weights
+    raise ConvergenceError(
+        f"secular equation: {live.size} eigenvalues unconverged after {_MAX_ITER} "
+        f"iterations (largest |f|={np.max(np.abs(f[~done])):.2e})")
 
 
 def _check_initial(model: LatticeModel, initial) -> None:
@@ -199,6 +303,8 @@ def _check_initial(model: LatticeModel, initial) -> None:
 
 
 def _check_horizon(model: LatticeModel, t_max: float) -> None:
+    if not np.isfinite(t_max):
+        raise LatticeError(f"time t={t_max} must be finite")
     if t_max >= model.box_length / 2.0:
         warnings.warn(
             f"t={t_max} at or beyond the wrap horizon L/2={model.box_length / 2}; "
@@ -231,7 +337,9 @@ def survival_probability(model: LatticeModel, initial, times) -> TimeSeries:
     _check_initial(model, initial)
     times = np.asarray(times, dtype=float)
     _check_horizon(model, float(times.max()))
-    amp = np.exp(-1j * np.outer(times, model.evals)) @ model.weights
+    amp = np.empty(times.size, dtype=complex)
+    for rows in _blocks(times.size):      # bounds the (times, eigenvalues) phases
+        amp[rows] = np.exp(-1j * np.outer(times[rows], model.evals)) @ model.weights
     return TimeSeries(times, 0.5 * np.abs(amp) ** 2, label=f"P1 initial={initial}")
 
 
@@ -293,6 +401,8 @@ def collective_field(params: ModelParams, sector, x21, xs, t: float,
     e^{-2 gamma_j t}; the amplitude is assembled from the four continued
     phase integrals e^{+-ik(x - x_i)}, which is what produces the spatial
     exponential envelope with no light-cone truncation."""
+    if not np.isfinite(t):
+        raise ValueError(f"time t={t} must be finite")
     sector = as_sector(sector)
     quad = quad or QuadratureSpec.for_params(params)
     p = params.with_x21(float(x21)) if abs(params.x21 - float(x21)) > 1e-12 else params

@@ -7,6 +7,9 @@
   by ``numpy.linalg.eigh``; the oracle of the parity-reduced arrowhead in
   ``collective1d.dynamics``.
 * ``reduced_hamiltonian``: the dense arrowhead of a reduced ``LatticeModel``.
+* ``arrowhead_spectrum``: its eigenvalues from ``numpy.linalg.eigvalsh``,
+  polished by Newton steps on the secular equation; the oracle of the
+  secular solve in ``collective1d.dynamics``.
 * ``find_pole``, ``solve_point`` and ``sweep_poles``: the scalar pole solver
   (one damped loop and one ``newton`` per seed) and the point-by-point
   distance sweep; the oracles of the batched ``solve_poles`` and of the
@@ -113,6 +116,41 @@ def reduced_hamiltonian(model) -> np.ndarray:
     ham[idx, idx] = model.k
     ham[0, idx] = ham[idx, 0] = model.couplings
     return ham
+
+
+def arrowhead_spectrum(omega1: float, d: np.ndarray, g: np.ndarray, newton_steps: int = 2):
+    """(E, |<j|E>|^2, nearest pole index, E - d_nearest) of
+    [[omega1, g], [g, diag(d)]] (d ascending, g > 0): eigvalsh of the dense
+    matrix gives each E to eps ||H||; tau = E - d_n is taken from the nearer
+    interlacing pole and gets newton_steps Newton steps on the secular
+    equation multiplied through by tau. Two steps (the package's route
+    before the secular solve) give tau to full relative accuracy unless
+    eps ||H|| is large against tau's distance to the next root or pole: a
+    pole at omega1 with a coupling near the rounding of ||H||, or a weakly
+    coupled mode next to a cluster. More steps close that gap. The residual
+    is formed from (d_n - omega1) + tau, so a pole at omega1 loses nothing
+    to rounding."""
+    m = d.size
+    if m == 0:
+        return np.array([omega1]), np.ones(1), np.zeros(1, dtype=int), np.zeros(1)
+    h = np.diag(np.concatenate(([omega1], d)))
+    h[1:, 0] = g
+    evals = np.linalg.eigvalsh(h)
+    i = np.arange(m + 1)
+    left, right = np.maximum(i - 1, 0), np.minimum(i, m - 1)
+    nearest = np.where((i == m) | ((i > 0) & (evals - d[left] < d[right] - evals)), left, right)
+    tau = evals - d[nearest]
+    g2 = g * g
+    for _ in range(newton_steps):
+        gaps = (d[nearest, None] - d) + tau[:, None]
+        gaps[i, nearest] = np.inf                  # the nearest pole is factored out
+        terms = g2 / gaps
+        rest = (d[nearest] - omega1) + tau - terms.sum(axis=1)
+        slope = rest + tau * (1.0 + (terms / gaps).sum(axis=1))
+        tau = tau - (tau * rest - g2[nearest]) / slope
+    gaps = (d[nearest, None] - d) + tau[:, None]
+    weights = 1.0 / (1.0 + np.sum(g2 / gaps ** 2, axis=1))
+    return d[nearest] + tau, weights, nearest, tau
 
 
 class FullBox:

@@ -149,6 +149,16 @@ def test_solver_failure_is_exit_2(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_lattice_solver_failure_is_exit_2(tmp_path, capsys, monkeypatch):
+    from collective1d import dynamics as dyn
+
+    monkeypatch.setattr(dyn, "_MAX_ITER", 1)
+    cfg = {"lattice": {"L": 40.0, "n_modes": 201}, "evolve": {"x21": 5.0, "n_t": 21}}
+    assert run(tmp_path, "evolve", config=cfg) == 2
+    assert "secular equation" in capsys.readouterr().err
+    assert not (tmp_path / "p1_s.csv").exists()
+
+
 @pytest.mark.parametrize("command, override", [
     ("sweep", "sweep.step=0"),
     ("sweep", "sweep.step=-1"),
@@ -159,6 +169,9 @@ def test_solver_failure_is_exit_2(tmp_path, capsys):
     ("contour", "contour.nx=0"),
     ("contour", "contour.nx=1.5"),
     ("evolve", "evolve.n_x=0"),
+    ("evolve", "lattice.L=nan"),
+    ("evolve", "lattice.L=inf"),
+    ("evolve", "evolve.profile_time_factors=[NaN]"),
     ("poles", "quad.rel_tol=-1"),
     ("poles", "quad.cutoff=abc"),
 ])

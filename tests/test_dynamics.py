@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collective1d import dynamics as dyn
 from collective1d import (
+    ConvergenceError,
     LatticeError,
     ModelParams,
     build_lattice,
@@ -21,7 +23,9 @@ from collective1d.dynamics import (
     profile_to_csv,
     timeseries_to_csv,
 )
-from reference import FullBox, reduced_hamiltonian
+from reference import FullBox, arrowhead_spectrum, reduced_hamiltonian
+
+_EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +69,9 @@ def test_preconditions():
         build_lattice(p, 60.0, 201, None)
     with pytest.raises(ValueError, match="unknown sector"):
         build_lattice(p, 60.0, 201, "full")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(LatticeError, match="finite"):
+            build_lattice(p, bad, 201, "s")
 
 
 def test_hamiltonian_hermitian_and_dimensions(small_full, small_reduced):
@@ -119,6 +126,87 @@ def test_eigensystem_invariants(small_reduced):
     recon = (v * small_reduced.evals) @ v.T
     assert np.linalg.norm(recon - h) < 1e-8 * np.linalg.norm(h)
     assert np.max(np.abs(small_reduced.evals - np.linalg.eigvalsh(h))) < 1e-12
+
+
+@st.composite
+def _arrowheads(draw):
+    """(omega1, d, g) with up to 200 poles: gaps down to 1e-9 (clusters),
+    couplings down to just above the deflation threshold, and omega1 inside
+    the pole range, on a pole, below it or above it."""
+    m = draw(st.one_of(st.just(1), st.just(2), st.integers(1, 200)))
+    exponents = np.array(draw(st.lists(st.floats(-9.0, 0.0), min_size=m, max_size=m)))
+    d = draw(st.floats(0.01, 3.0)) + np.cumsum(10.0 ** exponents) - 10.0 ** exponents[0]
+    where, u = draw(st.sampled_from(["inside", "pole", "below", "above"])), draw(st.floats(0.0, 1.0))
+    omega1 = {"inside": d[0] + u * (d[-1] - d[0]), "pole": d[int(u * (m - 1))],
+              "below": d[0] - 5.0 * u, "above": d[-1] + 5.0 * u}[where]
+    threshold = 8.0 * _EPS * max(abs(omega1), d[-1])     # build_lattice deflates below it
+    pairs = draw(st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)), min_size=m, max_size=m))
+    g = np.array([threshold * (1.0 + v) if tiny else 10.0 ** (-3.0 * v) for tiny, v in pairs])
+    return omega1, d, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_arrowheads())
+def test_secular_solve_matches_dense_oracle(case):
+    """The secular solve against eigvalsh plus Newton polish: the same nearest
+    pole (except for a root within eigvalsh's error of a gap's midpoint), E
+    to 4 eps ||H||, tau to 1e-12 relative and the weights to 1e-13.
+
+    Two polish steps leave the oracle itself off by orders of magnitude in
+    tau where a pole sits at omega1 with a coupling near the rounding of
+    ||H||, or a weak mode next to a cluster (checked against 80-digit roots),
+    so it takes eight. Where the rounding of the secular equation bounds tau
+    more loosely (condition number kappa: rounding of f over |tau| f'), as
+    for a root of the strongly coupled modes that lands on a weakly coupled
+    pole, tau is held to 64 eps kappa and w to twice that, relative."""
+    omega1, d, g = case
+    evals, weights, nearest, offsets = dyn._arrowhead_spectrum(omega1, d, g)
+    e_ref, w_ref, n_ref, tau_ref = arrowhead_spectrum(omega1, d, g, newton_steps=8)
+    norm = np.max(np.abs(e_ref))
+    assert np.max(np.abs(evals - e_ref)) <= 4.0 * _EPS * norm
+    i = np.arange(d.size + 1)
+    lo, hi = d[np.maximum(i - 1, 0)], d[np.minimum(i, d.size - 1)]
+    # eigvalsh places E only to about n eps ||H||: closer to a midpoint, its nearer pole is moot
+    tie = (i > 0) & (i < d.size) & (np.abs(e_ref - 0.5 * (lo + hi)) <= i.size * _EPS * norm)
+    assert np.array_equal(nearest[~tie], n_ref[~tie])
+    gaps = (d[n_ref, None] - d) + tau_ref[:, None]
+    g2 = g * g
+    kappa = ((np.abs(d[n_ref] - omega1) + np.abs(tau_ref) + np.sum(g2 / np.abs(gaps), axis=1))
+             / (np.abs(tau_ref) * (1.0 + np.sum(g2 / gaps ** 2, axis=1))))
+    rel = 64.0 * _EPS * kappa
+    assert np.all((np.abs(offsets - tau_ref) <= np.maximum(1e-12, rel) * np.abs(tau_ref))[~tie])
+    assert np.all(np.abs(weights - w_ref) <= np.maximum(1e-13, 2.0 * rel * w_ref))
+
+
+def test_figure_box_matches_dense_route(model_s29):
+    """On the figure box (dimension 1 252) the secular solve reproduces the
+    dense route it replaced: eigvalsh plus two Newton steps."""
+    d = model_s29.k[model_s29.coupled]
+    e_ref, w_ref, n_ref, tau_ref = arrowhead_spectrum(model_s29.params.omega1, d,
+                                                      model_s29.couplings[model_s29.coupled])
+    assert np.array_equal(model_s29.nearest, n_ref)
+    assert np.max(np.abs(model_s29.evals - e_ref)) <= 1e-13
+    assert np.max(np.abs(model_s29.offsets - tau_ref) / np.abs(tau_ref)) <= 1e-13
+    assert np.max(np.abs(model_s29.weights - w_ref)) <= 1e-13
+
+
+def test_no_dense_eigensolve(monkeypatch, small_params):
+    """The box is solved from its secular equation alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolve called")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    model = build_lattice(small_params, 60.0, 201, "s")
+    assert np.sum(model.weights) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_unconverged_eigenvalues_raise(monkeypatch, small_params):
+    """A root still open when the iteration budget runs out is an error, never
+    a returned eigenvalue."""
+    monkeypatch.setattr(dyn, "_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="secular equation"):
+        build_lattice(small_params, 60.0, 201, "s")
 
 
 # ------------------------------------------------------------------- evolution
@@ -335,6 +423,17 @@ def test_timeseries_validation():
         TimeSeries(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
         FieldProfile(np.array([0.0]), np.array([-1.0]), 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        FieldProfile(np.array([0.0]), np.array([np.nan]), 0.0)
+
+
+def test_non_finite_time_rejected(params, quad, zs29, small_reduced):
+    xs = np.linspace(-5.0, 5.0, 3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(LatticeError, match="finite"):
+            field_intensity(small_reduced, "s", xs, bad)
+        with pytest.raises(ValueError, match="finite"):
+            collective_field(params, "s", 29.025, xs, bad, quad, pole=zs29)
 
 
 def test_csv_writers(tmp_path, small_reduced):
