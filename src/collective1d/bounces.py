@@ -16,8 +16,7 @@ N e^{-i z t} where z solves k = z_s1 + Delta(k); `resummed` verifies that
 identity by evaluating both sides independently.
 
 Note on signs: f_n here carries a plus sign, fixed by I(0) = 1 and by the
-resummation identity itself; see the project notes for the discrepancy with
-one printed source formula.
+resummation identity itself; DECISIONS.md gives the measured check.
 """
 from __future__ import annotations
 
@@ -261,29 +260,34 @@ class BounceDecomposition:
         return phase.exp()
 
 
+def _bounce_terms(t: float, dec: BounceDecomposition, n_max: int):
+    """f_0(t), ..., f_{n_max}(t). f_n is coefficient n of Delta^n e^{-ikt}
+    about z_s1: one dot product of the jet of Delta^n (one product per term)
+    with the jet of e^{-ikt}."""
+    dj = dec.delta_jet(n_max)
+    ej = dec._exp_jet(t, n_max)
+    power = Jet.constant(1.0, dec.z_s1.value, n_max)
+    for n in range(n_max + 1):
+        yield np.dot(power.coeffs[: n + 1], ej.coeffs[n::-1])
+        if n < n_max:
+            power = power * dj
+
+
 def bounce_term(n: int, t: float, dec: BounceDecomposition) -> complex:
     """f_n(t): the n-th bounce, switched on at t = n x21; magnitude O(lam^2n)."""
     if n < 0:
         raise ValueError("bounce index must be >= 0")
-    order = n
-    prod = (dec.delta_jet(order) ** n) * dec._exp_jet(t, order)
-    return complex(prod.coeffs[n])
+    *_, term = _bounce_terms(t, dec, n)
+    return complex(term)
 
 
 def bounce_sum(t: float, dec: BounceDecomposition) -> complex:
     """Theta-truncated pole contribution I_0(t) = sum_{n <= t/x21} f_n(t)."""
     if t < 0:
         raise ValueError("bounce_sum needs t >= 0")
-    n_stop = int(np.floor(t / dec.x21 + 1e-12))
-    order = n_stop
-    dj = dec.delta_jet(order)
-    ej = dec._exp_jet(t, order)
-    power = Jet.constant(1.0, dec.z_s1.value, order)
     total = 0j
-    for n in range(n_stop + 1):
-        total += (power * ej).coeffs[n]
-        if n < n_stop:
-            power = power * dj
+    for term in _bounce_terms(t, dec, int(np.floor(t / dec.x21 + 1e-12))):
+        total += term
     return complex(total)
 
 
@@ -328,9 +332,6 @@ def resummed(t: float, dec: BounceDecomposition,
     weak_n = 1.0 / df_t
     pole_value = weak_n * np.exp(-1j * z_t * t)
 
-    dj = dec.delta_jet(N_CAP)
-    ej = dec._exp_jet(t, N_CAP)
-    power = Jet.constant(1.0, dec.z_s1.value, N_CAP)
     total = 0j
     small_streak = 0
     grow_streak = 0
@@ -338,8 +339,7 @@ def resummed(t: float, dec: BounceDecomposition,
     min_mag = np.inf
     converged = False
     n_used = 0
-    for n in range(N_CAP + 1):
-        term = (power * ej).coeffs[n]
+    for n, term in enumerate(_bounce_terms(t, dec, N_CAP)):
         total += term
         n_used = n
         mag = abs(term)
@@ -358,8 +358,6 @@ def resummed(t: float, dec: BounceDecomposition,
         else:
             grow_streak = 0
         prev_mag = mag
-        if n < N_CAP:
-            power = power * dj
 
     z1 = one_atom_pole(dec.params, dec.quad)
     zs = find_pole(SYMMETRIC, dec.x21, z1.value, dec.params, dec.quad)

@@ -7,7 +7,6 @@ Outputs are plot-ready CSV/JSON with full-precision floats and no
 timestamps (identical config => byte-identical files); every output file
 gets a sidecar <name>.config.json holding the fully resolved configuration.
 Exit codes: 0 success, 1 configuration error, 2 solver/quadrature failure.
-COLLECTIVE_THREADS caps internal thread pools.
 """
 from __future__ import annotations
 
@@ -83,18 +82,35 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 
 def _resolve(cfg: dict):
-    m = cfg["model"]
     # construct unvalidated so commands can issue their own diagnostics
     # (validate rejects a non-integer n_ff)
+    params = ModelParams(omega1=_real(cfg, "model.omega1"), lam=_real(cfg, "model.lambda"),
+                         omegaM=_real(cfg, "model.omegaM"), n_ff=cfg["model"]["n_ff"],
+                         x1=_real(cfg, "model.x1"), x2=_real(cfg, "model.x2"))
     cutoff = cfg["quad"]["cutoff"]
-    try:
-        params = ModelParams(omega1=float(m["omega1"]), lam=float(m["lambda"]),
-                             omegaM=float(m["omegaM"]), n_ff=m["n_ff"],
-                             x1=float(m["x1"]), x2=float(m["x2"]))
-        quad = QuadratureSpec(cutoff=200.0 * params.omegaM if cutoff in (None, 0) else float(cutoff))
-    except TypeError as exc:
-        raise ConfigError(f"model and quad parameters must be numbers: {exc}") from exc
+    quad = QuadratureSpec(cutoff=200.0 * params.omegaM if cutoff in (None, 0)
+                          else _real(cfg, "quad.cutoff"))
     return params, quad
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _real(cfg: dict, dotted: str, many: bool = False):
+    """The finite number at block.key as a float, or with many the list of
+    finite numbers there as a list of floats; any other value, JSON type
+    included, is a ConfigError."""
+    block, key = dotted.split(".")
+    value = cfg[block][key]
+    items = value if many else [value]
+    # abs(v) <= max also rejects nan, +-inf and integers beyond float range
+    if isinstance(items, list) and all(
+            _is_number(v) and abs(v) <= sys.float_info.max for v in items):
+        reals = [float(v) for v in items]
+        return reals if many else reals[0]
+    what = "a list of finite numbers" if many else "a finite number"
+    raise ConfigError(f"{dotted} must be {what}, got {value!r}")
 
 
 def _integer(cfg: dict, dotted: str, minimum: int | None = None) -> int:
@@ -102,8 +118,7 @@ def _integer(cfg: dict, dotted: str, minimum: int | None = None) -> int:
     below minimum is a ConfigError, never truncated."""
     block, key = dotted.split(".")
     value = cfg[block][key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
+    if not _is_number(value) or not (isinstance(value, int) or value.is_integer()):
         raise ConfigError(f"{dotted} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{dotted} must be >= {minimum}, got {value!r}")
@@ -123,8 +138,7 @@ def _check_coupled(params: ModelParams) -> None:
 def cmd_poles(cfg: dict, out: Path) -> list[Path]:
     params, quad = _resolve(cfg)
     _check_coupled(params)
-    block = cfg["poles"]
-    x21 = float(block["x21"])
+    x21 = _real(cfg, "poles.x21")
     n_range = range(_integer(cfg, "poles.n_min"), _integer(cfg, "poles.n_max") + 1)
     written = []
     for tag in ("s", "a"):
@@ -134,7 +148,7 @@ def cmd_poles(cfg: dict, out: Path) -> list[Path]:
         written.append(path)
         if missing:
             print(f"poles[{tag}]: missed lattice indices {missing}", file=sys.stderr)
-    if block.get("write_contour"):
+    if cfg["poles"].get("write_contour"):
         written += cmd_contour(cfg, out)
     return written
 
@@ -144,8 +158,8 @@ def cmd_contour(cfg: dict, out: Path) -> list[Path]:
     _check_coupled(params)
     c = cfg["contour"]
     grid = (_integer(cfg, "contour.nx", 1), _integer(cfg, "contour.ny", 1))
-    cmap = gr.contour_map((c["re_min"], c["re_max"], c["im_min"], c["im_max"]),
-                          grid, c["sector"], float(c["x21"]), params, quad)
+    region = [_real(cfg, f"contour.{key}") for key in ("re_min", "re_max", "im_min", "im_max")]
+    cmap = gr.contour_map(region, grid, c["sector"], _real(cfg, "contour.x21"), params, quad)
     path = out / f"contour_{c['sector']}.csv"
     gr.contour_to_csv(cmap, path)
     return [path]
@@ -159,11 +173,12 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
     if initial not in ("s", "a"):
         raise ConfigError("evolve.initial must be 's' or 'a'")
     n_t, n_x = _integer(cfg, "evolve.n_t", 2), _integer(cfg, "evolve.n_x", 1)
-    x21 = float(e["x21"])
+    factors = _real(cfg, "evolve.profile_time_factors", many=True)
+    x21 = _real(cfg, "evolve.x21")
     p = params.with_x21(x21)
-    model = dyn.build_lattice(p, float(cfg["lattice"]["L"]),
+    model = dyn.build_lattice(p, _real(cfg, "lattice.L"),
                               _integer(cfg, "lattice.n_modes"), initial)
-    times = np.linspace(0.0, float(e["t_max_factor"]) * x21, n_t)
+    times = np.linspace(0.0, _real(cfg, "evolve.t_max_factor") * x21, n_t)
     series = dyn.survival_probability(model, initial, times)
     pole = gr.find_pole(initial, x21, gr.one_atom_pole(p, quad).value, p, quad)
     overlay = dyn.collective_survival(p, initial, x21, times, quad, pole=pole)
@@ -171,8 +186,8 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
     dyn.timeseries_to_csv(series, paths[0])
     dyn.timeseries_to_csv(overlay, paths[1])
     xs = np.linspace(-1.5 * x21 + p.x1, p.x2 + 1.5 * x21, n_x)
-    for fac in e["profile_time_factors"]:
-        t = float(fac) * x21
+    for fac in factors:
+        t = fac * x21
         prof = dyn.field_intensity(model, initial, xs, t)
         col = dyn.collective_field(p, initial, x21, xs, t, quad, pole=pole)
         p1 = out / f"field_{initial}_t{fac:g}.csv"
@@ -186,11 +201,10 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
 def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
     params, quad = _resolve(cfg)
     _check_coupled(params)
-    s = cfg["sweep"]
-    step = float(s["step"])
+    step = _real(cfg, "sweep.step")
     if not step > 0:
         raise ConfigError("sweep.step must be positive")
-    grid = np.arange(float(s["x21_min"]), float(s["x21_max"]) + 1e-12, step)
+    grid = np.arange(_real(cfg, "sweep.x21_min"), _real(cfg, "sweep.x21_max") + 1e-12, step)
     if grid.size < 3:
         raise ConfigError("sweep grid from x21_min to x21_max must hold at least 3 points")
     records = sw.sweep_poles(grid, params, quad)
@@ -225,16 +239,15 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
 def cmd_bounces(cfg: dict, out: Path) -> list[Path]:
     params, quad = _resolve(cfg)
     _check_coupled(params)
-    b = cfg["bounces"]
-    x21 = float(b["x21"])
-    t_max = float(b["t_max_factor"]) * x21
+    x21 = _real(cfg, "bounces.x21")
+    t_max = _real(cfg, "bounces.t_max_factor") * x21
+    factors = _real(cfg, "bounces.resum_time_factors", many=True)
     dec = bn.BounceDecomposition.build(x21, params, quad, t_max=t_max)
     times = np.linspace(0.0, t_max, _integer(cfg, "bounces.n_t", 1))
     amps = np.array([bn.bounce_sum(t, dec) for t in times])
     path = out / "bounce_amplitude.csv"
     bn.amplitude_to_csv(times, amps, path)
-    reports = [bn.resummed(float(fac) * x21, dec, allow_divergent=True)
-               for fac in b["resum_time_factors"]]
+    reports = [bn.resummed(fac * x21, dec, allow_divergent=True) for fac in factors]
     rpath = out / "resummation.json"
     bn.resummation_report_to_json(reports, rpath)
     return [path, rpath]
@@ -243,10 +256,11 @@ def cmd_bounces(cfg: dict, out: Path) -> list[Path]:
 def cmd_waveguide(cfg: dict, out: Path) -> list[Path]:
     w = cfg["waveguide"]
     guide = wg.WaveguideParams(
-        D=float(w["D"]), W=float(w["W"]), m0=_integer(cfg, "waveguide.m0"),
-        n0=_integer(cfg, "waveguide.n0"), l_max=_integer(cfg, "waveguide.l_max"),
-        coupling=wg.default_coupling(float(w["g0"]), float(w["k_c"]),
-                                     float(w["channel_decay"])))
+        D=_real(cfg, "waveguide.D"), W=_real(cfg, "waveguide.W"),
+        m0=_integer(cfg, "waveguide.m0"), n0=_integer(cfg, "waveguide.n0"),
+        l_max=_integer(cfg, "waveguide.l_max"),
+        coupling=wg.default_coupling(*(_real(cfg, f"waveguide.{key}")
+                                       for key in ("g0", "k_c", "channel_decay"))))
     report = wg.existence_check(guide)
     solution = wg.solve_trap(guide, _integer(cfg, "waveguide.n", 1), w["sector"])
     pole = wg.collective_pole_wg(guide, w["sector"], solution.x21_trap,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import ModelParams, SymmetrySector, as_sector, validate
 from .greens import (
+    OVERFLOW_EXPONENT,
     ComplexEnergy,
     ConvergenceError,
     OverflowGuardError,
@@ -29,7 +30,7 @@ from .greens import (
     one_atom_pole,
 )
 from .io import write_csv
-from .quadrature import QuadratureSpec, RayKernel, ray_scale
+from .quadrature import QuadratureSpec, ray_integrals, ray_rows, ray_scale
 
 __all__ = [
     "LatticeModel",
@@ -377,21 +378,23 @@ def field_intensity(model: LatticeModel, initial, xs, t: float,
                         label=label or f"P(x,t={t:g})")
 
 
-def _phase_integral(z: complex, c: float, params: ModelParams) -> complex:
+def _phase_integrals(z: complex, c: np.ndarray, params: ModelParams) -> np.ndarray:
     """Continued int_0^inf u(k) e^{ikc} / (z - k) dk, u = (1+(k/omegaM)^2)^-n,
-    on the + branch (Im z <= 0). Rotation sign follows sign(c); only the
+    on the + branch (Im z <= 0) for every distance in c, as ray-kernel rows
+    formed _BLOCK at a time. Rotation sign follows sign(c); only the
     upward-rotated pieces pick up the residue correction."""
-    n = params.n_ff
-
     def numer(k):
-        return (1.0 + (k / params.omegaM) ** 2) ** (-n)
+        return (1.0 + (k / params.omegaM) ** 2) ** (-params.n_ff)
 
-    kern = RayKernel(numer, c, ray_scale(c, params.omegaM))
-    val = kern.integrals(z)
-    if c >= 0:
-        u_at = (1.0 + (z / params.omegaM) ** 2) ** (-n)
-        val = val - 2j * np.pi * u_at * np.exp(1j * z * c)
-    return val
+    out = np.empty(c.size, dtype=complex)
+    for rows in _blocks(c.size):
+        nodes, weights = ray_rows(numer, c[rows], [ray_scale(ci, params.omegaM) for ci in c[rows]])
+        i1, _ = ray_integrals(np.full((len(nodes), 1), z), nodes, weights,
+                              index=np.arange(len(nodes)))
+        out[rows] = i1[:, 0]
+    up = c >= 0
+    out[up] -= 2j * np.pi * numer(z) * np.exp(1j * z * c[up])
+    return out
 
 
 def collective_field(params: ModelParams, sector, x21, xs, t: float,
@@ -409,19 +412,16 @@ def collective_field(params: ModelParams, sector, x21, xs, t: float,
     if pole is None:
         z1 = one_atom_pole(p, quad)
         pole = find_pole(sector, x21, z1.value, p, quad)
-    z = pole.value
     xs = np.asarray(xs, dtype=float)
-    for x in xs:
-        reach = max(abs(x - p.x1), abs(x - p.x2))
-        if pole.gamma * reach > 650.0:
-            raise OverflowGuardError(f"gamma*|x-x_i| = {pole.gamma * reach:.1f} overflows at x={x}")
+    reach = pole.gamma * np.maximum(np.abs(xs - p.x1), np.abs(xs - p.x2))
+    if np.any(reach > OVERFLOW_EXPONENT):
+        i = int(np.argmax(reach > OVERFLOW_EXPONENT))
+        raise OverflowGuardError(f"gamma*|x-x_i| = {reach[i]:.1f} overflows at x={xs[i]}")
+    d1, d2 = xs - p.x1, xs - p.x2
+    i1, j1, i2, j2 = _phase_integrals(pole.value, np.concatenate([d1, -d1, d2, -d2]),
+                                      p).reshape(4, xs.size)
     pref = p.lam / (2.0 * np.sqrt(2.0 * np.pi))
-    amp = np.empty(xs.shape, dtype=complex)
-    for i, x in enumerate(xs):
-        q = (_phase_integral(z, x - p.x1, p) + _phase_integral(z, -(x - p.x1), p)
-             + sector.sigma * (_phase_integral(z, x - p.x2, p)
-                               + _phase_integral(z, -(x - p.x2), p)))
-        amp[i] = np.sqrt(pole.normalization) * pref * q
+    amp = np.sqrt(pole.normalization) * pref * (i1 + j1 + sector.sigma * (i2 + j2))
     intensity = np.abs(amp) ** 2 * abs(pole.normalization) * np.exp(-2.0 * pole.gamma * t)
     return FieldProfile(xs, intensity, float(t), label=f"P_z{pole.sector[0]}(x,t={t:g})")
 

@@ -24,8 +24,6 @@ precision at gamma*x21 > 650 and is guarded, not saturated.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -608,45 +606,25 @@ class ContourMap:
     sentinel: float = -1.0e6
 
 
-def _worker_count() -> int:
-    env = os.environ.get("COLLECTIVE_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def contour_map(region, grid, sector, x21, params: ModelParams, quad: QuadratureSpec) -> ContourMap:
     """Map of log(1/|eta_j^+(z)|) over region=(re_min, re_max, im_min, im_max)
-    with grid=(nx, ny). Rows are independent and evaluated in a small thread
-    pool capped by COLLECTIVE_THREADS. Output is NaN-free; cells beyond the
-    overflow guard are set to the sentinel and counted."""
+    with grid=(nx, ny), from one batched eta^+ evaluation of the cells in the
+    evaluation region. Output is NaN-free; cells outside the region or beyond
+    the overflow guard are set to the sentinel and counted."""
     sector = as_sector(sector)
     re_min, re_max, im_min, im_max = region
     nx, ny = grid
     res = np.linspace(re_min, re_max, nx)
     ims = np.linspace(im_min, im_max, ny)
     ev = eta_evaluator(sector, x21, params, quad)
-    values = np.empty((ny, nx))
-    sentinel = -1.0e6
-    overflow = 0
-
-    def run_row(iy):
-        z_row = res + 1j * ims[iy]
-        outside, overflow = ev.off_domain(z_row, ev.x21[0])
-        ok = ~(outside | overflow)
-        row = np.full(nx, sentinel)
-        if ok.any():
-            eta = ev.values(z_row[ok])
-            mag = np.abs(eta)
-            mag = np.where(mag > 0, mag, np.finfo(float).tiny)
-            row[ok] = -np.log(mag)
-        return iy, row, int((~ok).sum())
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        for iy, row, n_bad in pool.map(run_row, range(ny)):
-            values[iy] = row
-            overflow += n_bad
-    return ContourMap(res, ims, values, overflow, sentinel)
+    z = res[None, :] + 1j * ims[:, None]
+    outside, overflow = ev.off_domain(z, ev.x21[0])
+    ok = ~(outside | overflow)
+    values = np.full((ny, nx), ContourMap.sentinel)
+    if ok.any():
+        mag = np.abs(ev.values(z[ok]))
+        values[ok] = -np.log(np.where(mag > 0, mag, np.finfo(float).tiny))
+    return ContourMap(res, ims, values, int((~ok).sum()))
 
 
 def pole_records_to_csv(records, path) -> None:

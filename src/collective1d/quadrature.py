@@ -29,8 +29,9 @@ __all__ = [
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _RAY_NODES, _RAY_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# ray-kernel blocks: (z, node) pairs per broadcast (~32 MB) and rows per block
-_BLOCK_PAIRS = 2.0e6
+# ray-kernel blocks: (z, node) pairs per broadcast (~1.6 MB, so a block stays
+# in cache) and rows per block
+_BLOCK_PAIRS = 1.0e5
 _ROW_CHUNK = 16
 
 

@@ -14,6 +14,10 @@
   (one damped loop and one ``newton`` per seed) and the point-by-point
   distance sweep; the oracles of the batched ``solve_poles`` and of the
   blocked Jacobi passes in ``collective1d.sweep``.
+* ``phase_integral`` and ``collective_field_intensity``: the continued phase
+  integrals of the collective field from one ``RayKernel`` each, summed point
+  by point; the oracle of the batched kernel rows of
+  ``collective1d.dynamics.collective_field``.
 """
 from __future__ import annotations
 
@@ -36,8 +40,10 @@ from collective1d.greens import (
 from collective1d.quadrature import (
     ContinuationDomainError,
     QuadratureSpec,
+    RayKernel,
     _tail_integral,
     adaptive_integral,
+    ray_scale,
 )
 from collective1d.sweep import SweepRecord
 
@@ -267,3 +273,34 @@ def sweep_poles(x21_grid, params: ModelParams, quad: QuadratureSpec) -> list[Swe
             rec[sector.sigma] = prev[sector.sigma] = solve_point(sector, x, params, quad, seeds)
         records.append(SweepRecord(float(x), rec[1], rec[-1]))
     return records
+
+
+def phase_integral(z: complex, c: float, params: ModelParams) -> complex:
+    """Continued int_0^inf u(k) e^{ikc} / (z - k) dk, u = (1+(k/omegaM)^2)^-n,
+    on the + branch (Im z <= 0), from one RayKernel. Rotation sign follows
+    sign(c); only the upward-rotated pieces pick up the residue correction."""
+    n = params.n_ff
+
+    def numer(k):
+        return (1.0 + (k / params.omegaM) ** 2) ** (-n)
+
+    val = RayKernel(numer, c, ray_scale(c, params.omegaM)).integrals(z)
+    if c >= 0:
+        val = val - 2j * np.pi * numer(z) * np.exp(1j * z * c)
+    return val
+
+
+def collective_field_intensity(params: ModelParams, sector, xs, t: float,
+                               pole: ComplexEnergy) -> np.ndarray:
+    """|<psi(x)|phi_j>|^2 |N_j| e^{-2 gamma_j t}, point by point from four
+    phase integrals per x."""
+    sigma = as_sector(sector).sigma
+    z = pole.value
+    pref = params.lam / (2.0 * np.sqrt(2.0 * np.pi))
+    amp = np.empty(len(xs), dtype=complex)
+    for i, x in enumerate(xs):
+        q = (phase_integral(z, x - params.x1, params) + phase_integral(z, -(x - params.x1), params)
+             + sigma * (phase_integral(z, x - params.x2, params)
+                        + phase_integral(z, -(x - params.x2), params)))
+        amp[i] = np.sqrt(pole.normalization) * pref * q
+    return np.abs(amp) ** 2 * abs(pole.normalization) * np.exp(-2.0 * pole.gamma * t)

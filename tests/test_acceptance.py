@@ -6,7 +6,7 @@ share their data.
 
 Three assertions are expected to fail and are left failing deliberately --
 they pin spec'd target values that the model itself contradicts; the
-measured values and the full analysis live in the project notes:
+measured values and the full analysis live in DECISIONS.md:
   * criterion 3 (gamma_s window at x21=12.7),
   * criterion 6 (late-window slope, marginal by ~0.3% of the slope),
   * criterion 9 (pair relation at 1e-3).

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from math import comb
 
 from collective1d import (
@@ -58,6 +60,76 @@ def test_jet_reciprocal_and_power():
     assert abs(ident.coeffs[0] - 1.0) < 1e-14
     assert np.max(np.abs(ident.coeffs[1:])) < 1e-13
     assert np.allclose((k ** 3).coeffs[:4], [1.7**3, 3 * 1.7**2, 3 * 1.7, 1.0])
+
+
+_EPS = np.finfo(float).eps
+_COEFF = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _jets(draw, n=1, min_lead=0.0):
+    """n jets of one order and center, coefficients of modulus <= 1 (the
+    constant term at least min_lead)."""
+    order = draw(st.integers(0, 10))
+    center = draw(_COEFF)
+    jets = []
+    for _ in range(n):
+        coeffs = np.array(draw(st.lists(_COEFF, min_size=order + 1, max_size=order + 1)))
+        coeffs[0] = draw(st.floats(min_lead, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+        jets.append(Jet(center, coeffs))
+    return jets
+
+
+def _bound(*jets):
+    """Coefficients of the product of |jets|, what each product coefficient's
+    rounding is relative to, plus the smallest normal number for underflow."""
+    out = Jet(jets[0].center, np.abs(jets[0].coeffs))
+    for jet in jets[1:]:
+        out = out * Jet(jet.center, np.abs(jet.coeffs))
+    return out.coeffs.real + np.finfo(float).tiny
+
+
+@settings(max_examples=200, deadline=None)
+@given(jets=_jets(3))
+def test_jet_product_associative(jets):
+    a, b, c = jets
+    err = np.abs(((a * b) * c).coeffs - (a * (b * c)).coeffs)
+    assert np.all(err <= 4 * (a.order + 2) * _EPS * _bound(a, b, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(jets=_jets(1, min_lead=0.5))
+def test_jet_times_reciprocal_is_one(jets):
+    (x,) = jets
+    inv = x.reciprocal()
+    one = np.zeros(x.order + 1)
+    one[0] = 1.0
+    assert np.all(np.abs((x * inv).coeffs - one) <= 4 * (x.order + 2) * _EPS * _bound(x, inv))
+
+
+def _exp_series(lead: complex, u: Jet) -> Jet:
+    """lead * sum_{n <= order} u^n / n! by jet products alone."""
+    term = series = Jet.constant(lead, u.center, u.order)
+    for n in range(1, u.order + 1):
+        term = term * u * (1.0 / n)
+        series = series + term
+    return series
+
+
+@settings(max_examples=200, deadline=None)
+@given(jets=_jets(2))
+def test_jet_exp_of_sum_is_product_of_exps(jets):
+    """exp(a+b) = exp a * exp b, and exp a = e^{a_0} sum_n u^n / n! with
+    u = a - a_0 (nilpotent, so the sum stops at the order): the second pins
+    the recurrence, which the first alone would not."""
+    a, b = jets
+    lhs, ea, eb = (a + b).exp(), a.exp(), b.exp()
+    err = np.abs(lhs.coeffs - (ea * eb).coeffs)
+    assert np.all(err <= 16 * (a.order + 2) * _EPS * _bound(ea, eb))
+    u = a + (-a.coeffs[0])
+    err = np.abs(ea.coeffs - _exp_series(np.exp(a.coeffs[0]), u).coeffs)
+    bound = _exp_series(abs(np.exp(a.coeffs[0])), Jet(a.center, np.abs(u.coeffs))).coeffs.real
+    assert np.all(err <= 16 * (a.order + 2) * _EPS * (bound + np.finfo(float).tiny))
 
 
 def test_jet_derivative_extraction():

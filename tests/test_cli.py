@@ -174,6 +174,14 @@ def test_lattice_solver_failure_is_exit_2(tmp_path, capsys, monkeypatch):
     ("evolve", "evolve.profile_time_factors=[NaN]"),
     ("poles", "quad.rel_tol=-1"),
     ("poles", "quad.cutoff=abc"),
+    ("poles", "poles.x21=null"),
+    ("contour", "contour.x21=null"),
+    ("waveguide", "waveguide.D=null"),
+    ("sweep", "sweep.x21_min=[1]"),
+    ("evolve", "evolve.profile_time_factors=1.0"),
+    ("bounces", "bounces.resum_time_factors=2"),
+    ("contour", "contour.re_min=NaN"),
+    ("waveguide", "waveguide.g0=NaN"),
 ])
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, command, override):
     code = run(tmp_path, command, override)

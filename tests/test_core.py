@@ -117,3 +117,14 @@ def test_import_loads_numpy_only():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_no_module_reads_the_environment():
+    """Every option is a config key or an argument: no module under src/
+    reads os.environ or os.getenv."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    modules = sorted(src.rglob("*.py"))
+    assert modules
+    for path in modules:
+        text = path.read_text()
+        assert "environ" not in text and "getenv" not in text, path.name

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from collective1d import dynamics as dyn
 from collective1d import (
+    ComplexEnergy,
     ConvergenceError,
     LatticeError,
     ModelParams,
+    OverflowGuardError,
     build_lattice,
     collective_field,
     collective_survival,
@@ -23,7 +25,7 @@ from collective1d.dynamics import (
     profile_to_csv,
     timeseries_to_csv,
 )
-from reference import FullBox, arrowhead_spectrum, reduced_hamiltonian
+from reference import FullBox, arrowhead_spectrum, collective_field_intensity, reduced_hamiltonian
 
 _EPS = np.finfo(float).eps
 
@@ -396,6 +398,26 @@ def test_collective_field_time_factorization(params, quad, zs29):
     prof2 = collective_field(p, "s", 29.025, xs, t2, quad, pole=zs29)
     ratio = prof2.intensity / prof1.intensity
     assert np.max(np.abs(ratio - np.exp(-2 * zs29.gamma * (t2 - t1)))) < 1e-10
+
+
+@pytest.mark.parametrize("tag, x21, fac", [("s", 29.025, 4.02), ("a", 29.025, 2.0),
+                                           ("a", 12.7, 1.0)])
+def test_collective_field_matches_pointwise_oracle(params, quad, tag, x21, fac):
+    """The batched kernel rows (several blocks, x on both atoms) agree with
+    one RayKernel per phase integral to 1e-13 of the peak."""
+    p = params.with_x21(x21)
+    pole = find_pole(tag, x21, one_atom_pole(p, quad).value, p, quad)
+    xs = np.union1d(np.linspace(-1.5 * x21 + p.x1, p.x2 + 1.5 * x21, 241), [p.x1, p.x2])
+    got = collective_field(p, tag, x21, xs, fac * x21, quad, pole=pole).intensity
+    want = collective_field_intensity(p, tag, xs, fac * x21, pole)
+    assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+
+
+def test_collective_field_overflow_guard_names_first_point(params, quad):
+    pole = ComplexEnergy(2.0 - 0.1j, "symmetric", 0, 1.0 + 0j)
+    xs = np.array([0.0, 5000.0, 7000.0, 10000.0])
+    with pytest.raises(OverflowGuardError, match=r"= 700\.0 overflows at x=7000\.0"):
+        collective_field(params, "s", params.x21, xs, 0.0, quad, pole=pole)
 
 
 def test_collective_field_bounded_at_zero_decay(params, quad):

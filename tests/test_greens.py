@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collective1d import (
     ANTISYMMETRIC,
@@ -22,6 +24,8 @@ from collective1d import (
     weak_coupling_estimate,
 )
 from collective1d.greens import (
+    OVERFLOW_EXPONENT,
+    ROOT_TOL,
     ConvergenceError,
     EstimateDivergence,
     EtaEvaluator,
@@ -308,6 +312,24 @@ def test_pole_scan_principal_and_spacing(params, quad, zs29):
     assert res == sorted(res)
 
 
+@settings(max_examples=12, deadline=None)
+@given(x21=st.floats(3.0, 40.0), sector=st.sampled_from([SYMMETRIC, ANTISYMMETRIC]))
+def test_pole_scan_normalization_is_the_residue(params, quad, x21, sector):
+    """N * eta^+'(z) = 1 at every pole_scan pole, and N equals the residue of
+    1/eta^+ from a 32-point trapezoid rule on a small circle around z."""
+    records, _ = pole_scan(sector, x21, range(-2, 3), params, quad)
+    theta = 2.0 * np.pi * np.arange(32) / 32
+    for rec in records:
+        eta, deta = eta_plus_derivative(rec.value, sector, x21, params, quad)
+        assert abs(eta) < ROOT_TOL * max(1.0, abs(rec.value))
+        assert abs(rec.normalization * deta - 1.0) < 1e-13
+        others = [abs(r.value - rec.value) for r in records if r is not rec]
+        radius = min([1e-3] + [0.25 * d for d in others])
+        circle = radius * np.exp(1j * theta)
+        residue = np.mean(circle / eta_plus(rec.value + circle, sector, x21, params, quad))
+        assert abs(residue / rec.normalization - 1.0) < 1e-8
+
+
 def test_pole_scan_free_limit(quad):
     """Principal pole collapses to the real axis like lam^2 as lam -> 0.
 
@@ -407,17 +429,24 @@ def test_contour_map_maxima_colocate_with_poles(params, quad):
         assert patch.max() > background + 2.0
 
 
-def test_contour_thread_cap_env(params, quad, monkeypatch):
-    """COLLECTIVE_THREADS caps the row pool; results are order-independent."""
-    region, grid = (1.8, 2.2, -0.05, 0.0), (11, 5)
-    monkeypatch.setenv("COLLECTIVE_THREADS", "1")
-    one = contour_map(region, grid, SYMMETRIC, 8.0, params, quad)
-    monkeypatch.setenv("COLLECTIVE_THREADS", "3")
-    three = contour_map(region, grid, SYMMETRIC, 8.0, params, quad)
-    assert np.array_equal(one.values, three.values)
-    from collective1d.greens import _worker_count
-
-    assert _worker_count() == 3
+@pytest.mark.parametrize("region, x21", [
+    ((-0.2, 1.0, -0.5, 0.0), 8.0),        # cells left of and below the region
+    ((40.0, 41.0, -17.0, -16.0), 40.0),   # cells past the overflow guard
+])
+def test_contour_map_equals_eta_plus_on_its_cells(params, quad, region, x21):
+    """Every in-region cell holds -log|eta^+| of its row's eta_plus call bit
+    for bit; every other cell holds the sentinel and is counted."""
+    cmap = contour_map(region, (13, 11), SYMMETRIC, x21, params, quad)
+    z = cmap.re[None, :] + 1j * cmap.im[:, None]
+    bad = ((z.real <= 0) | (np.abs(z.imag) >= 0.7 * z.real)
+           | (-z.imag * x21 > OVERFLOW_EXPONENT))
+    assert 0 < cmap.overflow_count == bad.sum() < bad.size
+    assert np.all(cmap.values[bad] == cmap.sentinel)
+    for iy in range(z.shape[0]):
+        ok = ~bad[iy]
+        if ok.any():
+            want = -np.log(np.abs(eta_plus(z[iy, ok], SYMMETRIC, x21, params, quad)))
+            assert np.array_equal(cmap.values[iy, ok], want)
 
 
 def test_contour_free_limit_ridge(quad):
