@@ -12,7 +12,6 @@ import numpy as np
 
 from collective1d import (
     ModelParams,
-    QuadratureSpec,
     amplitude_quadrature,
     bounce_sum,
     build_lattice,
@@ -25,22 +24,21 @@ from collective1d import (
 from collective1d.bounces import BounceDecomposition
 
 params = ModelParams()
-quad = QuadratureSpec.for_params(params)
 x21 = 29.025
 p = params.with_x21(x21)
 
 print("building the L=500, 2501-mode lattice (symmetric sector) ...")
 model = build_lattice(p, 500.0, 2501, "s")
 
-z1 = one_atom_pole(params, quad)
-zs = find_pole("s", x21, z1.value, params, quad)
-zs1 = find_zs1(x21, params, quad).pole
-dec = BounceDecomposition.build(x21, params, quad, t_max=5 * x21)
+z1 = one_atom_pole(params)
+zs = find_pole("s", x21, z1.value, params)
+zs1 = find_zs1(x21, params).pole
+dec = BounceDecomposition.build(x21, params, t_max=5 * x21)
 
 times = np.linspace(0.0, 5 * x21, 26)
 lattice = survival_probability(model, "s", times)
-quadr = amplitude_quadrature(times, "s", x21, params, quad)
-overlay = collective_survival(params, "s", x21, times, quad, pole=zs)
+quadr = amplitude_quadrature(times, "s", x21, params)
+overlay = collective_survival(params, "s", x21, times, pole=zs)
 
 print(f"\n  gamma_s1 = {zs1.gamma:.5f} (early rate/2), gamma_s = {zs.gamma:.5f} (late rate/2)")
 print(f"\n  {'t/x21':>6} {'P1 lattice':>12} {'P1 quad':>12} {'(1/2)|I0|^2':>12} {'collective':>12}")

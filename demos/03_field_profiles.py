@@ -10,7 +10,6 @@ import numpy as np
 
 from collective1d import (
     ModelParams,
-    QuadratureSpec,
     build_lattice,
     collective_field,
     field_intensity,
@@ -19,13 +18,12 @@ from collective1d import (
 )
 
 params = ModelParams()
-quad = QuadratureSpec.for_params(params)
 x21 = 29.025
 p = params.with_x21(x21)
 
 print("building the lattice ...")
 model = build_lattice(p, 500.0, 2501, "s")
-pole = find_pole("s", x21, one_atom_pole(params, quad).value, params, quad)
+pole = find_pole("s", x21, one_atom_pole(params).value, params)
 
 t_early = 0.32 * x21
 prof = field_intensity(model, "s", np.linspace(-1.5 * x21, 2.5 * x21, 25), t_early)
@@ -37,7 +35,7 @@ for x, val in zip(prof.positions, prof.intensity):
 t_late = 4.02 * x21
 xs = np.linspace(1.0, x21 - 1.0, 13)
 lattice = field_intensity(model, "s", xs, t_late)
-collective = collective_field(p, "s", x21, xs, t_late, quad, pole=pole)
+collective = collective_field(p, "s", x21, xs, t_late, pole=pole)
 print(f"\nbetween the atoms at t = 4.02 x21 the full field matches the "
       f"collective profile:")
 print(f"  {'x/x21':>6} {'P(x,t)':>12} {'P_zs(x,t)':>12}")

@@ -12,7 +12,6 @@ import numpy as np
 
 from collective1d import (
     ModelParams,
-    QuadratureSpec,
     force_indicator,
     one_atom_pole,
     pair_relation_check,
@@ -22,12 +21,11 @@ from collective1d import (
 )
 
 params = ModelParams()
-quad = QuadratureSpec.for_params(params)
-z1 = one_atom_pole(params, quad)
+z1 = one_atom_pole(params)
 
 grid = np.arange(5.0, 20.0 + 1e-9, 0.05)
 print(f"sweeping x21 over [{grid[0]}, {grid[-1]}] ({grid.size} points) ...")
-records = sweep_poles(grid, params, quad)
+records = sweep_poles(grid, params)
 
 print(f"\n  {'x21':>6} {'gamma_s':>10} {'gamma_a':>10}   (gamma_1 = {z1.gamma:.5f})")
 for rec in records[::20]:
@@ -38,7 +36,7 @@ for rec in records[::20]:
 print("\nzero-decay distances predicted by the stationarity equations:")
 for tag, ns in (("s", (2, 3, 4, 5)), ("a", (2, 3, 4, 5, 6))):
     for n in ns:
-        sol = zero_decay_solve(tag, n, params, quad)
+        sol = zero_decay_solve(tag, n, params)
         if grid[0] <= sol.x21_zero <= grid[-1]:
             print(f"  sector {tag}, n={n}: x21 = {sol.x21_zero:.4f} "
                   f"(omega_o = {sol.omega_o:.5f})")
@@ -49,6 +47,6 @@ print("\nforce-indicator roots (symmetric sector):")
 for x, stable in points:
     print(f"  x21 = {x:7.3f}  {'stable' if stable else 'unstable'}")
 
-rep = pair_relation_check(records, params, quad)
+rep = pair_relation_check(records, params)
 print(f"\npair relation |z1 - (z_s + z_a)/2|: median {rep.median_deviation:.2e}, "
       f"max {rep.max_deviation:.2e} at x21 = {rep.argmax_x21:.2f}")

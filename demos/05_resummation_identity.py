@@ -14,14 +14,13 @@ rather than summing garbage.
 """
 import numpy as np
 
-from collective1d import ModelParams, QuadratureSpec, bounce_term
+from collective1d import ModelParams, bounce_term
 from collective1d.bounces import BounceDecomposition, resummed
 
 params = ModelParams()
-quad = QuadratureSpec.for_params(params)
 
 for x21 in (1.0, 8.0):
-    dec = BounceDecomposition.build(x21, params, quad, t_max=3 * x21)
+    dec = BounceDecomposition.build(x21, params, t_max=3 * x21)
     print(f"x21 = {x21}: z_s1 = {dec.z_s1.value:.6f}")
     t = 1.5 * x21
     print(f"  first bounce terms at t = {t}:")
@@ -35,7 +34,7 @@ for x21 in (1.0, 8.0):
           f"exact greens pole: {rep.z_s_greens:.8f}\n")
 
 x21 = 29.025
-dec = BounceDecomposition.build(x21, params, quad, t_max=x21)
+dec = BounceDecomposition.build(x21, params, t_max=x21)
 growth = abs(dec.delta(dec.z_s1.value)) * np.e * x21
 print(f"x21 = {x21}: term growth factor |Delta(z_s1)| e x21 = {growth:.2f} > 1")
 rep = resummed(0.5 * x21, dec, allow_divergent=True)

@@ -25,11 +25,10 @@ from . import sweep as sw
 from . import waveguide as wg
 from .core import ModelError, ModelParams, as_sector, params_to_dict, validate
 from .io import write_json
-from .quadrature import QuadratureError, QuadratureSpec
+from .quadrature import QuadratureError
 
 DEFAULT_CONFIG = {
     "model": params_to_dict(ModelParams()),
-    "quad": {"cutoff": None},
     "lattice": {"L": 500.0, "n_modes": 2501},
     "poles": {"x21": 29.025, "n_min": -3, "n_max": 3, "write_contour": False},
     "contour": {"x21": 29.025, "sector": "s", "re_min": 1.3, "re_max": 2.7,
@@ -81,16 +80,12 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def _resolve(cfg: dict):
+def _resolve(cfg: dict) -> ModelParams:
     # construct unvalidated so commands can issue their own diagnostics
     # (validate rejects a non-integer n_ff)
-    params = ModelParams(omega1=_real(cfg, "model.omega1"), lam=_real(cfg, "model.lambda"),
-                         omegaM=_real(cfg, "model.omegaM"), n_ff=cfg["model"]["n_ff"],
-                         x1=_real(cfg, "model.x1"), x2=_real(cfg, "model.x2"))
-    cutoff = cfg["quad"]["cutoff"]
-    quad = QuadratureSpec(cutoff=200.0 * params.omegaM if cutoff in (None, 0)
-                          else _real(cfg, "quad.cutoff"))
-    return params, quad
+    return ModelParams(omega1=_real(cfg, "model.omega1"), lam=_real(cfg, "model.lambda"),
+                       omegaM=_real(cfg, "model.omegaM"), n_ff=cfg["model"]["n_ff"],
+                       x1=_real(cfg, "model.x1"), x2=_real(cfg, "model.x2"))
 
 
 def _is_number(value) -> bool:
@@ -136,13 +131,13 @@ def _check_coupled(params: ModelParams) -> None:
 
 
 def cmd_poles(cfg: dict, out: Path) -> list[Path]:
-    params, quad = _resolve(cfg)
+    params = _resolve(cfg)
     _check_coupled(params)
     x21 = _real(cfg, "poles.x21")
     n_range = range(_integer(cfg, "poles.n_min"), _integer(cfg, "poles.n_max") + 1)
     written = []
     for tag in ("s", "a"):
-        records, missing = gr.pole_scan(tag, x21, n_range, params, quad)
+        records, missing = gr.pole_scan(tag, x21, n_range, params)
         path = out / f"poles_{tag}.csv"
         gr.pole_records_to_csv(records, path)
         written.append(path)
@@ -154,19 +149,19 @@ def cmd_poles(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_contour(cfg: dict, out: Path) -> list[Path]:
-    params, quad = _resolve(cfg)
+    params = _resolve(cfg)
     _check_coupled(params)
     c = cfg["contour"]
     grid = (_integer(cfg, "contour.nx", 1), _integer(cfg, "contour.ny", 1))
     region = [_real(cfg, f"contour.{key}") for key in ("re_min", "re_max", "im_min", "im_max")]
-    cmap = gr.contour_map(region, grid, c["sector"], _real(cfg, "contour.x21"), params, quad)
+    cmap = gr.contour_map(region, grid, c["sector"], _real(cfg, "contour.x21"), params)
     path = out / f"contour_{c['sector']}.csv"
     gr.contour_to_csv(cmap, path)
     return [path]
 
 
 def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
-    params, quad = _resolve(cfg)
+    params = _resolve(cfg)
     _check_coupled(params)
     e = cfg["evolve"]
     initial = str(e["initial"])
@@ -174,14 +169,20 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
         raise ConfigError("evolve.initial must be 's' or 'a'")
     n_t, n_x = _integer(cfg, "evolve.n_t", 2), _integer(cfg, "evolve.n_x", 1)
     factors = _real(cfg, "evolve.profile_time_factors", many=True)
+    named = {}      # profile files are named by fac:g, so distinct factors may collide
+    for i, fac in enumerate(factors):
+        first = named.setdefault(f"{fac:g}", i)
+        if first != i:
+            raise ConfigError(f"evolve.profile_time_factors {factors[first]!r} and {fac!r} both "
+                              f"name field_{initial}_t{fac:g}.csv")
     x21 = _real(cfg, "evolve.x21")
     p = params.with_x21(x21)
     model = dyn.build_lattice(p, _real(cfg, "lattice.L"),
                               _integer(cfg, "lattice.n_modes"), initial)
     times = np.linspace(0.0, _real(cfg, "evolve.t_max_factor") * x21, n_t)
     series = dyn.survival_probability(model, initial, times)
-    pole = gr.find_pole(initial, x21, gr.one_atom_pole(p, quad).value, p, quad)
-    overlay = dyn.collective_survival(p, initial, x21, times, quad, pole=pole)
+    pole = gr.find_pole(initial, x21, gr.one_atom_pole(p).value, p)
+    overlay = dyn.collective_survival(p, initial, x21, times, pole=pole)
     paths = [out / f"p1_{initial}.csv", out / f"p1_{initial}_collective.csv"]
     dyn.timeseries_to_csv(series, paths[0])
     dyn.timeseries_to_csv(overlay, paths[1])
@@ -189,7 +190,7 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
     for fac in factors:
         t = fac * x21
         prof = dyn.field_intensity(model, initial, xs, t)
-        col = dyn.collective_field(p, initial, x21, xs, t, quad, pole=pole)
+        col = dyn.collective_field(p, initial, x21, xs, t, pole=pole)
         p1 = out / f"field_{initial}_t{fac:g}.csv"
         p2 = out / f"field_{initial}_t{fac:g}_collective.csv"
         dyn.profile_to_csv(prof, p1)
@@ -199,7 +200,7 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
-    params, quad = _resolve(cfg)
+    params = _resolve(cfg)
     _check_coupled(params)
     step = _real(cfg, "sweep.step")
     if not step > 0:
@@ -207,7 +208,7 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
     grid = np.arange(_real(cfg, "sweep.x21_min"), _real(cfg, "sweep.x21_max") + 1e-12, step)
     if grid.size < 3:
         raise ConfigError("sweep grid from x21_min to x21_max must hold at least 3 points")
-    records = sw.sweep_poles(grid, params, quad)
+    records = sw.sweep_poles(grid, params)
     force = sw.force_indicator(records)
     path = out / "sweep.csv"
     sw.sweep_to_csv(records, path, force)
@@ -215,7 +216,7 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
     for tag in ("s", "a"):
         for n in range(1, _integer(cfg, "sweep.zero_decay_max_n", 0) + 1):
             try:
-                sol = sw.zero_decay_solve(tag, n, params, quad)
+                sol = sw.zero_decay_solve(tag, n, params)
             except (gr.GreensError, ValueError) as exc:
                 print(f"sweep: zero-decay solution ({tag}, {n}) skipped: {exc}", file=sys.stderr)
                 continue
@@ -225,8 +226,8 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
     if solutions:
         # gamma at every zero-decay distance, seeded at z1, as one batched solve
         ev = gr.EtaEvaluator(params, [as_sector(sol.sector).sigma for sol in solutions],
-                             [sol.x21_zero for sol in solutions], quad)
-        z1 = gr.one_atom_pole(params, quad).value
+                             [sol.x21_zero for sol in solutions])
+        z1 = gr.one_atom_pole(params).value
         for sol, pole in zip(solutions, gr.solve_poles(ev, [z1] * len(solutions))):
             if isinstance(pole, gr.GreensError):
                 raise pole
@@ -237,12 +238,12 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_bounces(cfg: dict, out: Path) -> list[Path]:
-    params, quad = _resolve(cfg)
+    params = _resolve(cfg)
     _check_coupled(params)
     x21 = _real(cfg, "bounces.x21")
     t_max = _real(cfg, "bounces.t_max_factor") * x21
     factors = _real(cfg, "bounces.resum_time_factors", many=True)
-    dec = bn.BounceDecomposition.build(x21, params, quad, t_max=t_max)
+    dec = bn.BounceDecomposition.build(x21, params, t_max=t_max)
     times = np.linspace(0.0, t_max, _integer(cfg, "bounces.n_t", 1))
     amps = np.array([bn.bounce_sum(t, dec) for t in times])
     path = out / "bounce_amplitude.csv"

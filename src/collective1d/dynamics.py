@@ -30,7 +30,7 @@ from .greens import (
     one_atom_pole,
 )
 from .io import write_csv
-from .quadrature import QuadratureSpec, ray_integrals, ray_rows, ray_scale
+from .quadrature import ray_integrals, ray_rows, ray_scale
 
 __all__ = [
     "LatticeModel",
@@ -345,14 +345,11 @@ def survival_probability(model: LatticeModel, initial, times) -> TimeSeries:
 
 
 def collective_survival(params: ModelParams, sector, x21, times,
-                        quad: QuadratureSpec | None = None,
                         pole: ComplexEnergy | None = None) -> TimeSeries:
     """Single-pole approximant P_{1,zj}(t) = (|N_j|^2 / 2) e^{-2 gamma_j t}."""
     sector = as_sector(sector)
-    quad = quad or QuadratureSpec.for_params(params)
     if pole is None:
-        z1 = one_atom_pole(params, quad)
-        pole = find_pole(sector, x21, z1.value, params, quad)
+        pole = find_pole(sector, x21, one_atom_pole(params).value, params)
     times = np.asarray(times, dtype=float)
     weight = 0.5 * abs(pole.normalization) ** 2
     return TimeSeries(times, weight * np.exp(-2.0 * pole.gamma * times),
@@ -398,7 +395,6 @@ def _phase_integrals(z: complex, c: np.ndarray, params: ModelParams) -> np.ndarr
 
 
 def collective_field(params: ModelParams, sector, x21, xs, t: float,
-                     quad: QuadratureSpec | None = None,
                      pole: ComplexEnergy | None = None) -> FieldProfile:
     """Pure collective-state intensity P_{zj}(x,t) = |<psi(x)|phi_j>|^2 |N_j|
     e^{-2 gamma_j t}; the amplitude is assembled from the four continued
@@ -407,11 +403,9 @@ def collective_field(params: ModelParams, sector, x21, xs, t: float,
     if not np.isfinite(t):
         raise ValueError(f"time t={t} must be finite")
     sector = as_sector(sector)
-    quad = quad or QuadratureSpec.for_params(params)
     p = params.with_x21(float(x21)) if abs(params.x21 - float(x21)) > 1e-12 else params
     if pole is None:
-        z1 = one_atom_pole(p, quad)
-        pole = find_pole(sector, x21, z1.value, p, quad)
+        pole = find_pole(sector, x21, one_atom_pole(p).value, p)
     xs = np.asarray(xs, dtype=float)
     reach = pole.gamma * np.maximum(np.abs(xs - p.x1), np.abs(xs - p.x2))
     if np.any(reach > OVERFLOW_EXPONENT):

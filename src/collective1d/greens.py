@@ -31,13 +31,7 @@ import numpy as np
 
 from .core import ANTISYMMETRIC, SYMMETRIC, ModelParams, as_sector, validate
 from .io import write_csv
-from .quadrature import (
-    ContinuationDomainError,
-    QuadratureSpec,
-    ray_integrals,
-    ray_rows,
-    ray_scale,
-)
+from .quadrature import ContinuationDomainError, ray_integrals, ray_rows, ray_scale
 
 __all__ = [
     "ComplexEnergy",
@@ -178,15 +172,13 @@ class EtaEvaluator:
     the B^+ ray, so I^-(z) = conj(I^+(conj z)).
     """
 
-    def __init__(self, params: ModelParams, sigma, x21, quad: QuadratureSpec):
+    def __init__(self, params: ModelParams, sigma, x21):
         sigma = np.atleast_1d(np.asarray(sigma, dtype=int))
         self.two_atom = bool(sigma[0] != 0)
         validate(params, two_atom=self.two_atom)
-        quad.check_cutoff(params.omegaM)
         if np.any((sigma != 0) != self.two_atom):
             raise ValueError("an evaluator holds two-atom rows or one-atom rows, not both")
         self.params = params
-        self.quad = quad
         self.sigma = sigma
         self._a_nodes, self._a_weights = _a_kernel(params)
         if not self.two_atom:
@@ -255,25 +247,25 @@ class EtaEvaluator:
 
 
 @lru_cache(maxsize=64)
-def _evaluator(params: ModelParams, sigma_key, x21: float, quad: QuadratureSpec) -> EtaEvaluator:
-    return EtaEvaluator(params, 0 if sigma_key is None else sigma_key, x21, quad)
+def _evaluator(params: ModelParams, sigma_key, x21: float) -> EtaEvaluator:
+    return EtaEvaluator(params, 0 if sigma_key is None else sigma_key, x21)
 
 
-def eta_evaluator(sector, x21: float, params: ModelParams, quad: QuadratureSpec) -> EtaEvaluator:
+def eta_evaluator(sector, x21: float, params: ModelParams) -> EtaEvaluator:
     """The cached one-row evaluator of (sector, x21); sector None is one-atom."""
     sector = as_sector(sector)
     key = None if sector is None else sector.sigma
-    return _evaluator(params, key, 0.0 if sector is None else float(x21), quad)
+    return _evaluator(params, key, 0.0 if sector is None else float(x21))
 
 
-def eta_plus(z, sector, x21, params: ModelParams, quad: QuadratureSpec):
+def eta_plus(z, sector, x21, params: ModelParams):
     """eta_j^+(z); vectorized over z. sector None means the one-atom function."""
-    return eta_evaluator(sector, x21, params, quad).values(z)
+    return eta_evaluator(sector, x21, params).values(z)
 
 
-def eta_plus_derivative(z, sector, x21, params: ModelParams, quad: QuadratureSpec):
+def eta_plus_derivative(z, sector, x21, params: ModelParams):
     """(eta^+(z), d eta^+/dz) with the derivative from the same ray nodes."""
-    return eta_evaluator(sector, x21, params, quad).values(z, derivative=True)
+    return eta_evaluator(sector, x21, params).values(z, derivative=True)
 
 
 def newton(fdf, z, tol: float, max_iter: int, what: str, f=None, df=None):
@@ -403,25 +395,24 @@ def solve_poles(ev: EtaEvaluator, seeds, rows=None) -> list:
     return result
 
 
-def find_pole(sector, x21, seed, params: ModelParams, quad: QuadratureSpec,
-              lattice_index: int = 0) -> ComplexEnergy:
+def find_pole(sector, x21, seed, params: ModelParams, lattice_index: int = 0) -> ComplexEnergy:
     """Root of eta^+ from one seed: a one-row `solve_poles` on the cached
     evaluator of (sector, x21). Raises the row's GreensError; returns a
     certified record with normalization N = 1/eta^+'(z)."""
-    root = solve_poles(eta_evaluator(sector, x21, params, quad), [seed])[0]
+    root = solve_poles(eta_evaluator(sector, x21, params), [seed])[0]
     if isinstance(root, GreensError):
         raise root
     return replace(root, lattice_index=lattice_index)
 
 
 @lru_cache(maxsize=8)
-def one_atom_pole(params: ModelParams, quad: QuadratureSpec) -> ComplexEnergy:
+def one_atom_pole(params: ModelParams) -> ComplexEnergy:
     """z1 = omega_tilde_1 - i*gamma_1, seeded at the bare level; cached, since
     every sweep, zero-decay solve and lattice scan starts from it."""
-    return find_pole(None, 0.0, params.omega1, params, quad)
+    return find_pole(None, 0.0, params.omega1, params)
 
 
-def pole_scan(sector, x21, n_range, params: ModelParams, quad: QuadratureSpec):
+def pole_scan(sector, x21, n_range, params: ModelParams):
     """Lattice poles z_{j,n} for n in n_range, seeded by the weak-coupling
     offsets (2n pi/x21 for sigma*n > 0, (2n+sigma) pi/x21 for sigma*n < 0)
     with a small ladder of imaginary-part seeds walked outward from z_j.
@@ -438,14 +429,14 @@ def pole_scan(sector, x21, n_range, params: ModelParams, quad: QuadratureSpec):
     if sector is None:
         raise ValueError("pole_scan needs a two-atom sector")
     x21 = float(x21)
-    z1 = one_atom_pole(params, quad)
+    z1 = one_atom_pole(params)
     if x21 > 1.0 / z1.gamma:
         import warnings
 
         warnings.warn(f"x21={x21} beyond 1/gamma_1={1.0 / z1.gamma:.1f}; Eq-lattice seeding degrades",
                       stacklevel=2)
-    principal = find_pole(sector, x21, z1.value, params, quad, lattice_index=0)
-    fdf = partial(eta_evaluator(sector, x21, params, quad).values, derivative=True)
+    principal = find_pole(sector, x21, z1.value, params, lattice_index=0)
+    fdf = partial(eta_evaluator(sector, x21, params).values, derivative=True)
     sigma = sector.sigma
     spacing = 2.0 * np.pi / x21
     dedup = 1e-6 * params.omega1
@@ -495,8 +486,7 @@ class EstimateDivergence(GreensError):
     """The weak-coupling fixed point ran away (e^{gamma x21} feedback)."""
 
 
-def weak_coupling_estimate(sector, x21, params: ModelParams,
-                           quad: QuadratureSpec | None = None) -> ComplexEnergy:
+def weak_coupling_estimate(sector, x21, params: ModelParams) -> ComplexEnergy:
     """Self-consistent weak-coupling pole estimate (seed generator, O(lam^4)).
 
     Iterates the pole-contribution equations for (omega_tilde, gamma),
@@ -505,8 +495,7 @@ def weak_coupling_estimate(sector, x21, params: ModelParams,
     to find_pole seeded at omega1.
     """
     sector = as_sector(sector)
-    quad = quad or QuadratureSpec.for_params(params)
-    z1 = one_atom_pole(params, quad)
+    z1 = one_atom_pole(params)
     sigma = 0 if sector is None else sector.sigma
     lam2 = params.lam**2
     om, ga = z1.omega_tilde, z1.gamma
@@ -533,7 +522,7 @@ def weak_coupling_estimate(sector, x21, params: ModelParams,
     return ComplexEnergy.from_root(complex(om, -ga), sector, 0, 0j, certified=False)
 
 
-def continuum_weight(k, sector, x21, params: ModelParams, quad: QuadratureSpec):
+def continuum_weight(k, sector, x21, params: ModelParams):
     """Spectral density 2 lam^2 v_k^2 (1 + sigma cos k x21) / |eta^+(k)|^2.
 
     Its half-line integral is 1 (completeness) and its Fourier transform is
@@ -543,7 +532,7 @@ def continuum_weight(k, sector, x21, params: ModelParams, quad: QuadratureSpec):
     k_arr = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k_arr <= 0):
         raise ValueError("continuum_weight requires k > 0")
-    ev = eta_evaluator(sector, x21, params, quad)
+    ev = eta_evaluator(sector, x21, params)
     eta = ev.values(k_arr.astype(complex))
     v2 = np.real(form_factor_sq(k_arr, params))
     mod = 1.0 if sector is None else 1.0 + sector.sigma * np.cos(k_arr * float(x21))
@@ -551,7 +540,7 @@ def continuum_weight(k, sector, x21, params: ModelParams, quad: QuadratureSpec):
     return out if np.ndim(k) else float(out[0])
 
 
-def continuum_weight_grid(sector, x21, params: ModelParams, quad: QuadratureSpec,
+def continuum_weight_grid(sector, x21, params: ModelParams, quad=None,
                           k_max: float | None = None, t_max: float = 0.0,
                           base_step: float | None = None):
     """(k, rho) on a grid refined around every resolvable pole.
@@ -560,6 +549,10 @@ def continuum_weight_grid(sector, x21, params: ModelParams, quad: QuadratureSpec
     transform up to t_max is requested, keeps panel phases t*h bounded; the
     windows around each pole of 1/eta^+ (from pole_scan) resolve widths down
     to gamma ~ 1e-8. Needed by the survival-amplitude quadrature.
+
+    quad is ignored: eta^+ runs on fixed ray kernels. The slot stays only
+    because the benchmark passes it positionally; the next benchmark change
+    removes it.
     """
     sector = as_sector(sector)
     k_max = k_max or 16.0 * params.omegaM
@@ -577,10 +570,10 @@ def continuum_weight_grid(sector, x21, params: ModelParams, quad: QuadratureSpec
             )
     pieces = [np.linspace(1e-9, k_max, int(np.ceil(k_max / base_step)) + 1)]
     if sector is None:
-        poles = [one_atom_pole(params, quad)]
+        poles = [one_atom_pole(params)]
     else:
         n_side = int(np.ceil(3.0 * params.omega1 * x21 / (2.0 * np.pi))) + 1
-        poles, _ = pole_scan(sector, x21, range(-n_side, n_side + 1), params, quad)
+        poles, _ = pole_scan(sector, x21, range(-n_side, n_side + 1), params)
     for rec in poles:
         if not (0 < rec.omega_tilde < k_max):
             continue
@@ -591,7 +584,7 @@ def continuum_weight_grid(sector, x21, params: ModelParams, quad: QuadratureSpec
         hi = min(k_max, rec.omega_tilde + 12.0 * width)
         pieces.append(np.linspace(lo, hi, 601))
     kgrid = np.unique(np.concatenate(pieces))
-    rho = continuum_weight(kgrid, sector, x21, params, quad)
+    rho = continuum_weight(kgrid, sector, x21, params)
     return kgrid, rho
 
 
@@ -606,7 +599,7 @@ class ContourMap:
     sentinel: float = -1.0e6
 
 
-def contour_map(region, grid, sector, x21, params: ModelParams, quad: QuadratureSpec) -> ContourMap:
+def contour_map(region, grid, sector, x21, params: ModelParams) -> ContourMap:
     """Map of log(1/|eta_j^+(z)|) over region=(re_min, re_max, im_min, im_max)
     with grid=(nx, ny), from one batched eta^+ evaluation of the cells in the
     evaluation region. Output is NaN-free; cells outside the region or beyond
@@ -616,7 +609,7 @@ def contour_map(region, grid, sector, x21, params: ModelParams, quad: Quadrature
     nx, ny = grid
     res = np.linspace(re_min, re_max, nx)
     ims = np.linspace(im_min, im_max, ny)
-    ev = eta_evaluator(sector, x21, params, quad)
+    ev = eta_evaluator(sector, x21, params)
     z = res[None, :] + 1j * ims[:, None]
     outside, overflow = ev.off_domain(z, ev.x21[0])
     ok = ~(outside | overflow)

@@ -45,7 +45,9 @@ class ContinuationDomainError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Cutoff and tolerance budget for half-line quadratures.
+    """Cutoff and tolerance budget of the adaptive integrator
+    (`adaptive_integral`, `halfline_integral`); the rotated-ray kernels
+    behind eta^+ do not read it.
 
     cutoff     : upper limit of the resolved range; the [cutoff, inf) tail is
                  folded in by a 1/k substitution, so cutoff only needs to
@@ -64,13 +66,6 @@ class QuadratureSpec:
         kwargs = {"cutoff": 200.0 * params.omegaM}
         kwargs.update(overrides)
         return cls(**kwargs)
-
-    def check_cutoff(self, omegaM: float) -> None:
-        if self.cutoff < 50.0 * omegaM:
-            raise QuadratureError(
-                f"cutoff {self.cutoff} below 50*omegaM = {50.0 * omegaM}; "
-                "tail truncation would exceed the tolerance budget"
-            )
 
 
 _NODES_BOTH = np.concatenate([_NODES_HI, _NODES_LO])
@@ -103,6 +98,11 @@ def adaptive_integral(f, a: float, b: float, spec: QuadratureSpec, seed_edges=No
     lo, hi = lo[keep], hi[keep]
     vals, errs = _panel_estimates(f, lo, hi)
     while True:
+        # a non-finite estimate never selects a panel to split: stop here
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))):
+            raise QuadratureError(
+                f"non-finite panel estimate on [{a}, {b}] ({lo.size} panels): "
+                "the integrand returned nan or inf")
         total = vals.sum()
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if errs.sum() <= tol:

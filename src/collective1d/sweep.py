@@ -19,7 +19,6 @@ from .greens import (
     solve_poles,
 )
 from .io import write_csv, write_json
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "SweepRecord",
@@ -68,8 +67,7 @@ def _seed_bits(rec: ComplexEnergy | None):
     return None if rec is None else np.complex128(rec.value).tobytes()
 
 
-def _sweep_block(xs: np.ndarray, z1: ComplexEnergy, carry: list, params: ModelParams,
-                 quad: QuadratureSpec) -> list:
+def _sweep_block(xs: np.ndarray, z1: ComplexEnergy, carry: list, params: ModelParams) -> list:
     """Sequential-rule roots on one block of distances, both sectors at once.
 
     Rows 0..d-1 are symmetric and rows d..2d-1 antisymmetric; carry holds the
@@ -83,7 +81,7 @@ def _sweep_block(xs: np.ndarray, z1: ComplexEnergy, carry: list, params: ModelPa
     """
     d = xs.size
     ev = EtaEvaluator(params, np.repeat([SYMMETRIC.sigma, ANTISYMMETRIC.sigma], d),
-                      np.tile(xs, 2), quad)
+                      np.tile(xs, 2))
     from_z1 = [r if isinstance(r, ComplexEnergy) else None
                for r in solve_poles(ev, np.full(2 * d, z1.value))]
     chosen = list(from_z1)
@@ -104,7 +102,7 @@ def _sweep_block(xs: np.ndarray, z1: ComplexEnergy, carry: list, params: ModelPa
         chosen = [_better(a, b) for a, b in zip(from_z1, from_left)]
 
 
-def sweep_poles(x21_grid, params: ModelParams, quad: QuadratureSpec) -> list[SweepRecord]:
+def sweep_poles(x21_grid, params: ModelParams) -> list[SweepRecord]:
     """Collective poles z_s, z_a over a distance grid.
 
     Every point is solved from the one-atom-pole seed and from the root
@@ -121,7 +119,7 @@ def sweep_poles(x21_grid, params: ModelParams, quad: QuadratureSpec) -> list[Swe
         raise ValueError("x21 grid must be finite and positive")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("x21 grid must be strictly increasing")
-    z1 = one_atom_pole(params, quad)
+    z1 = one_atom_pole(params)
     if xs.max() > 1.0 / z1.gamma:
         warnings.warn(
             f"sweep extends beyond 1/gamma_1 = {1.0 / z1.gamma:.1f}; "
@@ -131,7 +129,7 @@ def sweep_poles(x21_grid, params: ModelParams, quad: QuadratureSpec) -> list[Swe
     carry = [None, None]
     for start in range(0, xs.size, _BLOCK):
         block = xs[start:start + _BLOCK]
-        chosen = _sweep_block(block, z1, carry, params, quad)
+        chosen = _sweep_block(block, z1, carry, params)
         carry = [chosen[block.size - 1], chosen[-1]]
         records += [SweepRecord(float(x), zs, za)
                     for x, zs, za in zip(block, chosen[:block.size], chosen[block.size:])]
@@ -200,8 +198,7 @@ class ZeroDecaySolution:
     residual: float         # fixed-point residual of the integral equation
 
 
-def zero_decay_solve(sector, n: int, params: ModelParams,
-                     quad: QuadratureSpec) -> ZeroDecaySolution:
+def zero_decay_solve(sector, n: int, params: ModelParams) -> ZeroDecaySolution:
     """Distance at which gamma_j vanishes exactly.
 
     Solves omega_o = omega1 + PV integral of 2 lam^2 v^2 (1 + sigma cos(m pi
@@ -225,13 +222,13 @@ def zero_decay_solve(sector, n: int, params: ModelParams,
     def g(om):
         # built outside the evaluator cache: x_eff moves every step, so a
         # cached evaluator would never be reused and would evict others
-        eta = EtaEvaluator(params, sector.sigma, m * np.pi / om, quad).values(complex(om))
+        eta = EtaEvaluator(params, sector.sigma, m * np.pi / om).values(complex(om))
         om_new = params.omega1 + (om - params.omega1 - eta).real
         if not (0.0 < om_new < params.omegaM):
             raise GreensError(f"zero-decay fixed point left (0, omegaM): {om_new}")
         return om_new
 
-    om, residual = fixed_point(g, one_atom_pole(params, quad).omega_tilde, ZERO_DECAY_TOL,
+    om, residual = fixed_point(g, one_atom_pole(params).omega_tilde, ZERO_DECAY_TOL,
                                _ZERO_DECAY_MAX_ITER, "zero-decay fixed point")
     return ZeroDecaySolution(sector.tag, n, float(om), float(m * np.pi / om), float(residual))
 
@@ -245,14 +242,13 @@ class PairRelationReport:
     x21: np.ndarray
 
 
-def pair_relation_check(records: list[SweepRecord], params: ModelParams,
-                        quad: QuadratureSpec) -> PairRelationReport:
+def pair_relation_check(records: list[SweepRecord], params: ModelParams) -> PairRelationReport:
     """max over the sweep of |z1 - (z_s + z_a)/2|, both sides independent.
 
     The relation holds to O(lam^4); near superradiant maxima the prefactor
     is enhanced by the e^{gamma x21} feedback.
     """
-    z1 = one_atom_pole(params, quad).value
+    z1 = one_atom_pole(params).value
     xs, devs = [], []
     for rec in records:
         if rec.z_s is None or rec.z_a is None:

@@ -26,18 +26,18 @@ def quad(params):
 
 
 @pytest.fixture(scope="session")
-def z1(params, quad):
-    return one_atom_pole(params, quad)
+def z1(params):
+    return one_atom_pole(params)
 
 
 @pytest.fixture(scope="session")
-def zs29(params, quad, z1):
-    return find_pole("s", X21_FIG, z1.value, params, quad)
+def zs29(params, z1):
+    return find_pole("s", X21_FIG, z1.value, params)
 
 
 @pytest.fixture(scope="session")
-def za29(params, quad, z1):
-    return find_pole("a", X21_FIG, z1.value, params, quad)
+def za29(params, z1):
+    return find_pole("a", X21_FIG, z1.value, params)
 
 
 @pytest.fixture(scope="session")
@@ -47,10 +47,10 @@ def model_s29(params):
 
 
 @pytest.fixture(scope="session")
-def rho_grid_s29(params, quad):
+def rho_grid_s29(params):
     """Spectral density of the symmetric sector at x21=29.025, resolved for
     Fourier transforms up to t = 5*x21."""
-    return continuum_weight_grid("s", X21_FIG, params, quad, t_max=5.0 * X21_FIG)
+    return continuum_weight_grid("s", X21_FIG, params, t_max=5.0 * X21_FIG)
 
 
 @pytest.fixture(scope="session")
@@ -64,7 +64,7 @@ def models_127(params):
 
 
 @pytest.fixture(scope="session")
-def sweep_records(params, quad):
+def sweep_records(params):
     """The [5, 40] step-0.05 production sweep (shared by sweep + acceptance)."""
     grid = np.arange(5.0, 40.0 + 1e-9, 0.05)
-    return sweep_poles(grid, params, quad)
+    return sweep_poles(grid, params)

@@ -207,13 +207,13 @@ class FullBox:
         return np.exp(-1j * np.outer(times, self.evals)) @ (left.conj() * right)
 
 
-def find_pole(sector, x21, seed, params: ModelParams, quad: QuadratureSpec,
+def find_pole(sector, x21, seed, params: ModelParams,
               lattice_index: int = 0) -> ComplexEnergy:
     """Root of eta^+ from a damped fixed point (z <- z - alpha*eta, backtracking
     on alpha, at most _MAX_DAMPED steps) switched to `newton` once
     |eta| < 1e-3, converged to ROOT_TOL within _MAX_NEWTON steps."""
     sector = as_sector(sector)
-    ev = eta_evaluator(sector, x21, params, quad)
+    ev = eta_evaluator(sector, x21, params)
 
     def fdf(z):
         return ev.values(z, derivative=True)
@@ -245,12 +245,12 @@ def find_pole(sector, x21, seed, params: ModelParams, quad: QuadratureSpec,
     return ComplexEnergy.from_root(z, sector, lattice_index, 1.0 / df)
 
 
-def solve_point(sector, x21, params: ModelParams, quad: QuadratureSpec, seeds):
+def solve_point(sector, x21, params: ModelParams, seeds):
     """Converge from every seed, keep the root closest to the real axis."""
     best = None
     for seed in seeds:
         try:
-            cand = find_pole(sector, x21, seed, params, quad)
+            cand = find_pole(sector, x21, seed, params)
         except GreensError:
             continue
         if best is None or cand.gamma < best.gamma:
@@ -258,10 +258,10 @@ def solve_point(sector, x21, params: ModelParams, quad: QuadratureSpec, seeds):
     return best
 
 
-def sweep_poles(x21_grid, params: ModelParams, quad: QuadratureSpec) -> list[SweepRecord]:
+def sweep_poles(x21_grid, params: ModelParams) -> list[SweepRecord]:
     """Every point solved from z1 and from the previous point's root, in grid
     order; the smaller gamma wins."""
-    z1 = one_atom_pole(params, quad)
+    z1 = one_atom_pole(params)
     records = []
     prev = {1: None, -1: None}
     for x in np.asarray(x21_grid, dtype=float):
@@ -270,7 +270,7 @@ def sweep_poles(x21_grid, params: ModelParams, quad: QuadratureSpec) -> list[Swe
             seeds = [z1.value]
             if prev[sector.sigma] is not None:
                 seeds.append(prev[sector.sigma].value)
-            rec[sector.sigma] = prev[sector.sigma] = solve_point(sector, x, params, quad, seeds)
+            rec[sector.sigma] = prev[sector.sigma] = solve_point(sector, x, params, seeds)
         records.append(SweepRecord(float(x), rec[1], rec[-1]))
     return records
 

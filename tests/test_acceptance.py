@@ -50,9 +50,9 @@ def report(n, ok, detail):
     return ok
 
 
-def test_criterion_01_one_atom_pole(params, quad):
+def test_criterion_01_one_atom_pole(params):
     t0 = time.perf_counter()
-    z1 = one_atom_pole(params, quad)
+    z1 = one_atom_pole(params)
     dt = time.perf_counter() - t0
     ok_re = abs(z1.omega_tilde - 1.985) <= 2e-3
     ok_im = abs(z1.gamma - 0.0235) <= 2e-3
@@ -62,19 +62,19 @@ def test_criterion_01_one_atom_pole(params, quad):
     assert ok
 
 
-def test_criterion_02_modified_one_atom_pole(params, quad):
+def test_criterion_02_modified_one_atom_pole(params):
     t0 = time.perf_counter()
-    res = find_zs1(X21, params, quad)
+    res = find_zs1(X21, params)
     dt = time.perf_counter() - t0
     ok = abs(res.pole.gamma - 0.0233) <= 5e-4 and dt < 1.0
     assert report(2, ok, f"gamma_s1(x21={X21}) = {res.pole.gamma:.6f} "
                          f"(want 0.0233 +- 0.0005), {dt:.2f}s")
 
 
-def test_criterion_03_sub_super_radiance_127(params, quad, z1):
+def test_criterion_03_sub_super_radiance_127(params, z1):
     t0 = time.perf_counter()
-    za = find_pole(ANTISYMMETRIC, X21T, z1.value, params, quad)
-    zs = find_pole(SYMMETRIC, X21T, z1.value, params, quad)
+    za = find_pole(ANTISYMMETRIC, X21T, z1.value, params)
+    zs = find_pole(SYMMETRIC, X21T, z1.value, params)
     dt = time.perf_counter() - t0
     ratio = zs.gamma / z1.gamma
     ok_a = za.gamma < 1e-4
@@ -92,9 +92,9 @@ def test_criterion_03_sub_super_radiance_127(params, quad, z1):
     )
 
 
-def test_criterion_04_pole_lattice(params, quad, zs29):
+def test_criterion_04_pole_lattice(params, zs29):
     t0 = time.perf_counter()
-    records, missing = pole_scan(SYMMETRIC, X21, range(-3, 4), params, quad)
+    records, missing = pole_scan(SYMMETRIC, X21, range(-3, 4), params)
     dt = time.perf_counter() - t0
     by_n = {r.lattice_index: r for r in records}
     details = []
@@ -116,10 +116,10 @@ def test_criterion_04_pole_lattice(params, quad, zs29):
 
 
 @pytest.fixture(scope="module")
-def survival_and_quadrature(params, quad, model_s29, rho_grid_s29):
+def survival_and_quadrature(params, model_s29, rho_grid_s29):
     times = np.linspace(0.0, 5 * X21, 1500)
     lattice = survival_probability(model_s29, "s", times)
-    amps = amplitude_quadrature(times, SYMMETRIC, X21, params, quad, grid=rho_grid_s29)
+    amps = amplitude_quadrature(times, SYMMETRIC, X21, params, grid=rho_grid_s29)
     return times, lattice.values, 0.5 * np.abs(amps) ** 2
 
 
@@ -134,9 +134,9 @@ def test_criterion_05_quadrature_vs_lattice(survival_and_quadrature):
                   f"{dt:.1f}s past fixtures")
 
 
-def test_criterion_06_bounce_kink_slopes(params, quad, zs29, survival_and_quadrature):
+def test_criterion_06_bounce_kink_slopes(params, zs29, survival_and_quadrature):
     times, lattice, _ = survival_and_quadrature
-    gamma_s1 = find_zs1(X21, params, quad).pole.gamma
+    gamma_s1 = find_zs1(X21, params).pole.gamma
     early = (times > 0) & (times < X21)
     late = (times > 3 * X21) & (times < 5 * X21)
     slope_early = -np.polyfit(times[early], np.log(lattice[early]), 1)[0]
@@ -158,10 +158,10 @@ def test_criterion_06_bounce_kink_slopes(params, quad, zs29, survival_and_quadra
     )
 
 
-def test_criterion_07_resummation_identity(params, quad):
+def test_criterion_07_resummation_identity(params):
     t0 = time.perf_counter()
     x21 = params.x21              # defaults: x1=0, x2=1
-    dec = BounceDecomposition.build(x21, params, quad, t_max=3 * x21)
+    dec = BounceDecomposition.build(x21, params, t_max=3 * x21)
     worst = max(resummed(t, dec).rel_discrepancy
                 for t in np.linspace(0.0, 3 * x21, 13))
     dt = time.perf_counter() - t0
@@ -170,7 +170,7 @@ def test_criterion_07_resummation_identity(params, quad):
                   f"at defaults x21={x21} (tol 1e-6), {dt:.1f}s")
 
 
-def test_criterion_08_zero_decay_vs_sweep(params, quad, z1, sweep_records):
+def test_criterion_08_zero_decay_vs_sweep(params, z1, sweep_records):
     t0 = time.perf_counter()
     xs = np.array([r.x21 for r in sweep_records])
     ok = True
@@ -179,7 +179,7 @@ def test_criterion_08_zero_decay_vs_sweep(params, quad, z1, sweep_records):
     for sector, gammas in ((SYMMETRIC, np.array([r.z_s.gamma for r in sweep_records])),
                            (ANTISYMMETRIC, np.array([r.z_a.gamma for r in sweep_records]))):
         for n in range(1, 13):
-            sol = zero_decay_solve(sector, n, params, quad)
+            sol = zero_decay_solve(sector, n, params)
             ok &= abs(sol.omega_o - z1.omega_tilde) < 1e-2
             if not (xs[0] + 0.2 <= sol.x21_zero <= xs[-1] - 0.2):
                 continue
@@ -195,8 +195,8 @@ def test_criterion_08_zero_decay_vs_sweep(params, quad, z1, sweep_records):
                   f"{dt:.0f}s past sweep fixture")
 
 
-def test_criterion_09_pair_relation(params, quad, sweep_records):
-    rep = pair_relation_check(sweep_records, params, quad)
+def test_criterion_09_pair_relation(params, sweep_records):
+    rep = pair_relation_check(sweep_records, params)
     ok = rep.max_deviation <= 1e-3
     report(9, ok,
            f"max |z1 - (z_s+z_a)/2| = {rep.max_deviation:.2e} at x21 = {rep.argmax_x21:.2f} "
@@ -210,13 +210,13 @@ def test_criterion_09_pair_relation(params, quad, sweep_records):
     )
 
 
-def test_criterion_10_field_profile_coincidence(params, quad, zs29, model_s29):
+def test_criterion_10_field_profile_coincidence(params, zs29, model_s29):
     t0 = time.perf_counter()
     t = 4.02 * X21
     p = params.with_x21(X21)
     xs = np.linspace(0.25, X21 - 0.25, 231)
     lattice = field_intensity(model_s29, "s", xs, t)
-    collective = collective_field(p, "s", X21, xs, t, quad, pole=zs29)
+    collective = collective_field(p, "s", X21, xs, t, pole=zs29)
     scale = collective.intensity.max()
     dev = np.max(np.abs(lattice.intensity - collective.intensity)) / scale
     median_pointwise = np.median(
@@ -296,7 +296,7 @@ def test_criterion_14_numerical_hygiene(params, quad, z1, zs29, models_127):
     ks = np.linspace(0.8, 4.2, 25).astype(complex)
     from collective1d import form_factor_sq
 
-    eta = eta_plus(ks, SYMMETRIC, X21, params, quad)
+    eta = eta_plus(ks, SYMMETRIC, X21, params)
     expected = 4j * np.pi * params.lam**2 * form_factor_sq(ks, params).real \
         * (1 + np.cos(ks.real * X21))
     gap = np.max(np.abs((eta - np.conj(eta)) - expected))
@@ -306,8 +306,8 @@ def test_criterion_14_numerical_hygiene(params, quad, z1, zs29, models_127):
 
     # boundary-value continuity of the continuation
     deltas = (1e-2, 1e-3, 1e-4)
-    gaps = [np.max(np.abs(eta_plus(ks.real - 1j * d, SYMMETRIC, X21, params, quad)
-                          - eta_plus(ks.real + 1j * d, SYMMETRIC, X21, params, quad)))
+    gaps = [np.max(np.abs(eta_plus(ks.real - 1j * d, SYMMETRIC, X21, params)
+                          - eta_plus(ks.real + 1j * d, SYMMETRIC, X21, params)))
             for d in deltas]
     this = gaps[2] < 0.2 * gaps[1] < 0.04 * gaps[0] * 5 and gaps[2] < 1e-3
     ok &= this
@@ -322,8 +322,8 @@ def test_criterion_14_numerical_hygiene(params, quad, z1, zs29, models_127):
     # N * eta'(z) = 1 to 1e-8, derivative by central differences
     h = 1e-6
     for rec, sector, x21 in ((z1, None, 0.0), (zs29, SYMMETRIC, X21)):
-        der = (eta_plus(rec.value + h, sector, x21, params, quad)
-               - eta_plus(rec.value - h, sector, x21, params, quad)) / (2 * h)
+        der = (eta_plus(rec.value + h, sector, x21, params)
+               - eta_plus(rec.value - h, sector, x21, params)) / (2 * h)
         this = abs(rec.normalization * der - 1.0) < 1e-8
         ok &= this
     msgs.append("normalization ok")

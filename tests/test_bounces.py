@@ -6,7 +6,6 @@ from math import comb
 
 from collective1d import (
     ModelParams,
-    QuadratureSpec,
     ResummationError,
     SYMMETRIC,
     amplitude_quadrature,
@@ -174,26 +173,26 @@ def test_delta_modulus_on_axis(params):
     assert np.allclose(np.abs(vals), expected, rtol=1e-12)
 
 
-def test_delta_free_limit(quad):
+def test_delta_free_limit():
     assert abs(delta_k(2.0, 5.0, ModelParams(lam=1e-9))) < 1e-17
 
 
-def test_pole_equation_shift(params, quad):
+def test_pole_equation_shift(params):
     """z_s ~ z_s1 + Delta(z_s) to O(lam^4)."""
     x21 = 8.0
-    zs1 = find_zs1(x21, params, quad)
-    zs = find_pole(SYMMETRIC, x21, one_atom_pole(params, quad).value, params, quad)
+    zs1 = find_zs1(x21, params)
+    zs = find_pole(SYMMETRIC, x21, one_atom_pole(params).value, params)
     gap = zs.value - (zs1.pole.value + delta_k(zs.value, x21, params))
     assert abs(gap) < 1e-3
 
 
 # ---------------------------------------------------------------------- eta_s1
 
-def test_decomposition_identity_on_axis(params, quad):
+def test_decomposition_identity_on_axis(params):
     """eta_s = eta_s1 - Delta pointwise on the real axis."""
     ks = np.linspace(0.8, 4.0, 25).astype(complex)
-    lhs = eta_plus(ks, SYMMETRIC, X21, params, quad)
-    rhs = eta_s1(ks, X21, params, quad) - delta_k(ks, X21, params)
+    lhs = eta_plus(ks, SYMMETRIC, X21, params)
+    rhs = eta_s1(ks, X21, params) - delta_k(ks, X21, params)
     scale = np.abs(rhs)
     assert np.max(np.abs(lhs - rhs) / np.maximum(scale, 1e-12)) < 1e-10
 
@@ -214,37 +213,37 @@ def test_eta_s1_generic_three_integral_assembly(params, quad):
         up = continued_halfline_integral(f_up, omega, quad)
         down = np.conj(continued_halfline_integral(f_down_conj, omega, quad))
         generic = omega - params.omega1 - up - down
-        fast = eta_s1(complex(omega), x21, params, quad)
+        fast = eta_s1(complex(omega), x21, params)
         assert abs(generic - fast) < 3e-9
 
 
-def test_expansion_validity_on_axis(params, quad):
+def test_expansion_validity_on_axis(params):
     """|Delta(k)| = |Im eta_s1(k)| <= |eta_s1(k)| on the real axis."""
     ks = np.linspace(0.5, 5.0, 41).astype(complex)
-    e1 = eta_s1(ks, X21, params, quad)
+    e1 = eta_s1(ks, X21, params)
     dl = np.abs(delta_k(ks, X21, params))
     assert np.allclose(dl, np.abs(e1.imag), rtol=1e-8, atol=1e-14)
     assert np.all(dl <= np.abs(e1) * (1 + 1e-12))
 
 
-def test_find_zs1_values(params, quad, z1):
-    res = find_zs1(X21, params, quad)
+def test_find_zs1_values(params, z1):
+    res = find_zs1(X21, params)
     # figure-caption values: omega_s1 ~ 1.985, gamma_s1 ~ 0.0233 (+-5e-4)
     assert res.pole.omega_tilde == pytest.approx(1.985, abs=2e-3)
     assert res.pole.gamma == pytest.approx(0.0233, abs=5e-4)
     assert res.near_one_atom
-    far = find_zs1(1000.0, params, quad)
+    far = find_zs1(1000.0, params)
     assert abs(far.pole.value - z1.value) < 1e-6
 
 
-def test_zs1_unique_in_scan_rectangle(params, quad, z1):
+def test_zs1_unique_in_scan_rectangle(params, z1):
     """Every seed in the rectangle below omega1 lands on the same root."""
     roots = set()
     for re0 in (1.3, 1.9, 2.5):
         for im0 in (-0.01, -0.1, -0.25):
             z = complex(re0, im0)
             for _ in range(80):
-                f, df = eta_s1_derivative(z, X21, params, quad)
+                f, df = eta_s1_derivative(z, X21, params)
                 z = z - f / df
                 if abs(f) < 1e-12:
                     break
@@ -255,8 +254,8 @@ def test_zs1_unique_in_scan_rectangle(params, quad, z1):
 # ---------------------------------------------------------------- bounce terms
 
 @pytest.fixture(scope="module")
-def dec1(params, quad):
-    return BounceDecomposition.build(1.0, params, quad, t_max=3.0)
+def dec1(params):
+    return BounceDecomposition.build(1.0, params, t_max=3.0)
 
 
 def test_f0_is_plus_exponential(dec1):
@@ -287,9 +286,9 @@ def test_bounce_sum_before_first_bounce(dec1):
     assert bounce_sum(t, dec1) == pytest.approx(bounce_term(0, t, dec1), abs=1e-15)
 
 
-def test_bounce_sum_kink(params, quad):
+def test_bounce_sum_kink(params):
     """|I_0|^2 decay rate changes abruptly at t = x21."""
-    dec = BounceDecomposition.build(8.0, params, quad, t_max=20.0)
+    dec = BounceDecomposition.build(8.0, params, t_max=20.0)
     eps, h = 0.05, 0.4
     def slope(t):
         return (np.log(abs(bounce_sum(t + h, dec)) ** 2)
@@ -300,7 +299,7 @@ def test_bounce_sum_kink(params, quad):
     assert abs(after - before) > 0.1 * abs(before)
 
 
-def test_bounce_sum_tracks_lattice_survival(params, quad):
+def test_bounce_sum_tracks_lattice_survival(params):
     """(1/2)|I_0|^2 follows P_1 within the O(lam^2) branch-cut error
     (measured ~9e-3 at a generic distance; 2 pi lam^2 v^2 ~ 0.023)."""
     x21 = 9.8
@@ -308,7 +307,7 @@ def test_bounce_sum_tracks_lattice_survival(params, quad):
     model = build_lattice(p, 120.0, 1201, "s")
     times = np.linspace(0.0, 2.6 * x21, 40)
     lattice = survival_probability(model, "s", times)
-    dec = BounceDecomposition.build(x21, params, quad, t_max=float(times.max()))
+    dec = BounceDecomposition.build(x21, params, t_max=float(times.max()))
     series = np.array([0.5 * abs(bounce_sum(t, dec)) ** 2 for t in times])
     assert np.max(np.abs(series - lattice.values)) < 0.012
 
@@ -334,19 +333,19 @@ def test_resummed_against_exact_greens_pole(dec1):
     assert abs(rep.weak_normalization - rep.exact_residue) < 5e-2
 
 
-def test_resummed_divergence_detected(params, quad):
+def test_resummed_divergence_detected(params):
     """At x21 = 29.025 the untruncated series grows like (|Delta| e x21)^n ~ 3.6^n."""
-    dec = BounceDecomposition.build(X21, params, quad, t_max=X21)
+    dec = BounceDecomposition.build(X21, params, t_max=X21)
     with pytest.raises(ResummationError, match="tail bound"):
         resummed(0.5 * X21, dec)
     rep = resummed(0.5 * X21, dec, allow_divergent=True)
     assert not rep.converged
 
 
-def test_long_time_limit(params, quad):
+def test_long_time_limit(params):
     """e^{i z t} I_0(t) / N -> 1 (theta-truncated sum approaches the pole term)."""
     x21 = 8.0
-    dec = BounceDecomposition.build(x21, params, quad, t_max=12 * x21)
+    dec = BounceDecomposition.build(x21, params, t_max=12 * x21)
     rep = resummed(0.0, dec, allow_divergent=False)
     gaps = []
     for tfac in (4.0, 8.0, 12.0):
@@ -359,28 +358,28 @@ def test_long_time_limit(params, quad):
 
 # ---------------------------------------------------- amplitude quadrature
 
-def test_amplitude_sum_rule(params, quad, rho_grid_s29):
-    val = amplitude_quadrature(0.0, SYMMETRIC, X21, params, quad, grid=rho_grid_s29)
+def test_amplitude_sum_rule(params, rho_grid_s29):
+    val = amplitude_quadrature(0.0, SYMMETRIC, X21, params, grid=rho_grid_s29)
     assert abs(val - 1.0) < 2e-5
 
 
-def test_amplitude_matches_lattice(params, quad, model_s29, rho_grid_s29):
+def test_amplitude_matches_lattice(params, model_s29, rho_grid_s29):
     times = np.linspace(0.0, 4 * X21, 120)
     lattice = survival_probability(model_s29, "s", times)
-    amps = amplitude_quadrature(times, SYMMETRIC, X21, params, quad, grid=rho_grid_s29)
+    amps = amplitude_quadrature(times, SYMMETRIC, X21, params, grid=rho_grid_s29)
     assert np.max(np.abs(0.5 * np.abs(amps) ** 2 - lattice.values)) < 5e-3
 
 
-def test_antisymmetric_plateau(params, quad):
+def test_antisymmetric_plateau(params):
     """Sub-radiant sector at x21=12.7: |I(t)|^2 plateaus at a nonzero value."""
     x21 = 12.7
     ts = np.array([40.0, 80.0])
-    amps = amplitude_quadrature(ts, "a", x21, params, quad)
+    amps = amplitude_quadrature(ts, "a", x21, params)
     p2 = np.abs(amps) ** 2
     assert p2[1] / p2[0] > 0.98
     assert p2[1] > 0.3
 
 
-def test_amplitude_negative_time_rejected(params, quad):
+def test_amplitude_negative_time_rejected(params):
     with pytest.raises(ValueError):
-        amplitude_quadrature(-1.0, SYMMETRIC, X21, params, quad)
+        amplitude_quadrature(-1.0, SYMMETRIC, X21, params)

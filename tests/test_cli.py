@@ -102,10 +102,10 @@ def test_sweep_reports_skipped_zero_decay_solutions(tmp_path, capsys, monkeypatc
 
     solve = sw.zero_decay_solve
 
-    def stalls_at_a2(sector, n, params, quad):
+    def stalls_at_a2(sector, n, params):
         if (sector, n) == ("a", 2):
             raise ConvergenceError("zero-decay fixed point stalled at residual 1.00e-03")
-        return solve(sector, n, params, quad)
+        return solve(sector, n, params)
 
     monkeypatch.setattr(sw, "zero_decay_solve", stalls_at_a2)
     cfg = {"sweep": {"x21_min": 7.5, "x21_max": 8.3, "step": 0.1, "zero_decay_max_n": 2}}
@@ -142,11 +142,22 @@ def test_config_file_unknown_block(tmp_path):
     assert run(tmp_path, "poles", config={"nope": {}}) == 1
 
 
-def test_solver_failure_is_exit_2(tmp_path, capsys):
-    # a cutoff below 50*omegaM violates the quadrature budget invariant
-    code = run(tmp_path, "poles", "quad.cutoff=10.0")
-    assert code == 2
+def test_solver_failure_is_exit_2(tmp_path, capsys, monkeypatch):
+    from collective1d import greens
+
+    # no Newton step allowed: the principal pole solve fails
+    monkeypatch.setattr(greens, "_MAX_NEWTON", 0)
+    assert run(tmp_path, "poles") == 2
     assert "solver error" in capsys.readouterr().err
+
+
+def test_colliding_profile_file_names_are_config_error(tmp_path, capsys):
+    cfg = {"lattice": {"L": 40.0, "n_modes": 201},
+           "evolve": {"x21": 5.0, "profile_time_factors": [1.0, 1.0000001]}}
+    assert run(tmp_path, "evolve", config=cfg) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "1.0 and 1.0000001" in err[0] and "field_s_t1.csv" in err[0]
+    assert not (tmp_path / "field_s_t1.csv").exists()
 
 
 def test_lattice_solver_failure_is_exit_2(tmp_path, capsys, monkeypatch):
@@ -174,6 +185,7 @@ def test_lattice_solver_failure_is_exit_2(tmp_path, capsys, monkeypatch):
     ("evolve", "evolve.profile_time_factors=[NaN]"),
     ("poles", "quad.rel_tol=-1"),
     ("poles", "quad.cutoff=abc"),
+    ("poles", "quad.cutoff=1000"),
     ("poles", "poles.x21=null"),
     ("contour", "contour.x21=null"),
     ("waveguide", "waveguide.D=null"),

@@ -86,7 +86,7 @@ def test_hamiltonian_hermitian_and_dimensions(small_full, small_reduced):
     assert np.max(np.abs(h_red - h_red.T)) == 0.0
 
 
-def test_free_hamiltonian_spectrum(quad):
+def test_free_hamiltonian_spectrum():
     p = ModelParams(lam=1e-12, x1=0.0, x2=5.0)
     full = FullBox(p, 60.0, 201)
     diag = np.sort(np.real(np.diag(full.hamiltonian)))
@@ -309,25 +309,25 @@ def test_sectors_sum_to_full_build(box, frac):
 
 # ------------------------------------------------------------- collective survival
 
-def test_collective_survival_weak_coupling_weight(quad):
+def test_collective_survival_weak_coupling_weight():
     p = ModelParams(lam=0.01, x1=0.0, x2=8.0)
-    ts = collective_survival(p, "s", 8.0, np.array([0.0]), quad)
+    ts = collective_survival(p, "s", 8.0, np.array([0.0]))
     assert ts.values[0] == pytest.approx(0.5, rel=2e-2)   # |N|^2/2 -> 1/2 as lam -> 0
 
 
-def test_collective_survival_decay_constant(params, quad, zs29):
+def test_collective_survival_decay_constant(params, zs29):
     times = np.array([10.0, 35.0])
-    ts = collective_survival(params, "s", 29.025, times, quad, pole=zs29)
+    ts = collective_survival(params, "s", 29.025, times, pole=zs29)
     ratio = ts.values[1] / ts.values[0]
     assert ratio == pytest.approx(np.exp(-2 * zs29.gamma * 25.0), rel=1e-12)
 
 
-def test_collective_overlay_reached_after_bounces(params, quad, zs29, model_s29):
+def test_collective_overlay_reached_after_bounces(params, zs29, model_s29):
     """P1(t) / P_{1,zs}(t) -> 1 once the initial state has relaxed onto the
     collective state (t >~ 3 x21)."""
     times = np.array([3.5 * 29.025, 4.5 * 29.025])
     lattice = survival_probability(model_s29, "s", times)
-    overlay = collective_survival(params, "s", 29.025, times, quad, pole=zs29)
+    overlay = collective_survival(params, "s", 29.025, times, pole=zs29)
     ratio = lattice.values / overlay.values
     assert np.max(np.abs(ratio - 1.0)) < 0.08
 
@@ -390,48 +390,48 @@ def test_field_symmetry_about_origin():
     assert np.max(np.abs(left - right)) < 1e-10 * max(right.max(), 1e-30)
 
 
-def test_collective_field_time_factorization(params, quad, zs29):
+def test_collective_field_time_factorization(params, zs29):
     p = params.with_x21(29.025)
     xs = np.linspace(3.0, 25.0, 7)
     t1, t2 = 40.0, 70.0
-    prof1 = collective_field(p, "s", 29.025, xs, t1, quad, pole=zs29)
-    prof2 = collective_field(p, "s", 29.025, xs, t2, quad, pole=zs29)
+    prof1 = collective_field(p, "s", 29.025, xs, t1, pole=zs29)
+    prof2 = collective_field(p, "s", 29.025, xs, t2, pole=zs29)
     ratio = prof2.intensity / prof1.intensity
     assert np.max(np.abs(ratio - np.exp(-2 * zs29.gamma * (t2 - t1)))) < 1e-10
 
 
 @pytest.mark.parametrize("tag, x21, fac", [("s", 29.025, 4.02), ("a", 29.025, 2.0),
                                            ("a", 12.7, 1.0)])
-def test_collective_field_matches_pointwise_oracle(params, quad, tag, x21, fac):
+def test_collective_field_matches_pointwise_oracle(params, tag, x21, fac):
     """The batched kernel rows (several blocks, x on both atoms) agree with
     one RayKernel per phase integral to 1e-13 of the peak."""
     p = params.with_x21(x21)
-    pole = find_pole(tag, x21, one_atom_pole(p, quad).value, p, quad)
+    pole = find_pole(tag, x21, one_atom_pole(p).value, p)
     xs = np.union1d(np.linspace(-1.5 * x21 + p.x1, p.x2 + 1.5 * x21, 241), [p.x1, p.x2])
-    got = collective_field(p, tag, x21, xs, fac * x21, quad, pole=pole).intensity
+    got = collective_field(p, tag, x21, xs, fac * x21, pole=pole).intensity
     want = collective_field_intensity(p, tag, xs, fac * x21, pole)
     assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
 
 
-def test_collective_field_overflow_guard_names_first_point(params, quad):
+def test_collective_field_overflow_guard_names_first_point(params):
     pole = ComplexEnergy(2.0 - 0.1j, "symmetric", 0, 1.0 + 0j)
     xs = np.array([0.0, 5000.0, 7000.0, 10000.0])
     with pytest.raises(OverflowGuardError, match=r"= 700\.0 overflows at x=7000\.0"):
-        collective_field(params, "s", params.x21, xs, 0.0, quad, pole=pole)
+        collective_field(params, "s", params.x21, xs, 0.0, pole=pole)
 
 
-def test_collective_field_bounded_at_zero_decay(params, quad):
+def test_collective_field_bounded_at_zero_decay(params):
     """A subradiant (gamma ~ 0) pole gives a standing wave, not an envelope
     blowing up away from the atoms."""
     from collective1d import zero_decay_solve
 
-    sol = zero_decay_solve("a", 4, params, quad)
+    sol = zero_decay_solve("a", 4, params)
     x21 = sol.x21_zero
     p = params.with_x21(x21)
-    pole = find_pole("a", x21, one_atom_pole(params, quad).value, params, quad)
+    pole = find_pole("a", x21, one_atom_pole(params).value, params)
     assert pole.gamma < 1e-8
     xs = np.linspace(-3 * x21, 4 * x21, 101)
-    prof = collective_field(p, "a", x21, xs, 50.0, quad, pole=pole)
+    prof = collective_field(p, "a", x21, xs, 50.0, pole=pole)
     between = (xs > 0) & (xs < x21)
     assert prof.intensity[~between].max() < 10.0 * prof.intensity[between].max()
 
@@ -449,13 +449,13 @@ def test_timeseries_validation():
         FieldProfile(np.array([0.0]), np.array([np.nan]), 0.0)
 
 
-def test_non_finite_time_rejected(params, quad, zs29, small_reduced):
+def test_non_finite_time_rejected(params, zs29, small_reduced):
     xs = np.linspace(-5.0, 5.0, 3)
     for bad in (np.nan, np.inf):
         with pytest.raises(LatticeError, match="finite"):
             field_intensity(small_reduced, "s", xs, bad)
         with pytest.raises(ValueError, match="finite"):
-            collective_field(params, "s", 29.025, xs, bad, quad, pole=zs29)
+            collective_field(params, "s", 29.025, xs, bad, pole=zs29)
 
 
 def test_csv_writers(tmp_path, small_reduced):

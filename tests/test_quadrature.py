@@ -79,10 +79,32 @@ def test_negative_axis_rejected(params, quad):
         continued_halfline_integral(_sample_f(params), -1.0, quad)
 
 
-def test_cutoff_invariant(params):
-    spec = QuadratureSpec(cutoff=10.0)   # < 50 omegaM
-    with pytest.raises(QuadratureError, match="cutoff"):
-        spec.check_cutoff(params.omegaM)
+def _bounded(f, calls=200):
+    """f, raising RuntimeError after `calls` calls so a non-terminating
+    integrator fails instead of hanging."""
+    count = [0]
+
+    def g(*args):
+        count[0] += 1
+        if count[0] > calls:
+            raise RuntimeError(f"integrand called more than {calls} times")
+        return f(*args)
+
+    return g
+
+
+def test_adaptive_nan_integrand_raises():
+    nan = _bounded(lambda k: np.full(np.shape(k), np.nan))
+    with pytest.raises(QuadratureError, match="non-finite"):
+        adaptive_integral(nan, 0.0, 1.0, QuadratureSpec())
+
+
+def test_existence_check_nan_coupling_raises():
+    from collective1d import WaveguideParams, existence_check
+
+    coupling = _bounded(lambda k, l: np.full(np.shape(k), np.nan))
+    with pytest.raises(QuadratureError, match="non-finite"):
+        existence_check(WaveguideParams(coupling=coupling))
 
 
 def test_ray_kernel_matches_direct_quadrature(params, quad):

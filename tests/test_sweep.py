@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from collective1d import (
     ANTISYMMETRIC,
     ModelParams,
-    QuadratureSpec,
     SYMMETRIC,
     angular_factor,
     find_pole,
@@ -37,29 +36,29 @@ def test_sweep_all_points_converged(sweep_records):
     assert xs == sorted(xs)
 
 
-def test_sweep_rejects_non_increasing_grid(params, quad):
+def test_sweep_rejects_non_increasing_grid(params):
     with pytest.raises(ValueError, match="strictly increasing"):
-        sweep_poles(np.array([5.0, 5.0, 6.0]), params, quad)
+        sweep_poles(np.array([5.0, 5.0, 6.0]), params)
 
 
 @pytest.mark.parametrize("grid", [[5.0, np.nan, 6.0], [-1.0, 0.0, 1.0], [0.0, 0.5, 1.0],
                                   [5.0, 6.0, np.inf]])
-def test_sweep_rejects_non_finite_or_non_positive_grid(params, quad, grid):
+def test_sweep_rejects_non_finite_or_non_positive_grid(params, grid):
     with pytest.raises(ValueError, match="finite and positive"):
-        sweep_poles(np.array(grid), params, quad)
+        sweep_poles(np.array(grid), params)
 
 
 @settings(max_examples=10, deadline=None)
 @given(origin=st.floats(5.0, 39.0), step=st.floats(0.01, 1.5), n=st.integers(1, 40),
        block=st.sampled_from([1, 3, 7, 64]))
-def test_blocked_sweep_equals_sequential_sweep(params, quad, origin, step, n, block):
+def test_blocked_sweep_equals_sequential_sweep(params, origin, step, n, block):
     """The Jacobi passes reach the point-by-point rule: the same convergence
     flags and the same roots to 1e-12, for any block size."""
     grid = origin + step * np.arange(n)
     grid = grid[grid <= 40.0]
     with mock.patch.object(sweep, "_BLOCK", block):
-        got = sweep_poles(grid, params, quad)
-    want = reference.sweep_poles(grid, params, quad)
+        got = sweep_poles(grid, params)
+    want = reference.sweep_poles(grid, params)
     for g, w in zip(got, want, strict=True):
         assert g.x21 == w.x21
         for zg, zw in ((g.z_s, w.z_s), (g.z_a, w.z_a)):
@@ -69,14 +68,14 @@ def test_blocked_sweep_equals_sequential_sweep(params, quad, origin, step, n, bl
                 assert abs(zg.normalization - zw.normalization) <= 1e-10
 
 
-def test_sweep_and_zero_decay_leave_the_evaluator_cache_alone(params, quad):
+def test_sweep_and_zero_decay_leave_the_evaluator_cache_alone(params):
     """Both build their evaluators outside the cache, so they neither grow
     it nor evict what other callers cached."""
     _evaluator.cache_clear()
-    one_atom_pole(params, quad)
+    one_atom_pole(params)
     before = _evaluator.cache_info().currsize
-    sweep_poles(np.arange(7.5, 8.3, 0.1), params, quad)
-    zero_decay_solve(SYMMETRIC, 2, params, quad)
+    sweep_poles(np.arange(7.5, 8.3, 0.1), params)
+    zero_decay_solve(SYMMETRIC, 2, params)
     assert _evaluator.cache_info().currsize == before
 
 
@@ -146,11 +145,11 @@ def test_force_minima_colocate_with_gamma_maxima(sweep_records, force):
         assert iw[0] < imin < iw[-1]
 
 
-def test_force_flat_at_zero_decay(params, quad, sweep_records, force):
+def test_force_flat_at_zero_decay(params, sweep_records, force):
     """dF_s/dx21 ~ 0 where gamma_s vanishes."""
     xs, fs = force["s"]
     dfs = np.gradient(fs, xs)
-    sol = zero_decay_solve(SYMMETRIC, 4, params, quad)
+    sol = zero_decay_solve(SYMMETRIC, 4, params)
     i0 = np.argmin(np.abs(xs - sol.x21_zero))
     typical = np.nanmax(np.abs(dfs[np.abs(xs - sol.x21_zero) < 1.6]))
     assert abs(dfs[i0]) < 0.25 * typical
@@ -182,26 +181,26 @@ def test_force_needs_enough_points():
 
 # ------------------------------------------------------------------ zero decay
 
-def test_zero_decay_energies_near_one_atom(params, quad, z1):
+def test_zero_decay_energies_near_one_atom(params, z1):
     for sector, n in ((SYMMETRIC, 4), (ANTISYMMETRIC, 4)):
-        sol = zero_decay_solve(sector, n, params, quad)
+        sol = zero_decay_solve(sector, n, params)
         assert abs(sol.omega_o - z1.omega_tilde) < 1e-2
         assert sol.residual < 1e-10
 
 
-def test_zero_decay_antisymmetric_n4_is_127(params, quad):
-    sol = zero_decay_solve(ANTISYMMETRIC, 4, params, quad)
+def test_zero_decay_antisymmetric_n4_is_127(params):
+    sol = zero_decay_solve(ANTISYMMETRIC, 4, params)
     assert sol.x21_zero == pytest.approx(8 * np.pi / sol.omega_o, rel=1e-12)
     assert sol.x21_zero == pytest.approx(12.66, abs=5e-2)
 
 
-def test_zero_decay_pole_cross_check(params, quad, z1):
-    sol = zero_decay_solve(SYMMETRIC, 3, params, quad)
-    pole = find_pole(SYMMETRIC, sol.x21_zero, z1.value, params, quad)
+def test_zero_decay_pole_cross_check(params, z1):
+    sol = zero_decay_solve(SYMMETRIC, 3, params)
+    pole = find_pole(SYMMETRIC, sol.x21_zero, z1.value, params)
     assert pole.gamma < 1e-8
 
 
-def test_zero_decay_dips_match_sweep(params, quad, sweep_records):
+def test_zero_decay_dips_match_sweep(params, sweep_records):
     """Every predicted zero-decay distance inside [5, 40] has a sweep dip
     (gamma < 1e-4) within 1% of x21."""
     xs = np.array([r.x21 for r in sweep_records])
@@ -210,7 +209,7 @@ def test_zero_decay_dips_match_sweep(params, quad, sweep_records):
         for n in range(1, 13):
             if sector.sigma < 0 and n == 0:
                 continue
-            sol = zero_decay_solve(sector, n, params, quad)
+            sol = zero_decay_solve(sector, n, params)
             if not (xs[0] + 0.2 <= sol.x21_zero <= xs[-1] - 0.2):
                 continue
             near = np.abs(xs - sol.x21_zero) <= 0.01 * sol.x21_zero
@@ -219,34 +218,34 @@ def test_zero_decay_dips_match_sweep(params, quad, sweep_records):
 
 # ---------------------------------------------------------------- pair relation
 
-def test_pair_relation_report(params, quad, sweep_records):
-    rep = pair_relation_check(sweep_records, params, quad)
+def test_pair_relation_report(params, sweep_records):
+    rep = pair_relation_check(sweep_records, params)
     # O(lam^4) with an e^{gamma x21}-enhanced prefactor: a few percent at
     # lam = 0.05 (the spec's 1e-3 is unattainable here; see acceptance)
     assert rep.max_deviation < 0.05
     assert rep.median_deviation < rep.max_deviation
 
 
-def test_pair_relation_lambda4_scaling(quad):
+def test_pair_relation_lambda4_scaling():
     """log-log slope of the quiet-point deviation vs lambda = 4 +- 0.5."""
     x21 = 20.0
     lams = np.array([0.02, 0.0354, 0.05])
     devs = []
     for lam in lams:
         p = ModelParams(lam=lam)
-        z1 = one_atom_pole(p, quad)
-        zs = find_pole(SYMMETRIC, x21, z1.value, p, quad)
-        za = find_pole(ANTISYMMETRIC, x21, z1.value, p, quad)
+        z1 = one_atom_pole(p)
+        zs = find_pole(SYMMETRIC, x21, z1.value, p)
+        za = find_pole(ANTISYMMETRIC, x21, z1.value, p)
         devs.append(abs(z1.value - 0.5 * (zs.value + za.value)))
     slope = np.polyfit(np.log(lams), np.log(devs), 1)[0]
     assert slope == pytest.approx(4.0, abs=0.5)
 
 
-def test_pair_relation_free_limit(quad):
+def test_pair_relation_free_limit():
     p = ModelParams(lam=0.005)
-    z1 = one_atom_pole(p, quad)
-    zs = find_pole(SYMMETRIC, 20.0, z1.value, p, quad)
-    za = find_pole(ANTISYMMETRIC, 20.0, z1.value, p, quad)
+    z1 = one_atom_pole(p)
+    zs = find_pole(SYMMETRIC, 20.0, z1.value, p)
+    za = find_pole(ANTISYMMETRIC, 20.0, z1.value, p)
     assert abs(z1.value - 0.5 * (zs.value + za.value)) < 5e-6
 
 
@@ -287,12 +286,12 @@ def test_subradiance_roots_lattices():
     assert subradiance_roots(3, ANTISYMMETRIC, (1e-6, 50.0)).size == 0
 
 
-def test_sweep_exports(tmp_path, sweep_records, force, params, quad):
+def test_sweep_exports(tmp_path, sweep_records, force, params):
     path = tmp_path / "sweep.csv"
     sweep_to_csv(sweep_records[:5], path, force)
     header = path.read_text().splitlines()[0]
     assert header == "x21,re_zs,gamma_s,re_za,gamma_a,Fs,Fa,flags"
-    sol = zero_decay_solve(SYMMETRIC, 3, params, quad)
+    sol = zero_decay_solve(SYMMETRIC, 3, params)
     jpath = tmp_path / "zd.json"
     zero_decay_to_json([sol], jpath, {(sol.sector, sol.n): 1e-9})
     import json
