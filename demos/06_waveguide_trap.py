@@ -11,7 +11,6 @@ put despite the open escape channel.
 from collective1d import (
     WaveguideParams,
     collective_pole_wg,
-    default_coupling,
     existence_check,
     solve_trap,
 )
@@ -38,12 +37,12 @@ for factor in (0.9, 1.0, 1.1):
 
 print("\nweaker coupling narrows the resonance but the trap condition is exact:")
 for g0 in (0.05, 0.1, 0.15):
-    guide = WaveguideParams(coupling=default_coupling(g0=g0))
+    guide = WaveguideParams(g0=g0)
     s = solve_trap(guide, 1, "s")
     print(f"  g0 = {g0}: xi_tilde - xi0 = {s.xi_tilde - guide.xi0:+.6f}, "
           f"x21_trap = {s.x21_trap:.6f}")
 
-strong = WaveguideParams(coupling=default_coupling(g0=0.2))
+strong = WaveguideParams(g0=0.2)
 print(f"\nat g0 = 0.2 the existence margin turns negative "
       f"({existence_check(strong).margin:.3f}): the level-shift integral swallows "
       "the escape energy and no trapped solution exists")

@@ -6,8 +6,10 @@ and the two-cavity waveguide trap condition.
 from .core import (
     ANTISYMMETRIC,
     SYMMETRIC,
-    ModelError,
+    CollectiveError,
+    ConfigError,
     ModelParams,
+    SolverError,
     SymmetrySector,
     instability_margin,
     params_from_json,
@@ -27,7 +29,6 @@ from .greens import (
     ContourMap,
     ConvergenceError,
     FormFactorPoleError,
-    GreensError,
     OverflowGuardError,
     WrongBranchError,
     contour_map,
@@ -43,7 +44,6 @@ from .greens import (
 )
 from .dynamics import (
     FieldProfile,
-    LatticeError,
     LatticeModel,
     TimeSeries,
     build_lattice,
@@ -79,11 +79,9 @@ from .sweep import (
 )
 from .waveguide import (
     TrapSolution,
-    WaveguideError,
     WaveguideParams,
     cavity_energy,
     collective_pole_wg,
-    default_coupling,
     existence_check,
     lead_energy,
     solve_trap,

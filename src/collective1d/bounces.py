@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, SYMMETRIC, as_sector, validate
+from .core import SYMMETRIC, ConfigError, ModelParams, SolverError, as_sector, validate
 from .greens import (
     OVERFLOW_EXPONENT,
     ComplexEnergy,
-    GreensError,
     OverflowGuardError,
     continuum_weight_grid,
     eta_evaluator,
@@ -64,7 +63,7 @@ TAIL_REL = 1e-12           # resummed stops after 3 terms below TAIL_REL of the 
 N_CAP = 120                # resummed sums at most N_CAP + 1 bounce terms
 
 
-class ResummationError(GreensError):
+class ResummationError(SolverError):
     """The untruncated bounce series did not meet its tail bound."""
 
 
@@ -101,7 +100,7 @@ class Jet:
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
             if other.center != self.center:
-                raise ValueError("jets must share a center")
+                raise ConfigError("jets must share a center")
             return other
         return Jet.constant(complex(other), self.center, self.order)
 
@@ -126,7 +125,7 @@ class Jet:
 
     def __pow__(self, n: int) -> "Jet":
         if not (isinstance(n, int) and n >= 0):
-            raise ValueError("jet powers must be non-negative integers")
+            raise ConfigError("jet powers must be non-negative integers")
         out = Jet.constant(1.0, self.center, self.order)
         base = self
         m = n
@@ -139,7 +138,7 @@ class Jet:
 
     def reciprocal(self) -> "Jet":
         if self.coeffs[0] == 0:
-            raise ZeroDivisionError("jet reciprocal at a zero")
+            raise SolverError("jet reciprocal at a zero")
         out = np.zeros(self.order + 1, dtype=complex)
         out[0] = 1.0 / self.coeffs[0]
         for m in range(1, self.order + 1):
@@ -159,7 +158,7 @@ class Jet:
     def derivative(self, n: int) -> complex:
         """f^(n)(center) = n! * c_n."""
         if n > self.order:
-            raise ValueError(f"derivative order {n} beyond jet order {self.order}")
+            raise ConfigError(f"derivative order {n} beyond jet order {self.order}")
         return complex(self.coeffs[n]) * _factorial(n)
 
 
@@ -274,7 +273,7 @@ def _bounce_terms(t: float, dec: BounceDecomposition, n_max: int):
 def bounce_term(n: int, t: float, dec: BounceDecomposition) -> complex:
     """f_n(t): the n-th bounce, switched on at t = n x21; magnitude O(lam^2n)."""
     if n < 0:
-        raise ValueError("bounce index must be >= 0")
+        raise ConfigError("bounce index must be >= 0")
     *_, term = _bounce_terms(t, dec, n)
     return complex(term)
 
@@ -282,7 +281,7 @@ def bounce_term(n: int, t: float, dec: BounceDecomposition) -> complex:
 def bounce_sum(t: float, dec: BounceDecomposition) -> complex:
     """Theta-truncated pole contribution I_0(t) = sum_{n <= t/x21} f_n(t)."""
     if t < 0:
-        raise ValueError("bounce_sum needs t >= 0")
+        raise ConfigError("bounce_sum needs t >= 0")
     total = 0j
     for term in _bounce_terms(t, dec, int(np.floor(t / dec.x21 + 1e-12))):
         total += term
@@ -325,7 +324,7 @@ def resummed(t: float, dec: BounceDecomposition,
     shrinks like 1/x21; it diverges for x21 beyond ~12 at default coupling)
     and raises unless allow_divergent."""
     if t < 0:
-        raise ValueError("resummed needs t >= 0")
+        raise ConfigError("resummed needs t >= 0")
     z_t, df_t = _pole_equation_root(dec)
     weak_n = 1.0 / df_t
     pole_value = weak_n * np.exp(-1j * z_t * t)
@@ -388,7 +387,7 @@ def amplitude_quadrature(t, sector, x21: float, params: ModelParams, quad=None,
     sector = as_sector(sector)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < 0):
-        raise ValueError("amplitude_quadrature needs t >= 0")
+        raise ConfigError("amplitude_quadrature needs t >= 0")
     if grid is None:
         grid = continuum_weight_grid(sector, x21, params, k_max=k_max, t_max=float(ts.max()))
     kgrid, rho = grid

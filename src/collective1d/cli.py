@@ -6,7 +6,8 @@
 Outputs are plot-ready CSV/JSON with full-precision floats and no
 timestamps (identical config => byte-identical files); every output file
 gets a sidecar <name>.config.json holding the fully resolved configuration.
-Exit codes: 0 success, 1 configuration error, 2 solver/quadrature failure.
+Exit codes: 0 success, 1 configuration error (core.ConfigError: bad input),
+2 solver failure (core.SolverError: a solve that did not converge).
 """
 from __future__ import annotations
 
@@ -23,9 +24,9 @@ from . import dynamics as dyn
 from . import greens as gr
 from . import sweep as sw
 from . import waveguide as wg
-from .core import ModelError, ModelParams, as_sector, params_to_dict, validate
+from .core import (CollectiveError, ConfigError, ModelParams, SolverError, as_sector,
+                   finite_integer, finite_real, params_to_dict, validate)
 from .io import write_json
-from .quadrature import QuadratureError
 
 DEFAULT_CONFIG = {
     "model": params_to_dict(ModelParams()),
@@ -43,15 +44,16 @@ DEFAULT_CONFIG = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        with open(path) as fh:
-            user = json.load(fh)
+        try:
+            with open(path) as fh:
+                user = json.load(fh)
+        except (OSError, ValueError) as exc:     # JSONDecodeError is a ValueError
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError(f"config file {path} holds a {type(user).__name__}, not an object")
         for block, values in user.items():
             if block not in cfg:
                 raise ConfigError(f"unknown config block {block!r}")
@@ -67,57 +69,51 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         dotted, raw = item.split("=", 1)
         parts = dotted.split(".")
         node = cfg
-        for part in parts[:-1]:
-            if part not in node:
+        for part in parts:
+            if not isinstance(node, dict) or part not in node:
                 raise ConfigError(f"unknown override path {dotted!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown override path {dotted!r}")
+            parent, node = node, node[part]
+        if isinstance(node, dict):
+            raise ConfigError(f"override {dotted!r} names a config block, not a key")
         try:
-            node[parts[-1]] = json.loads(raw)
+            parent[parts[-1]] = json.loads(raw)
         except json.JSONDecodeError:
-            node[parts[-1]] = raw
+            parent[parts[-1]] = raw
     return cfg
 
 
 def _resolve(cfg: dict) -> ModelParams:
     # construct unvalidated so commands can issue their own diagnostics
-    # (validate rejects a non-integer n_ff)
+    # (lambda = 0 is the free theory)
     return ModelParams(omega1=_real(cfg, "model.omega1"), lam=_real(cfg, "model.lambda"),
-                       omegaM=_real(cfg, "model.omegaM"), n_ff=cfg["model"]["n_ff"],
+                       omegaM=_real(cfg, "model.omegaM"), n_ff=_integer(cfg, "model.n_ff"),
                        x1=_real(cfg, "model.x1"), x2=_real(cfg, "model.x2"))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _real(cfg: dict, dotted: str, many: bool = False):
     """The finite number at block.key as a float, or with many the list of
-    finite numbers there as a list of floats; any other value, JSON type
-    included, is a ConfigError."""
+    finite numbers there as a list of floats (core.finite_real's rule)."""
     block, key = dotted.split(".")
     value = cfg[block][key]
-    items = value if many else [value]
-    # abs(v) <= max also rejects nan, +-inf and integers beyond float range
-    if isinstance(items, list) and all(
-            _is_number(v) and abs(v) <= sys.float_info.max for v in items):
-        reals = [float(v) for v in items]
-        return reals if many else reals[0]
-    what = "a list of finite numbers" if many else "a finite number"
-    raise ConfigError(f"{dotted} must be {what}, got {value!r}")
+    if not many:
+        return finite_real(value, dotted)
+    if not isinstance(value, list):
+        raise ConfigError(f"{dotted} must be a list of finite numbers, got {value!r}")
+    return [finite_real(v, f"{dotted}[{i}]") for i, v in enumerate(value)]
 
 
 def _integer(cfg: dict, dotted: str, minimum: int | None = None) -> int:
-    """The integer config value at block.key; a non-integral value or one
-    below minimum is a ConfigError, never truncated."""
+    """The integer at block.key (core.finite_integer's rule)."""
     block, key = dotted.split(".")
-    value = cfg[block][key]
-    if not _is_number(value) or not (isinstance(value, int) or value.is_integer()):
-        raise ConfigError(f"{dotted} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{dotted} must be >= {minimum}, got {value!r}")
-    return int(value)
+    return finite_integer(cfg[block][key], dotted, minimum)
+
+
+def _out_dir(name: str) -> Path:
+    try:
+        Path(name).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {name}: {exc}") from exc
+    return Path(name)
 
 
 def _sidecar(path: Path, cfg: dict) -> None:
@@ -205,7 +201,11 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
     step = _real(cfg, "sweep.step")
     if not step > 0:
         raise ConfigError("sweep.step must be positive")
-    grid = np.arange(_real(cfg, "sweep.x21_min"), _real(cfg, "sweep.x21_max") + 1e-12, step)
+    x21_min, x21_max = _real(cfg, "sweep.x21_min"), _real(cfg, "sweep.x21_max")
+    try:
+        grid = np.arange(x21_min, x21_max + 1e-12, step)
+    except ValueError as exc:       # more points than an array can index
+        raise ConfigError(f"sweep grid from x21_min to x21_max: {exc}") from exc
     if grid.size < 3:
         raise ConfigError("sweep grid from x21_min to x21_max must hold at least 3 points")
     records = sw.sweep_poles(grid, params)
@@ -217,7 +217,7 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
         for n in range(1, _integer(cfg, "sweep.zero_decay_max_n", 0) + 1):
             try:
                 sol = sw.zero_decay_solve(tag, n, params)
-            except (gr.GreensError, ValueError) as exc:
+            except CollectiveError as exc:
                 print(f"sweep: zero-decay solution ({tag}, {n}) skipped: {exc}", file=sys.stderr)
                 continue
             if grid[0] <= sol.x21_zero <= grid[-1]:
@@ -229,7 +229,7 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
                              [sol.x21_zero for sol in solutions])
         z1 = gr.one_atom_pole(params).value
         for sol, pole in zip(solutions, gr.solve_poles(ev, [z1] * len(solutions))):
-            if isinstance(pole, gr.GreensError):
+            if isinstance(pole, SolverError):
                 raise pole
             checks[(sol.sector, sol.n)] = pole.gamma
     zpath = out / "zero_decay.json"
@@ -257,11 +257,8 @@ def cmd_bounces(cfg: dict, out: Path) -> list[Path]:
 def cmd_waveguide(cfg: dict, out: Path) -> list[Path]:
     w = cfg["waveguide"]
     guide = wg.WaveguideParams(
-        D=_real(cfg, "waveguide.D"), W=_real(cfg, "waveguide.W"),
-        m0=_integer(cfg, "waveguide.m0"), n0=_integer(cfg, "waveguide.n0"),
-        l_max=_integer(cfg, "waveguide.l_max"),
-        coupling=wg.default_coupling(*(_real(cfg, f"waveguide.{key}")
-                                       for key in ("g0", "k_c", "channel_decay"))))
+        **{key: _real(cfg, f"waveguide.{key}") for key in ("D", "W", "g0", "k_c", "channel_decay")},
+        **{key: _integer(cfg, f"waveguide.{key}") for key in ("m0", "n0", "l_max")})
     report = wg.existence_check(guide)
     solution = wg.solve_trap(guide, _integer(cfg, "waveguide.n", 1), w["sector"])
     pole = wg.collective_pole_wg(guide, w["sector"], solution.x21_trap,
@@ -291,16 +288,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.override)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args.out)
         written = _COMMANDS[args.command](cfg, out)
         for path in written:
             _sidecar(path, cfg)
-    except (ConfigError, ModelError, wg.WaveguideError, dyn.LatticeError,
-            json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (gr.GreensError, QuadratureError) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
     return 0

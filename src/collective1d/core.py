@@ -7,15 +7,20 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 __all__ = [
+    "CollectiveError",
+    "ConfigError",
+    "SolverError",
+    "finite_real",
+    "finite_integer",
     "ModelParams",
     "SymmetrySector",
     "SYMMETRIC",
     "ANTISYMMETRIC",
-    "ModelError",
     "as_sector",
     "validate",
     "instability_margin",
@@ -25,8 +30,35 @@ __all__ = [
 ]
 
 
-class ModelError(ValueError):
-    """A model-parameter invariant is violated; the message names it."""
+class CollectiveError(Exception):
+    """Root of every error this package raises on purpose."""
+
+
+class ConfigError(CollectiveError, ValueError):
+    """A bad model, geometry or configuration value; the message names it."""
+
+
+class SolverError(CollectiveError, RuntimeError):
+    """A pole, trap, secular or quadrature solve failed to converge."""
+
+
+def finite_real(value, name: str) -> float:
+    """value as a float if it is a finite int or float (not a bool); else a ConfigError."""
+    # abs(v) <= max also rejects nan, +-inf and integers beyond float range
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ConfigError(f"{name} must be finite and real, got {value!r}")
+
+
+def finite_integer(value, name: str, minimum: int | None = None) -> int:
+    """value if it is an int (not a bool) within float range and at least
+    minimum; else, an integral float included, a ConfigError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, int) or abs(value) > sys.float_info.max:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -38,7 +70,7 @@ class SymmetrySector:
 
     def __post_init__(self):
         if (self.tag, self.sigma) not in (("symmetric", 1), ("antisymmetric", -1)):
-            raise ModelError(f"inconsistent sector ({self.tag}, {self.sigma})")
+            raise ConfigError(f"inconsistent sector ({self.tag}, {self.sigma})")
 
 
 SYMMETRIC = SymmetrySector("symmetric", +1)
@@ -56,7 +88,7 @@ def as_sector(obj) -> SymmetrySector | None:
         return SYMMETRIC
     if key in ("a", "anti", "antisymmetric", "-1"):
         return ANTISYMMETRIC
-    raise ValueError(f"unknown sector {obj!r}")
+    raise ConfigError(f"unknown sector {obj!r}")
 
 
 @dataclass(frozen=True)
@@ -87,24 +119,22 @@ class ModelParams:
 
 
 def validate(params: ModelParams, two_atom: bool = False) -> ModelParams:
-    """Return params unchanged if all invariants hold; raise ModelError otherwise.
+    """Return params unchanged if all invariants hold; raise ConfigError otherwise.
 
     The coincident-atom check only applies when a two-atom quantity is about
     to be computed, so it is gated behind ``two_atom``.
     """
     for name in ("omega1", "lam", "omegaM", "x1", "x2"):
-        if not math.isfinite(getattr(params, name)):
-            raise ModelError(f"{name} must be finite")
+        finite_real(getattr(params, name), name)
     if not params.lam > 0:
-        raise ModelError("coupling must be positive")
+        raise ConfigError("coupling must be positive")
     if not params.omegaM > 0:
-        raise ModelError("cutoff omegaM must be positive")
+        raise ConfigError("cutoff omegaM must be positive")
     if not params.omega1 > 0:
-        raise ModelError("excited-level energy omega1 must be positive")
-    if not (isinstance(params.n_ff, int) and params.n_ff >= 1):
-        raise ModelError("form-factor exponent n_ff must be an integer >= 1")
+        raise ConfigError("excited-level energy omega1 must be positive")
+    finite_integer(params.n_ff, "form-factor exponent n_ff", 1)
     if two_atom and not params.x21 > 0:
-        raise ModelError("coincident atoms: |x2 - x1| must be positive for two-atom computations")
+        raise ConfigError("coincident atoms: |x2 - x1| must be positive for two-atom computations")
     return params
 
 
@@ -112,18 +142,14 @@ def instability_margin(params: ModelParams) -> float:
     """omega1 minus twice the level-shift integral int_0^inf lam^2 v_k^2 / k dk.
 
     Positive margin means the bare excited state decays, the regime assumed
-    by every other operation in this package.
+    by every other operation in this package. In closed form (pi omegaM / 4
+    for n = 1): int_0^inf (1 + k^2/omegaM^2)^(-2n) dk = omegaM sqrt(pi) G(2n - 1/2) / (2 G(2n)).
     """
     validate(params)
-    from .quadrature import QuadratureSpec, halfline_integral
-
-    quad = QuadratureSpec.for_params(params)
-
-    def integrand(k):
-        return 1.0 / (1.0 + (k / params.omegaM) ** 2) ** (2 * params.n_ff)
-
-    shift = 2.0 * params.lam**2 * halfline_integral(integrand, quad)
-    return params.omega1 - shift
+    two_n = 2 * params.n_ff
+    integral = (params.omegaM * math.sqrt(math.pi) / 2.0
+                * math.exp(math.lgamma(two_n - 0.5) - math.lgamma(two_n)))
+    return params.omega1 - 2.0 * params.lam**2 * integral
 
 
 def stability_class(params: ModelParams, tol: float = 1e-12) -> str:
@@ -148,13 +174,16 @@ def params_from_json(source: str | Path | dict) -> ModelParams:
     else:
         text = Path(source).read_text() if isinstance(source, Path) or not source.lstrip().startswith("{") else source
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"parameters must be a JSON object, not a {type(doc).__name__}")
     unknown = set(doc) - set(_JSON_KEYS)
     if unknown:
-        raise ModelError(f"unknown parameter keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
     kwargs = {}
     for key in _JSON_KEYS:
         if key in doc:
-            kwargs["lam" if key == "lambda" else key] = doc[key]
+            value = finite_integer(doc[key], key) if key == "n_ff" else finite_real(doc[key], key)
+            kwargs["lam" if key == "lambda" else key] = value
     return validate(ModelParams(**kwargs))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, SymmetrySector, as_sector, validate
+from .core import ConfigError, ModelParams, SymmetrySector, as_sector, validate
 from .greens import (
     OVERFLOW_EXPONENT,
     ComplexEnergy,
@@ -36,7 +36,6 @@ __all__ = [
     "LatticeModel",
     "TimeSeries",
     "FieldProfile",
-    "LatticeError",
     "build_lattice",
     "evolve",
     "survival_probability",
@@ -53,10 +52,6 @@ _MAX_ITER = 40           # secular-equation evaluations per eigenvalue
 _EPS = np.finfo(float).eps
 
 
-class LatticeError(ValueError):
-    pass
-
-
 @dataclass
 class TimeSeries:
     times: np.ndarray
@@ -66,12 +61,12 @@ class TimeSeries:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         if self.times.ndim != 1 or np.any(np.diff(self.times) < 0):
-            raise ValueError("time grid must be one-dimensional and non-decreasing")
+            raise ConfigError("time grid must be one-dimensional and non-decreasing")
         self.values = np.asarray(self.values)
         if self.values.shape != self.times.shape:
-            raise ValueError("values and times must have matching shapes")
+            raise ConfigError("values and times must have matching shapes")
         if not np.all(np.isfinite(np.abs(self.values))):
-            raise ValueError("non-finite values in time series")
+            raise ConfigError("non-finite values in time series")
 
 
 @dataclass
@@ -85,9 +80,9 @@ class FieldProfile:
         self.positions = np.asarray(self.positions, dtype=float)
         self.intensity = np.asarray(self.intensity, dtype=float)
         if not np.all(np.isfinite(self.intensity)):
-            raise ValueError("non-finite field intensity")
+            raise ConfigError("non-finite field intensity")
         if np.any(self.intensity < 0):
-            raise ValueError("field intensity must be non-negative")
+            raise ConfigError("field intensity must be non-negative")
 
 
 @dataclass
@@ -123,17 +118,17 @@ def build_lattice(params: ModelParams, box_length: float, n_modes: int,
     validate(params, two_atom=True)
     sector = as_sector(sector)
     if sector is None:
-        raise LatticeError("the box is built for one sector, 's' or 'a'")
+        raise ConfigError("the box is built for one sector, 's' or 'a'")
     if n_modes % 2 == 0 or n_modes < 3:
-        raise LatticeError("n_modes must be odd and >= 3")
+        raise ConfigError("n_modes must be odd and >= 3")
     if not np.isfinite(box_length):
-        raise LatticeError(f"box length L={box_length} must be finite")
+        raise ConfigError(f"box length L={box_length} must be finite")
     if box_length <= 2.0 * params.x21:
-        raise LatticeError(f"box L={box_length} must exceed 2*x21={2 * params.x21} "
+        raise ConfigError(f"box L={box_length} must exceed 2*x21={2 * params.x21} "
                            "so both light cones fit")
     n_half = (n_modes - 1) // 2
     if n_half + 2 > _MAX_DIM:
-        raise LatticeError(f"dimension {n_half + 2} beyond {_MAX_DIM}: the secular solve "
+        raise ConfigError(f"dimension {n_half + 2} beyond {_MAX_DIM}: the secular solve "
                            "takes O(dim^2) time per iteration")
     k = 2.0 * np.pi * np.arange(1, n_half + 1) / box_length
     vk = np.sqrt(k / (1 + (k / params.omegaM) ** 2) ** (2 * params.n_ff))
@@ -299,13 +294,13 @@ def _solve_rows(d, g2, omega1, n, tau, w, lower, upper):
 def _check_initial(model: LatticeModel, initial) -> None:
     tag = model.sector.tag[0]
     if str(initial) != tag:
-        raise LatticeError(f"the {model.sector.tag} box evolves |{tag}> only; "
+        raise ConfigError(f"the {model.sector.tag} box evolves |{tag}> only; "
                            "|1>, |2> = (|s> +- |a>)/sqrt(2) combine both boxes")
 
 
 def _check_horizon(model: LatticeModel, t_max: float) -> None:
     if not np.isfinite(t_max):
-        raise LatticeError(f"time t={t_max} must be finite")
+        raise ConfigError(f"time t={t_max} must be finite")
     if t_max >= model.box_length / 2.0:
         warnings.warn(
             f"t={t_max} at or beyond the wrap horizon L/2={model.box_length / 2}; "
@@ -365,7 +360,7 @@ def field_intensity(model: LatticeModel, initial, xs, t: float,
     xs = np.asarray(xs, dtype=float)
     p = model.params
     if np.any(np.abs(xs - 0.5 * (p.x1 + p.x2)) > 0.5 * model.box_length):
-        raise LatticeError("x grid leaves the periodic box around the emitter pair")
+        raise ConfigError("x grid leaves the periodic box around the emitter pair")
     mode_amp = evolve(model, initial, t)[2 + model.coupled]
     k, sigma = model.k[model.coupled], model.sector.sigma
     x = xs[:, None]
@@ -401,7 +396,7 @@ def collective_field(params: ModelParams, sector, x21, xs, t: float,
     phase integrals e^{+-ik(x - x_i)}, which is what produces the spatial
     exponential envelope with no light-cone truncation."""
     if not np.isfinite(t):
-        raise ValueError(f"time t={t} must be finite")
+        raise ConfigError(f"time t={t} must be finite")
     sector = as_sector(sector)
     p = params.with_x21(float(x21)) if abs(params.x21 - float(x21)) > 1e-12 else params
     if pole is None:

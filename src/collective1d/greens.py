@@ -29,14 +29,13 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import ANTISYMMETRIC, SYMMETRIC, ModelParams, as_sector, validate
+from .core import ANTISYMMETRIC, SYMMETRIC, ConfigError, ModelParams, SolverError, as_sector, validate
 from .io import write_csv
-from .quadrature import ContinuationDomainError, ray_integrals, ray_rows, ray_scale
+from .quadrature import ContinuationDomainError, QuadratureError, ray_integrals, ray_rows, ray_scale
 
 __all__ = [
     "ComplexEnergy",
     "EtaEvaluator",
-    "GreensError",
     "ConvergenceError",
     "WrongBranchError",
     "OverflowGuardError",
@@ -69,23 +68,19 @@ _FAST_REGION_SLOPE = 0.7   # fast path requires |Im z| < slope * Re z
 OVERFLOW_EXPONENT = 650.0
 
 
-class GreensError(RuntimeError):
+class ConvergenceError(SolverError):
     pass
 
 
-class ConvergenceError(GreensError):
-    pass
-
-
-class WrongBranchError(GreensError):
+class WrongBranchError(SolverError):
     """Converged root has positive imaginary part beyond tolerance."""
 
 
-class OverflowGuardError(GreensError):
+class OverflowGuardError(SolverError):
     """cos(z*x21) would exceed double-precision range (gamma*x21 > 650)."""
 
 
-class FormFactorPoleError(ValueError):
+class FormFactorPoleError(ConfigError):
     """z too close to the form-factor poles at +-i*omegaM."""
 
 
@@ -177,7 +172,7 @@ class EtaEvaluator:
         self.two_atom = bool(sigma[0] != 0)
         validate(params, two_atom=self.two_atom)
         if np.any((sigma != 0) != self.two_atom):
-            raise ValueError("an evaluator holds two-atom rows or one-atom rows, not both")
+            raise ConfigError("an evaluator holds two-atom rows or one-atom rows, not both")
         self.params = params
         self.sigma = sigma
         self._a_nodes, self._a_weights = _a_kernel(params)
@@ -186,7 +181,7 @@ class EtaEvaluator:
             return
         self.x21 = np.broadcast_to(np.asarray(x21, dtype=float), sigma.shape)
         if not np.all(np.isfinite(self.x21) & (self.x21 > 0)):
-            raise ValueError("two-atom eta^+ needs finite distances x21 > 0")
+            raise ConfigError("two-atom eta^+ needs finite distances x21 > 0")
         dist, self._b_row = np.unique(self.x21, return_inverse=True)
         self._b_nodes, self._b_weights = ray_rows(
             partial(form_factor_sq, params=params), dist,
@@ -209,7 +204,7 @@ class EtaEvaluator:
         z_in = np.asarray(z, dtype=complex)
         if rows is None:
             if self.sigma.size != 1:
-                raise ValueError("rows are required on a multi-row evaluator")
+                raise ConfigError("rows are required on a multi-row evaluator")
             rows = slice(None)
             zz = z_in.reshape(1, -1)
         else:
@@ -330,7 +325,7 @@ def solve_poles(ev: EtaEvaluator, seeds, rows=None) -> list:
     steps or converges onto the wrong branch fails alone.
 
     Returns per row a certified ComplexEnergy with normalization
-    N = 1/eta^+'(z), or the GreensError the row failed with.
+    N = 1/eta^+'(z), or the SolverError the row failed with.
     """
     z = np.array(seeds, dtype=complex).ravel()
     rows = np.arange(z.size) if rows is None else np.asarray(rows, dtype=int)
@@ -397,10 +392,10 @@ def solve_poles(ev: EtaEvaluator, seeds, rows=None) -> list:
 
 def find_pole(sector, x21, seed, params: ModelParams, lattice_index: int = 0) -> ComplexEnergy:
     """Root of eta^+ from one seed: a one-row `solve_poles` on the cached
-    evaluator of (sector, x21). Raises the row's GreensError; returns a
+    evaluator of (sector, x21). Raises the row's SolverError; returns a
     certified record with normalization N = 1/eta^+'(z)."""
     root = solve_poles(eta_evaluator(sector, x21, params), [seed])[0]
-    if isinstance(root, GreensError):
+    if isinstance(root, SolverError):
         raise root
     return replace(root, lattice_index=lattice_index)
 
@@ -427,7 +422,7 @@ def pole_scan(sector, x21, n_range, params: ModelParams):
     """
     sector = as_sector(sector)
     if sector is None:
-        raise ValueError("pole_scan needs a two-atom sector")
+        raise ConfigError("pole_scan needs a two-atom sector")
     x21 = float(x21)
     z1 = one_atom_pole(params)
     if x21 > 1.0 / z1.gamma:
@@ -466,7 +461,7 @@ def pole_scan(sector, x21, n_range, params: ModelParams):
             try:
                 z, df = newton(fdf, seed, ROOT_TOL, _MAX_NEWTON, f"lattice pole n={n} Newton")
                 cand = ComplexEnergy.from_root(z, sector, n, 1.0 / df)
-            except GreensError:
+            except SolverError:
                 continue
             if abs(cand.omega_tilde - target) > 0.35 * spacing:
                 continue
@@ -482,7 +477,7 @@ def pole_scan(sector, x21, n_range, params: ModelParams):
     return ordered, missing
 
 
-class EstimateDivergence(GreensError):
+class EstimateDivergence(SolverError):
     """The weak-coupling fixed point ran away (e^{gamma x21} feedback)."""
 
 
@@ -531,7 +526,7 @@ def continuum_weight(k, sector, x21, params: ModelParams):
     sector = as_sector(sector)
     k_arr = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k_arr <= 0):
-        raise ValueError("continuum_weight requires k > 0")
+        raise ConfigError("continuum_weight requires k > 0")
     ev = eta_evaluator(sector, x21, params)
     eta = ev.values(k_arr.astype(complex))
     v2 = np.real(form_factor_sq(k_arr, params))
@@ -563,8 +558,6 @@ def continuum_weight_grid(sector, x21, params: ModelParams, quad=None,
     if t_max > 0:
         base_step = min(base_step, np.pi / (4.0 * t_max))
         if k_max / base_step > 4.0e6:
-            from .quadrature import QuadratureError
-
             raise QuadratureError(
                 f"oscillatory budget exceeded: t_max={t_max} needs {k_max / base_step:.0f} grid points"
             )

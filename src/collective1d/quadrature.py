@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ConfigError, SolverError
+
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
@@ -35,11 +37,11 @@ _BLOCK_PAIRS = 1.0e5
 _ROW_CHUNK = 16
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(SolverError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-class ContinuationDomainError(ValueError):
+class ContinuationDomainError(ConfigError):
     """z lies where the + continuation is not defined by this routine."""
 
 

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ANTISYMMETRIC, SYMMETRIC, ModelParams, as_sector, validate
+from .core import (ANTISYMMETRIC, SYMMETRIC, ConfigError, ModelParams, SolverError, as_sector,
+                   instability_margin, validate)
 from .greens import (
     ComplexEnergy,
     EtaEvaluator,
-    GreensError,
     fixed_point,
     one_atom_pole,
     solve_poles,
@@ -116,9 +116,9 @@ def sweep_poles(x21_grid, params: ModelParams) -> list[SweepRecord]:
     validate(params)
     xs = np.asarray(x21_grid, dtype=float)
     if not np.all(np.isfinite(xs) & (xs > 0)):
-        raise ValueError("x21 grid must be finite and positive")
+        raise ConfigError("x21 grid must be finite and positive")
     if np.any(np.diff(xs) <= 0):
-        raise ValueError("x21 grid must be strictly increasing")
+        raise ConfigError("x21 grid must be strictly increasing")
     z1 = one_atom_pole(params)
     if xs.max() > 1.0 / z1.gamma:
         warnings.warn(
@@ -142,7 +142,7 @@ def force_indicator(records: list[SweepRecord]) -> dict[str, tuple[np.ndarray, n
     Heuristic by construction: it tracks the collective-state energy only.
     Returns {"s": (x21, F), "a": (x21, F)} with NaN at broken stencils."""
     if len(records) < 3:
-        raise ValueError("force indicator needs at least 3 consecutive converged records")
+        raise ConfigError("force indicator needs at least 3 consecutive converged records")
     xs = np.array([r.x21 for r in records])
     out = {}
     for tag, getter in (("s", lambda r: r.z_s), ("a", lambda r: r.z_a)):
@@ -209,15 +209,13 @@ def zero_decay_solve(sector, n: int, params: ModelParams) -> ZeroDecaySolution:
     regime (which guarantees a solution)."""
     sector = as_sector(sector)
     if sector is None:
-        raise ValueError("zero_decay_solve needs a two-atom sector")
+        raise ConfigError("zero_decay_solve needs a two-atom sector")
     validate(params)
-    from .core import instability_margin
-
     if instability_margin(params) <= 0:
-        raise GreensError("zero-decay solve requires the unstable regime")
+        raise ConfigError("zero-decay solve requires the unstable regime")
     m = 2 * n + 1 if sector.sigma > 0 else 2 * n
     if m <= 0:
-        raise ValueError("need 2n+1 >= 1 (symmetric) or 2n >= 2 (antisymmetric)")
+        raise ConfigError("need 2n+1 >= 1 (symmetric) or 2n >= 2 (antisymmetric)")
 
     def g(om):
         # built outside the evaluator cache: x_eff moves every step, so a
@@ -225,7 +223,7 @@ def zero_decay_solve(sector, n: int, params: ModelParams) -> ZeroDecaySolution:
         eta = EtaEvaluator(params, sector.sigma, m * np.pi / om).values(complex(om))
         om_new = params.omega1 + (om - params.omega1 - eta).real
         if not (0.0 < om_new < params.omegaM):
-            raise GreensError(f"zero-decay fixed point left (0, omegaM): {om_new}")
+            raise SolverError(f"zero-decay fixed point left (0, omegaM): {om_new}")
         return om_new
 
     om, residual = fixed_point(g, one_atom_pole(params).omega_tilde, ZERO_DECAY_TOL,
@@ -274,7 +272,7 @@ def angular_factor(d: int, sector, u) -> float | np.ndarray:
     sigma = sector.sigma
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr < 0):
-        raise ValueError("u must be >= 0")
+        raise ConfigError("u must be >= 0")
     if d == 1:
         out = 2.0 * (1.0 + sigma * np.cos(u_arr))
     elif d == 3:
@@ -290,7 +288,7 @@ def angular_factor(d: int, sector, u) -> float | np.ndarray:
         j0 = np.cos(np.outer(u_arr, np.cos(np.linspace(0.0, np.pi, m + 1)))) @ weights
         out = np.pi * (1.0 + sigma * j0)
     else:
-        raise ValueError("d must be 1, 2 or 3")
+        raise ConfigError("d must be 1, 2 or 3")
     return out if np.ndim(u) else float(out[0])
 
 
@@ -306,7 +304,7 @@ def subradiance_roots(d: int, sector, u_range: tuple[float, float],
     sector = as_sector(sector)
     lo, hi = u_range
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo >= 0):
-        raise ValueError("u_range must be a finite interval in [0, inf)")
+        raise ConfigError("u_range must be a finite interval in [0, inf)")
     if d == 1:
         if sector.sigma > 0:
             first = np.ceil((lo / np.pi - 1.0) / 2.0)

@@ -4,28 +4,27 @@ place of omega_k = |k|, a discrete channel index l, and the trap condition
 though a single cavity would leak.
 
 Quantitative couplings V0_{k,l} depend on the cavity-lead geometry and are
-not modelled here; the coupling is a pluggable callable and the shipped
-default is a smooth single-peak model concentrated on the open channel, so
+not modelled here; the coupling is a smooth single-peak model concentrated
+on the open channel, set by three numbers (g0, k_c, channel_decay), so
 every check in this module is structural (self-consistency, parity, signs)
 rather than a numeric prediction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_sector
+from .core import ConfigError, SolverError, as_sector, finite_integer, finite_real
 from .greens import ComplexEnergy, fixed_point, newton
 from .io import write_json
 from .quadrature import QuadratureSpec, adaptive_integral
 
 __all__ = [
     "WaveguideParams",
-    "WaveguideError",
     "TrapSolution",
     "ExistenceReport",
-    "default_coupling",
     "cavity_energy",
     "lead_energy",
     "open_channel_momentum",
@@ -37,24 +36,6 @@ __all__ = [
 ]
 
 
-class WaveguideError(ValueError):
-    pass
-
-
-def default_coupling(g0: float = 0.1, k_c: float = 2.0, channel_decay: float = 0.2):
-    """Invented smooth coupling v0(k, l) = g0 k/(1+(k/k_c)^2) * w^(l-1).
-
-    Linear in k at the channel threshold so the existence integral converges;
-    real on the real axis and analytic in k (needed by the pole solver);
-    geometric decay across closed channels keeps the channel sum summable
-    with a sign-definite tail.
-    """
-    def v0(k, l: int):
-        return g0 * k / (1.0 + (k / k_c) ** 2) * channel_decay ** (l - 1)
-
-    return v0
-
-
 @dataclass(frozen=True)
 class WaveguideParams:
     D: float = 1.0              # cavity vertical dimension
@@ -64,7 +45,16 @@ class WaveguideParams:
     x1: float = 0.0
     x2: float = 1.0
     l_max: int = 10             # channel truncation (>= 2: keep a closed channel)
-    coupling: object = field(default_factory=default_coupling)
+    g0: float = 0.1             # coupling scale
+    k_c: float = 2.0            # coupling roll-off momentum
+    channel_decay: float = 0.2  # coupling ratio of neighbouring channels
+
+    def coupling(self, k, l: int):
+        """Invented smooth coupling v0(k, l) = g0 k/(1+(k/k_c)^2) * channel_decay^(l-1):
+        linear in k at the threshold, so the existence integral converges;
+        analytic in k for the pole solver; geometric across closed channels,
+        so their sum has a sign-definite tail."""
+        return self.g0 * k / (1.0 + (k / self.k_c) ** 2) * self.channel_decay ** (l - 1)
 
     @property
     def xi0(self) -> float:
@@ -76,10 +66,16 @@ class WaveguideParams:
         return lead_energy(0.0, 1, self.W)
 
     def validate(self) -> "WaveguideParams":
+        for name in ("D", "W", "k_c", "g0", "channel_decay"):
+            value = finite_real(getattr(self, name), f"waveguide {name}")
+            if name in ("D", "W", "k_c") and not value > 0:
+                raise ConfigError(f"waveguide {name} must be positive, got {value!r}")
+        for name in ("m0", "n0", "l_max"):
+            finite_integer(getattr(self, name), f"waveguide {name}")
         if self.l_max < 2:
-            raise WaveguideError("l_max must be >= 2 (keep at least one closed channel)")
+            raise ConfigError("l_max must be >= 2 (keep at least one closed channel)")
         if not (self.threshold < self.xi0 < lead_energy(0.0, 2, self.W)):
-            raise WaveguideError(
+            raise ConfigError(
                 f"single-open-channel window violated: need E_01={self.threshold} < "
                 f"xi0={self.xi0} < E_02={lead_energy(0.0, 2, self.W)}")
         return self
@@ -88,14 +84,14 @@ class WaveguideParams:
 def cavity_energy(m: int, n: int, D: float) -> float:
     """Closed-cavity mode energy m^2 + n^2/D^2 (m, n positive integers)."""
     if m < 1 or n < 1:
-        raise WaveguideError("cavity mode indices must be >= 1")
+        raise ConfigError("cavity mode indices must be >= 1")
     return m**2 + n**2 / D**2
 
 
 def lead_energy(k, l: int, W: float):
     """Lead dispersion k^2/pi^2 + l^2/W^2 for channel l >= 1."""
     if l < 1:
-        raise WaveguideError("lead channel index must be >= 1")
+        raise ConfigError("lead channel index must be >= 1")
     return np.asarray(k) ** 2 / np.pi**2 + l**2 / W**2
 
 
@@ -112,14 +108,14 @@ def trap_distance(xi: float, n: int, sector, W: float) -> float:
     1 + sigma cos(k0(xi) g(xi)) = 0."""
     sector = as_sector(sector)
     if sector is None:
-        raise WaveguideError("trap_distance needs a two-cavity sector")
+        raise ConfigError("trap_distance needs a two-cavity sector")
     if (n % 2 == 0) == (sector.sigma > 0):
-        raise WaveguideError(
+        raise ConfigError(
             f"parity mismatch: n={n} requires the "
             f"{'antisymmetric' if n % 2 == 0 else 'symmetric'} sector")
     E01 = 1.0 / W**2
     if xi <= E01:
-        raise WaveguideError(f"xi={xi} at or below the channel threshold {E01}")
+        raise ConfigError(f"xi={xi} at or below the channel threshold {E01}")
     return n / np.sqrt(xi - E01)
 
 
@@ -131,22 +127,16 @@ WG_POLE_TOL = 5e-12
 
 
 def _closed_channel_sum(wg: WaveguideParams, quad: QuadratureSpec, integrand_for_l) -> float:
-    """Sum over l = 2..l_max of smooth channel integrals, with a geometric
-    tail estimate (terms are sign-definite below threshold)."""
-    total = 0.0
-    prev = None
+    """Sum over l = 2..l_max of smooth channel integrals; warns when the
+    last term, which bounds the geometric tail (terms are sign-definite
+    below threshold), exceeds 1e3 abs_tol."""
+    total = term = 0.0
     for l in range(2, wg.l_max + 1):
         term = float(np.real(adaptive_integral(integrand_for_l(l), 1e-12, quad.cutoff, quad)))
         total += term
-        prev = term
-    if prev is not None and abs(prev) > 0:
-        # channel decay ratio from the coupling model itself
-        tail = abs(prev)
-        if tail > 1e3 * quad.abs_tol:
-            import warnings
-
-            warnings.warn(f"closed-channel tail after l_max={wg.l_max} may exceed tolerance "
-                          f"(last term {prev:.2e})", stacklevel=3)
+    if abs(term) > 1e3 * quad.abs_tol:
+        warnings.warn(f"closed-channel tail after l_max={wg.l_max} may exceed tolerance "
+                      f"(last term {term:.2e})", stacklevel=3)
     return total
 
 
@@ -196,7 +186,7 @@ def solve_trap(wg: WaveguideParams, n: int, sector,
     wg.validate()
     report = existence_check(wg, quad)
     if not report.ok:
-        raise WaveguideError(f"existence condition violated (margin {report.margin:.3e})")
+        raise ConfigError(f"existence condition violated (margin {report.margin:.3e})")
     trap_distance(wg.xi0, n, sector, wg.W)   # parity/threshold validation
     E01 = wg.threshold
     v0 = wg.coupling
@@ -223,7 +213,7 @@ def solve_trap(wg: WaveguideParams, n: int, sector,
                        / (xi - lead_energy(k, l, wg.W))))
         xi_new = wg.xi0 + 2.0 * total
         if not (E01 < xi_new < lead_energy(0.0, 2, wg.W)):
-            raise WaveguideError(f"trap fixed point left the single-channel window: {xi_new}")
+            raise SolverError(f"trap fixed point left the single-channel window: {xi_new}")
         return xi_new
 
     xi, residual = fixed_point(trap_map, wg.xi0, TRAP_TOL, _TRAP_MAX_ITER, "trap fixed point")
@@ -258,7 +248,7 @@ def _eta_wg(z: complex, wg: WaveguideParams, sigma: int, x21: float,
     total = j1
     for l in range(2, wg.l_max + 1):
         if z.real >= lead_energy(0.0, l, wg.W):
-            raise WaveguideError("Re z crosses a closed-channel threshold; single-open-channel "
+            raise SolverError("Re z crosses a closed-channel threshold; single-open-channel "
                                  "assumption violated")
         total += adaptive_integral(
             lambda k: v0(k, l) ** 2 * (1.0 + sigma * np.cos(k * x21)) / (z - lead_energy(k, l, wg.W)),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from collective1d import ANTISYMMETRIC, SYMMETRIC, ModelParams, validate
-from collective1d.core import as_sector
+from collective1d.core import SolverError, as_sector
 from collective1d.greens import (
     _FAST_REGION_SLOPE,
     _MAX_DAMPED,
@@ -32,7 +32,6 @@ from collective1d.greens import (
     ROOT_TOL,
     ComplexEnergy,
     ConvergenceError,
-    GreensError,
     eta_evaluator,
     newton,
     one_atom_pole,
@@ -251,7 +250,7 @@ def solve_point(sector, x21, params: ModelParams, seeds):
     for seed in seeds:
         try:
             cand = find_pole(sector, x21, seed, params)
-        except GreensError:
+        except SolverError:
             continue
         if best is None or cand.gamma < best.gamma:
             best = cand

@@ -23,7 +23,6 @@ from collective1d import (
     angular_factor,
     collective_field,
     collective_pole_wg,
-    default_coupling,
     eta_plus,
     existence_check,
     field_intensity,

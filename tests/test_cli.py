@@ -194,9 +194,29 @@ def test_lattice_solver_failure_is_exit_2(tmp_path, capsys, monkeypatch):
     ("bounces", "bounces.resum_time_factors=2"),
     ("contour", "contour.re_min=NaN"),
     ("waveguide", "waveguide.g0=NaN"),
+    ("poles", "--config=DIR"),
+    ("poles", "--config=[1]"),
+    ("poles", "--config={"),
+    ("poles", "model=3"),
+    ("poles", "poles.x21.re=1"),
+    ("waveguide", "waveguide.D=0"),
+    ("waveguide", "waveguide.W=0"),
+    ("waveguide", "waveguide.k_c=0"),
+    ("poles", "model.n_ff=true"),
+    ("poles", "model.lambda=true"),
+    ("poles", "model.omega1=abc"),
+    ("sweep", "sweep.x21_max=1e308"),
 ])
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, command, override):
-    code = run(tmp_path, command, override)
+    # "--config=DIR" names a directory as the config file and "--config=TEXT"
+    # a file holding TEXT; every other case is one --override
+    if override.startswith("--config="):
+        path = tmp_path / "cfg.json"
+        text = override.split("=", 1)[1]
+        path.mkdir() if text == "DIR" else path.write_text(text)
+        code = main([command, "--out", str(tmp_path), "--config", str(path)])
+    else:
+        code = run(tmp_path, command, override)
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.strip().splitlines()) == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from collective1d import (
-    ModelError,
+    ConfigError,
     ModelParams,
     instability_margin,
     params_from_json,
@@ -16,6 +16,7 @@ from collective1d import (
     stability_class,
     validate,
 )
+from collective1d.quadrature import QuadratureSpec, halfline_integral
 
 
 def closed_form_margin(p: ModelParams) -> float:
@@ -29,14 +30,14 @@ def test_default_parameters_validate(params):
 
 
 def test_zero_coupling_rejected():
-    with pytest.raises(ModelError, match="coupling must be positive"):
+    with pytest.raises(ConfigError, match="coupling must be positive"):
         validate(ModelParams(lam=0.0))
 
 
 def test_coincident_atoms_rejected_for_two_atom_calls():
     p = ModelParams(x1=3.0, x2=3.0)
     validate(p)  # fine as a one-atom parameter set
-    with pytest.raises(ModelError, match="coincident atoms"):
+    with pytest.raises(ConfigError, match="coincident atoms"):
         validate(p, two_atom=True)
 
 
@@ -45,16 +46,59 @@ def test_validate_is_idempotent(params):
 
 
 def test_invalid_fields_named():
-    with pytest.raises(ModelError, match="omegaM"):
+    with pytest.raises(ConfigError, match="omegaM"):
         validate(ModelParams(omegaM=-1.0))
-    with pytest.raises(ModelError, match="omega1"):
+    with pytest.raises(ConfigError, match="omega1"):
         validate(ModelParams(omega1=0.0))
-    with pytest.raises(ModelError, match="n_ff"):
+    with pytest.raises(ConfigError, match="n_ff"):
         validate(ModelParams(n_ff=0))
-    with pytest.raises(ModelError, match="lam must be finite"):
+    with pytest.raises(ConfigError, match="lam must be finite"):
         validate(ModelParams(lam=float("inf")))
-    with pytest.raises(ModelError, match="n_ff"):
+    with pytest.raises(ConfigError, match="n_ff"):
         params_from_json({"n_ff": 1.5})      # rejected, not truncated
+
+
+@pytest.mark.parametrize("n_ff", [1, 2, 3])
+def test_instability_margin_matches_the_adaptive_integral(n_ff):
+    """The closed-form level shift equals the adaptive half-line integral."""
+    p = ModelParams(n_ff=n_ff)
+    shift = halfline_integral(lambda k: (1.0 + (k / p.omegaM) ** 2) ** (-2 * n_ff),
+                              QuadratureSpec.for_params(p))
+    assert instability_margin(p) == pytest.approx(p.omega1 - 2.0 * p.lam**2 * shift,
+                                                  rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"omega1": True}, "omega1"),
+    ({"omega1": "abc"}, "omega1"),
+    ({"lambda": None}, "lambda"),
+    ({"omegaM": float("nan")}, "omegaM"),
+    ({"x2": 10**400}, "x2"),
+    ({"n_ff": True}, "n_ff"),
+    ({"n_ff": 2.0}, "n_ff"),
+    ({"n_ff": "2"}, "n_ff"),
+    ({"n_ff": 10**400}, "n_ff"),
+])
+def test_params_from_json_names_a_non_number(doc, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        params_from_json(doc)
+
+
+def test_validate_rejects_bools_and_non_numbers():
+    with pytest.raises(ConfigError, match="omega1 must be finite"):
+        validate(ModelParams(omega1=True))
+    with pytest.raises(ConfigError, match="x1 must be finite"):
+        validate(ModelParams(x1="0"))
+    with pytest.raises(ConfigError, match="n_ff must be an integer"):
+        validate(ModelParams(n_ff=True))
+
+
+def test_params_from_json_needs_an_object(tmp_path):
+    path = tmp_path / "params.json"
+    for text in ("[1]", "null", "2.0"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="JSON object"):
+            params_from_json(path)
 
 
 def test_instability_margin_matches_closed_form(params):
@@ -97,7 +141,7 @@ def test_json_round_trip(params, tmp_path):
 def test_json_partial_and_unknown_keys():
     p = params_from_json({"lambda": 0.1})
     assert p.lam == 0.1 and p.omega1 == 2.0
-    with pytest.raises(ModelError, match="unknown"):
+    with pytest.raises(ConfigError, match="unknown"):
         params_from_json({"coupling": 0.1})
 
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from collective1d import dynamics as dyn
 from collective1d import (
     ComplexEnergy,
+    ConfigError,
     ConvergenceError,
-    LatticeError,
     ModelParams,
     OverflowGuardError,
     build_lattice,
@@ -63,16 +63,16 @@ def _coupled_block(model):
 
 def test_preconditions():
     p = ModelParams(x1=0.0, x2=5.0)
-    with pytest.raises(LatticeError, match="odd"):
+    with pytest.raises(ConfigError, match="odd"):
         build_lattice(p, 60.0, 200, "s")
-    with pytest.raises(LatticeError, match="light cones"):
+    with pytest.raises(ConfigError, match="light cones"):
         build_lattice(p, 9.0, 201, "s")
-    with pytest.raises(LatticeError, match="one sector"):
+    with pytest.raises(ConfigError, match="one sector"):
         build_lattice(p, 60.0, 201, None)
     with pytest.raises(ValueError, match="unknown sector"):
         build_lattice(p, 60.0, 201, "full")
     for bad in (np.nan, np.inf):
-        with pytest.raises(LatticeError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             build_lattice(p, bad, 201, "s")
 
 
@@ -243,9 +243,9 @@ def test_survival_initial_value(small_reduced):
 
 
 def test_reduced_rejects_cross_sector(small_reduced):
-    with pytest.raises(LatticeError):
+    with pytest.raises(ConfigError):
         evolve(small_reduced, "a", 1.0)
-    with pytest.raises(LatticeError):
+    with pytest.raises(ConfigError):
         evolve(small_reduced, "1", 1.0)
 
 
@@ -354,7 +354,7 @@ def test_field_zero_at_t0(small_reduced):
 
 
 def test_field_grid_must_stay_in_box(small_reduced):
-    with pytest.raises(LatticeError, match="box"):
+    with pytest.raises(ConfigError, match="box"):
         field_intensity(small_reduced, "s", np.array([40.0]), 1.0)
 
 
@@ -452,7 +452,7 @@ def test_timeseries_validation():
 def test_non_finite_time_rejected(params, zs29, small_reduced):
     xs = np.linspace(-5.0, 5.0, 3)
     for bad in (np.nan, np.inf):
-        with pytest.raises(LatticeError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             field_intensity(small_reduced, "s", xs, bad)
         with pytest.raises(ValueError, match="finite"):
             collective_field(params, "s", 29.025, xs, bad, pole=zs29)

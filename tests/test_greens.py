@@ -10,6 +10,7 @@ from collective1d import (
     FormFactorPoleError,
     ModelParams,
     OverflowGuardError,
+    SolverError,
     WrongBranchError,
     continuum_weight,
     continuum_weight_grid,
@@ -28,7 +29,6 @@ from collective1d.greens import (
     ConvergenceError,
     EstimateDivergence,
     EtaEvaluator,
-    GreensError,
     fixed_point,
     newton,
     pole_records_to_csv,
@@ -330,7 +330,7 @@ def test_fixed_point_contraction_and_stall():
     assert x == pytest.approx(0.7390851332151607, abs=1e-12)
     with pytest.raises(ConvergenceError, match="drift stalled at residual 1.00e"):
         fixed_point(lambda x: x + 1.0, 0.0, 1e-12, 30, "drift")
-    assert issubclass(ConvergenceError, GreensError)
+    assert issubclass(ConvergenceError, SolverError)
 
 
 # ------------------------------------------------------------------ pole_scan

@@ -100,11 +100,13 @@ def test_adaptive_nan_integrand_raises():
 
 
 def test_existence_check_nan_coupling_raises():
-    from collective1d import WaveguideParams, existence_check
+    """A NaN coupling scale is rejected before any integral runs: no hang
+    and a one-line error naming the field."""
+    from collective1d import ConfigError, WaveguideParams, existence_check
 
-    coupling = _bounded(lambda k, l: np.full(np.shape(k), np.nan))
-    with pytest.raises(QuadratureError, match="non-finite"):
-        existence_check(WaveguideParams(coupling=coupling))
+    with pytest.raises(ConfigError, match="waveguide g0 must be finite") as exc:
+        existence_check(WaveguideParams(g0=np.nan))
+    assert "\n" not in str(exc.value)
 
 
 def test_ray_kernel_matches_direct_quadrature(params, quad):

@@ -4,11 +4,10 @@ import pytest
 from collective1d import (
     ANTISYMMETRIC,
     SYMMETRIC,
-    WaveguideError,
+    ConfigError,
     WaveguideParams,
     cavity_energy,
     collective_pole_wg,
-    default_coupling,
     existence_check,
     lead_energy,
     solve_trap,
@@ -29,7 +28,7 @@ def test_cavity_energy_values():
     assert cavity_energy(2, 1, 1.0) > cavity_energy(1, 1, 1.0)
     assert cavity_energy(1, 2, 1.0) > cavity_energy(1, 1, 1.0)
     assert cavity_energy(3, 1, 1e9) == pytest.approx(9.0)   # D -> inf: m^2
-    with pytest.raises(WaveguideError):
+    with pytest.raises(ConfigError):
         cavity_energy(0, 1, 1.0)
 
 
@@ -39,15 +38,15 @@ def test_lead_energy_and_inversion():
     E = 1.7
     k0 = np.pi * np.sqrt(E - 1.0 / W**2)
     assert lead_energy(k0, 1, W) == pytest.approx(E, rel=1e-14)
-    with pytest.raises(WaveguideError):
+    with pytest.raises(ConfigError):
         lead_energy(1.0, 0, W)
 
 
 def test_single_channel_window_validation():
     WaveguideParams().validate()
-    with pytest.raises(WaveguideError, match="single-open-channel"):
+    with pytest.raises(ConfigError, match="single-open-channel"):
         WaveguideParams(m0=2, n0=1).validate()   # xi0 = 5 > E_02 = 4
-    with pytest.raises(WaveguideError, match="l_max"):
+    with pytest.raises(ConfigError, match="l_max"):
         WaveguideParams(l_max=1).validate()
 
 
@@ -68,28 +67,28 @@ def test_trap_distance_monotone_in_n():
 
 def test_trap_distance_threshold_divergence():
     assert trap_distance(1.0 + 1e-8, 1, SYMMETRIC, 1.0) > 1e3
-    with pytest.raises(WaveguideError, match="threshold"):
+    with pytest.raises(ConfigError, match="threshold"):
         trap_distance(0.9, 1, SYMMETRIC, 1.0)
 
 
 def test_trap_distance_parity_rule():
-    with pytest.raises(WaveguideError, match="parity"):
+    with pytest.raises(ConfigError, match="parity"):
         trap_distance(2.3, 2, SYMMETRIC, 1.0)
-    with pytest.raises(WaveguideError, match="parity"):
+    with pytest.raises(ConfigError, match="parity"):
         trap_distance(2.3, 1, ANTISYMMETRIC, 1.0)
 
 
 # ------------------------------------------------------------------- existence
 
 def test_existence_margin_free_limit():
-    wg0 = WaveguideParams(coupling=default_coupling(g0=1e-9))
+    wg0 = WaveguideParams(g0=1e-9)
     rep = existence_check(wg0)
     assert rep.ok
     assert rep.margin == pytest.approx(wg0.xi0 - wg0.threshold, abs=1e-9)
 
 
 def test_existence_margin_decreasing_in_coupling(wg):
-    margins = [existence_check(WaveguideParams(coupling=default_coupling(g0=g))).margin
+    margins = [existence_check(WaveguideParams(g0=g)).margin
                for g in (0.05, 0.1, 0.2)]
     assert margins[0] > margins[1] > margins[2]
     assert margins[1] > 0      # default configuration is in the trap regime
@@ -98,7 +97,7 @@ def test_existence_margin_decreasing_in_coupling(wg):
 # ------------------------------------------------------------------ trap solve
 
 def test_solve_trap_free_limit():
-    wg0 = WaveguideParams(coupling=default_coupling(g0=1e-8))
+    wg0 = WaveguideParams(g0=1e-8)
     sol = solve_trap(wg0, 1, SYMMETRIC)
     assert sol.xi_tilde == pytest.approx(wg0.xi0, abs=1e-10)
     assert sol.x21_trap == pytest.approx(1.0 / np.sqrt(wg0.xi0 - 1.0), abs=1e-9)
@@ -107,7 +106,7 @@ def test_solve_trap_free_limit():
 def test_solve_trap_perturbative_scaling():
     shifts = []
     for g0 in (0.05, 0.1):
-        sol = solve_trap(WaveguideParams(coupling=default_coupling(g0=g0)), 1, SYMMETRIC)
+        sol = solve_trap(WaveguideParams(g0=g0), 1, SYMMETRIC)
         shifts.append(abs(sol.xi_tilde - 2.0))
     assert shifts[1] / shifts[0] == pytest.approx(4.0, rel=0.15)   # O(coupling^2)
 
@@ -127,7 +126,7 @@ def test_solve_trap_closed_loop_antisymmetric(wg):
 
 
 def test_solve_trap_parity_enforced(wg):
-    with pytest.raises(WaveguideError, match="parity"):
+    with pytest.raises(ConfigError, match="parity"):
         solve_trap(wg, 2, SYMMETRIC)
 
 
@@ -138,7 +137,7 @@ def test_generic_distance_leaks(wg):
 
 
 def test_pole_free_limit():
-    wg0 = WaveguideParams(coupling=default_coupling(g0=1e-6))
+    wg0 = WaveguideParams(g0=1e-6)
     pole = collective_pole_wg(wg0, SYMMETRIC, 1.0, seed=2.0 - 1e-8j)
     assert abs(pole.value - 2.0) < 1e-9
 
