@@ -148,8 +148,13 @@ def cmd_contour(cfg: dict, out: Path) -> list[Path]:
     params = _resolve(cfg)
     _check_coupled(params)
     c = cfg["contour"]
+    if as_sector(c["sector"]) is None:
+        raise ConfigError(f"contour.sector must be 's' or 'a', got {c['sector']!r}")
     grid = (_integer(cfg, "contour.nx", 1), _integer(cfg, "contour.ny", 1))
     region = [_real(cfg, f"contour.{key}") for key in ("re_min", "re_max", "im_min", "im_max")]
+    if not (region[0] < region[1] and region[2] < region[3]):
+        raise ConfigError(f"contour region {region} is empty: need re_min < re_max "
+                          "and im_min < im_max")
     cmap = gr.contour_map(region, grid, c["sector"], _real(cfg, "contour.x21"), params)
     path = out / f"contour_{c['sector']}.csv"
     gr.contour_to_csv(cmap, path)

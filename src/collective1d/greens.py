@@ -24,6 +24,7 @@ precision at gamma*x21 > 650 and is guarded, not saturated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -66,6 +67,7 @@ _MAX_NEWTON = 60
 _WEAK_COUPLING_MAX_ITER = 3000
 _FAST_REGION_SLOPE = 0.7   # fast path requires |Im z| < slope * Re z
 OVERFLOW_EXPONENT = 650.0
+_FLANK_RATIO = 1.02        # continuum_weight_grid: growth of the pole-window flank steps
 
 
 class ConvergenceError(SolverError):
@@ -117,24 +119,45 @@ class ComplexEnergy:
         return ComplexEnergy(z, tag, n, normalization, certified)
 
 
+def _beyond_range(q, power: int):
+    """Mask of |q|^power past exp(700), where q^-power is 0 to double precision
+    and the power itself would overflow."""
+    return np.abs(q) > math.exp(700.0 / power)
+
+
 def form_factor_sq(z, params: ModelParams):
     """v(z)^2 = z / (1 + (z/omegaM)^2)^(2 n_ff): the single-valued rational
-    continuation of the squared form factor (never via a square root)."""
+    continuation of the squared form factor (never via a square root). Where
+    the power overflows, v^2 takes its limit 0."""
     z_arr = np.asarray(z, dtype=complex)
     om = params.omegaM
     near = np.minimum(np.abs(z_arr - 1j * om), np.abs(z_arr + 1j * om))
     if np.any(near < 1e-9 * om):
         raise FormFactorPoleError("z within tolerance of the form-factor poles at +-i*omegaM")
-    out = z_arr / (1.0 + (z_arr / om) ** 2) ** (2 * params.n_ff)
+    q = 1.0 + (z_arr / om) ** 2
+    far = _beyond_range(q, 2 * params.n_ff + 1)
+    overflow = far.any()
+    if overflow:
+        q = np.where(far, 1.0, q)       # placeholder; the limit 0 goes in below
+    out = z_arr / q ** (2 * params.n_ff)
+    if overflow:
+        out = np.where(far, 0.0, out)
     return out if np.ndim(z) else complex(out)
 
 
 def form_factor_sq_derivative(z, params: ModelParams):
+    """d v(z)^2 / dz, with the limit 0 where the power overflows."""
     z_arr = np.asarray(z, dtype=complex)
     om2 = params.omegaM**2
     n = params.n_ff
     q = 1.0 + z_arr * z_arr / om2
+    far = _beyond_range(q, 2 * n + 1)
+    overflow = far.any()
+    if overflow:
+        q = np.where(far, 1.0, q)       # placeholder; the limit 0 goes in below
     out = q ** (-2 * n) - (4.0 * n * z_arr * z_arr / om2) * q ** (-2 * n - 1)
+    if overflow:
+        out = np.where(far, 0.0, out)
     return out if np.ndim(z) else complex(out)
 
 
@@ -228,7 +251,11 @@ class EtaEvaluator:
             osc = np.exp(1j * zz * x21)
             index = self._b_row[rows]
             bp1, bp2 = ray_integrals(zz, self._b_nodes, self._b_weights, derivative, index)
-            bm1, bm2 = ray_integrals(zz.conj(), self._b_nodes, self._b_weights, derivative, index)
+            if zz.imag.any():
+                bm1, bm2 = ray_integrals(zz.conj(), self._b_nodes, self._b_weights, derivative,
+                                         index)
+            else:       # real z: conj(z) = z, so the B^+ pass is the B^- pass
+                bm1, bm2 = bp1, bp2
             J = J + sigma * lam2 * (bp1 - 2j * np.pi * v2 * osc + bm1.conj())
             if derivative:
                 dJ = dJ + sigma * lam2 * (
@@ -541,9 +568,13 @@ def continuum_weight_grid(sector, x21, params: ModelParams, quad=None,
     """(k, rho) on a grid refined around every resolvable pole.
 
     The base grid resolves the cos(k x21) modulation and, when a Fourier
-    transform up to t_max is requested, keeps panel phases t*h bounded; the
-    windows around each pole of 1/eta^+ (from pole_scan) resolve widths down
-    to gamma ~ 1e-8. Needed by the survival-amplitude quadrature.
+    transform up to t_max is requested, keeps panel phases t*h bounded.
+    Each pole of 1/eta^+ (from pole_scan) narrower than 20 base steps gets a
+    601-point window over +-12 w, w = max(gamma, 1e-8), and a graded flank
+    on either side: from 12 w outward the steps grow by _FLANK_RATIO from
+    the window's spacing until they reach the base step, so the
+    1/(k - omega)^2 tails are resolved and the sum rule int rho = 1 holds
+    for widths down to 1e-8. Needed by the survival-amplitude quadrature.
 
     quad is ignored: eta^+ runs on fixed ray kernels. The slot stays only
     because the benchmark passes it positionally; the next benchmark change
@@ -576,6 +607,13 @@ def continuum_weight_grid(sector, x21, params: ModelParams, quad=None,
         lo = max(1e-9, rec.omega_tilde - 12.0 * width)
         hi = min(k_max, rec.omega_tilde + 12.0 * width)
         pieces.append(np.linspace(lo, hi, 601))
+        # graded flanks: steps grow by _FLANK_RATIO from the window's spacing
+        # until they reach the base step
+        spacing = 24.0 * width / 600
+        n_flank = np.log(base_step / spacing) / np.log(_FLANK_RATIO)
+        offsets = 12.0 * width + np.cumsum(spacing * _FLANK_RATIO ** np.arange(1, n_flank))
+        flanks = np.concatenate([rec.omega_tilde - offsets, rec.omega_tilde + offsets])
+        pieces.append(flanks[(flanks > 1e-9) & (flanks < k_max)])
     kgrid = np.unique(np.concatenate(pieces))
     rho = continuum_weight(kgrid, sector, x21, params)
     return kgrid, rho

@@ -12,6 +12,7 @@ value minus i*pi*f on it, and plain minus 2*pi*i*f(z) below it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,15 @@ _RAY_NODES, _RAY_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # in cache) and rows per block
 _BLOCK_PAIRS = 1.0e5
 _ROW_CHUNK = 16
+# Filon panels off the uniform lattice: (time, panel) pairs per block
+_DIRECT_PAIRS = 10_000
+# Taylor coefficients of the Filon weights in s = theta^2, highest power
+# first, one column per real polynomial: w0 = p0(s) - i theta p1(s) and
+# w1 = p2(s) - i theta p3(s)
+_M = np.arange(5, -1, -1)
+_EVEN = (-1.0) ** _M / np.array([math.factorial(2 * m + 2) for m in _M], dtype=float)
+_ODD = (-1.0) ** _M / np.array([math.factorial(2 * m + 3) for m in _M], dtype=float)
+_FILON_SERIES = np.stack([_EVEN, _ODD, (2 * _M + 1) * _EVEN, (2 * _M + 2) * _ODD], axis=1)[..., None]
 
 
 class QuadratureError(SolverError):
@@ -253,30 +263,138 @@ def ray_scale(c: float, omegaM: float) -> float:
     return min(omegaM, 12.0 / abs(c) + 0.2)
 
 
+def _filon_weights(theta):
+    """Weights (w0, w1) of the left and right values of one linear Filon
+    panel at phase theta = t*h: the panel contributes
+    h e^{-i t k_left} (f_left w0 + f_right w1). The closed form loses about
+    eps/theta^2 to cancellation, so |theta| <= 0.2 takes the Taylor series
+    w0 = sum (-i theta)^n/(n+2)!, w1 = sum (n+1)(-i theta)^n/(n+2)! through
+    n = 11, whose first omitted term is below 1e-18."""
+    theta = np.asarray(theta, dtype=float)
+    w0 = np.empty(theta.shape, dtype=complex)
+    w1 = np.empty(theta.shape, dtype=complex)
+    small = np.abs(theta) <= 0.2
+    x = theta[small]
+    s = x * x
+    poly = np.zeros((4, x.size))
+    for coeff in _FILON_SERIES:
+        poly *= s
+        poly += coeff
+    w0[small] = poly[0] - 1j * x * poly[1]
+    w1[small] = poly[2] - 1j * x * poly[3]
+    big = ~small
+    tb = theta[big]
+    eb = np.exp(-1j * tb)
+    w1_big = (eb * (1.0 + 1j * tb) - 1.0) / tb**2
+    w1[big] = w1_big
+    w0[big] = 1j * (eb - 1.0) / tb - w1_big
+    return w0, w1
+
+
+def _unit_phase(turns: float, n: np.ndarray) -> np.ndarray:
+    """e^{-2 pi i turns n} for integers n >= 0, with turns*n reduced mod 1
+    exactly: the 52 leading fractional bits of turns multiply n in uint64
+    arithmetic, whose wrap-around is harmless mod 2^52, and only the
+    remainder below 2^-52 meets rounding."""
+    frac = turns % 1.0
+    top = np.uint64(frac * 2.0**52)
+    low = frac - float(top) * 2.0**-52
+    nn = n.astype(np.uint64)
+    hi = (top * nn) & np.uint64(2**52 - 1)
+    return np.exp(-2j * np.pi * (hi.astype(float) * 2.0**-52 + low * nn.astype(float)))
+
+
+def _chirp_z(rows, start: float, step: float, n_out: int) -> list:
+    """[y_r for x_r in rows], y_r[n] = sum_m x_r[m] e^{-i (start + n step) m}
+    for n < n_out: the chirp-z transform, by Bluestein's identity
+    nm = (n^2 + m^2 - (n - m)^2)/2 as one FFT convolution per row."""
+    m_in = len(rows[0])
+    size = 1 << (m_in + n_out - 2).bit_length()
+    j = np.arange(max(m_in, n_out))
+    chirp = _unit_phase(step / (4.0 * np.pi), j * j)
+    pre = _unit_phase(start / (2.0 * np.pi), j[:m_in]) * chirp[:m_in]
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n_out] = chirp[:n_out].conj()
+    kernel[size - m_in + 1:] = chirp[m_in - 1:0:-1].conj()
+    kernel = np.fft.fft(kernel)
+    out = []
+    for x in rows:
+        y = np.fft.fft(x * pre, size)
+        y *= kernel
+        out.append(np.fft.ifft(y)[:n_out] * chirp[:n_out])
+    return out
+
+
+def _arithmetic_runs(ts: np.ndarray):
+    """Maximal runs [start, stop) of ts that are arithmetic to within 8 ulp
+    of their values (a shifted np.linspace is one run)."""
+    eps = np.finfo(float).eps
+    start = 0
+    while start < ts.size:
+        stop = start + min(2, ts.size - start)
+        while stop < ts.size:
+            step = (ts[stop - 1] - ts[start]) / (stop - 1 - start)
+            tol = 8.0 * eps * max(abs(ts[start]), abs(ts[stop]))
+            if abs(ts[start] + (stop - start) * step - ts[stop]) > tol:
+                break
+            stop += 1
+        yield start, stop
+        start = stop
+
+
 def fourier_halfline(kgrid: np.ndarray, fvals: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """int f(k) e^{-i k t} dk on a fixed grid, exact for the piecewise-linear
     interpolant of f (Filon-type: the oscillation is integrated analytically,
-    so accuracy is set by the grid's resolution of f, not of e^{-ikt})."""
-    k0 = kgrid[:-1]
-    h = np.diff(kgrid)
-    f0 = fvals[:-1]
-    f1 = fvals[1:]
+    so accuracy is set by the grid's resolution of f, not of e^{-ikt}).
+
+    Panels of the uniform lattice k_0 + j*h0 (h0 = span / round(span /
+    median width), at most one step per panel of the grid; width and left
+    end within 1e-9*h0) contribute
+    h0 e^{-i t k_0} [w0(t h0) S0(t) + w1(t h0) S1(t)], where S0 and S1 sum
+    the panels' left and right values against e^{-i t h0 j}. Over each
+    maximal arithmetic run of ts these two sums are one chirp-z transform
+    (Bluestein's FFT convolution); a lone time is a run of one. The other
+    panels (pole windows and their flanks) take the per-panel formula,
+    vectorized over blocks of at most _DIRECT_PAIRS (time, panel) pairs.
+    """
+    kgrid = np.asarray(kgrid, dtype=float)
+    fvals = np.asarray(fvals)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    out = np.empty(ts.shape, dtype=complex)
-    for i, t in enumerate(ts):
-        if t == 0.0:
-            out[i] = np.sum(0.5 * (f0 + f1) * h)
-            continue
-        theta = t * h
-        w0 = np.empty(h.shape, dtype=complex)
-        w1 = np.empty(h.shape, dtype=complex)
-        big = np.abs(theta) > 1e-3
-        tb = theta[big]
-        eb = np.exp(-1j * tb)
-        w1[big] = (eb * (1.0 + 1j * tb) - 1.0) / tb**2
-        w0[big] = 1j * (eb - 1.0) / tb - w1[big]
-        tsm = theta[~big]
-        w0[~big] = 0.5 - 1j * tsm / 6.0 - tsm**2 / 24.0 + 1j * tsm**3 / 120.0
-        w1[~big] = 0.5 - 1j * tsm / 3.0 - tsm**2 / 8.0 + 1j * tsm**3 / 30.0
-        out[i] = np.sum(h * np.exp(-1j * t * k0) * (f0 * w0 + f1 * w1))
+    if not np.all(np.isfinite(ts)):
+        raise ConfigError("fourier_halfline needs finite times")
+    out = np.zeros(ts.shape, dtype=complex)
+    if kgrid.size < 2:
+        return out
+    h = np.diff(kgrid)
+    span, med = kgrid[-1] - kgrid[0], np.median(h)
+    n_steps = int(round(span / med)) if med > 0 else 0
+    lattice = np.zeros(h.shape, dtype=bool)
+    if 1 <= n_steps <= h.size:     # with more steps than panels the lattice is mostly empty
+        h0 = span / n_steps
+        j = np.rint((kgrid[:-1] - kgrid[0]) / h0)
+        lattice = ((np.abs(h - h0) <= 1e-9 * h0)
+                   & (np.abs(kgrid[:-1] - (kgrid[0] + j * h0)) <= 1e-9 * h0))
+    if lattice.any():
+        at = j[lattice].astype(np.int64)
+        left, right = np.zeros((2, n_steps), dtype=fvals.dtype)
+        left[at], right[at] = fvals[:-1][lattice], fvals[1:][lattice]
+        for start, stop in _arithmetic_runs(ts):
+            t = ts[start:stop]
+            step = (t[-1] - t[0]) / (t.size - 1) if t.size > 1 else 0.0
+            s0, s1 = _chirp_z((left, right), t[0] * h0, step * h0, t.size)
+            w0, w1 = _filon_weights(t * h0)
+            out[start:stop] = h0 * np.exp(-1j * t * kgrid[0]) * (w0 * s0 + w1 * s1)
+    rest = np.flatnonzero(~lattice)
+    if rest.size:
+        width, k_left = h[rest], kgrid[rest]
+        f0, f1 = fvals[rest], fvals[rest + 1]
+        p_step = min(rest.size, _DIRECT_PAIRS)
+        t_step = max(1, _DIRECT_PAIRS // p_step)
+        for p0 in range(0, rest.size, p_step):
+            ps = slice(p0, p0 + p_step)
+            for t0 in range(0, ts.size, t_step):
+                t = ts[t0:t0 + t_step, None]
+                w0, w1 = _filon_weights(t * width[ps])
+                out[t0:t0 + t_step] += (width[ps] * np.exp(-1j * t * k_left[ps])
+                                        * (f0[ps] * w0 + f1[ps] * w1)).sum(axis=1)
     return out

@@ -18,8 +18,13 @@
   integrals of the collective field from one ``RayKernel`` each, summed point
   by point; the oracle of the batched kernel rows of
   ``collective1d.dynamics.collective_field``.
+* ``fourier_halfline``: the linear Filon transform summed panel by panel,
+  one time at a time; the oracle of the chirp-z lattice sums of
+  ``collective1d.quadrature.fourier_halfline``.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -303,3 +308,32 @@ def collective_field_intensity(params: ModelParams, sector, xs, t: float,
                         + phase_integral(z, -(x - params.x2), params)))
         amp[i] = np.sqrt(pole.normalization) * pref * q
     return np.abs(amp) ** 2 * abs(pole.normalization) * np.exp(-2.0 * pole.gamma * t)
+
+
+def fourier_halfline(kgrid: np.ndarray, fvals: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """int f(k) e^{-i k t} dk for the piecewise-linear interpolant of f,
+    every panel's Filon weights formed at every t: the closed form above
+    |theta| = 0.2 and, below it, the first twelve terms of the weights'
+    Taylor series summed term by term."""
+    k0 = kgrid[:-1]
+    h = np.diff(kgrid)
+    f0 = fvals[:-1]
+    f1 = fvals[1:]
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    out = np.empty(ts.shape, dtype=complex)
+    for i, t in enumerate(ts):
+        theta = t * h
+        w0 = np.empty(h.shape, dtype=complex)
+        w1 = np.empty(h.shape, dtype=complex)
+        big = np.abs(theta) > 0.2
+        tb = theta[big]
+        eb = np.exp(-1j * tb)
+        w1[big] = (eb * (1.0 + 1j * tb) - 1.0) / tb**2
+        w0[big] = 1j * (eb - 1.0) / tb - w1[big]
+        # int_0^1 (1 - x) e^{-i theta x} dx and int_0^1 x e^{-i theta x} dx
+        term = (-1j * theta[~big])[None, :] ** np.arange(12)[:, None]
+        fact = np.array([math.factorial(n + 2) for n in range(12)], dtype=float)[:, None]
+        w0[~big] = (term / fact).sum(axis=0)
+        w1[~big] = (term * np.arange(1, 13)[:, None] / fact).sum(axis=0)
+        out[i] = np.sum(h * np.exp(-1j * t * k0) * (f0 * w0 + f1 * w1))
+    return out

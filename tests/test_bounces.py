@@ -12,6 +12,7 @@ from collective1d import (
     bounce_sum,
     bounce_term,
     build_lattice,
+    continuum_weight_grid,
     delta_k,
     eta_plus,
     eta_s1,
@@ -360,6 +361,19 @@ def test_long_time_limit(params):
 
 def test_amplitude_sum_rule(params, rho_grid_s29):
     val = amplitude_quadrature(0.0, SYMMETRIC, X21, params, grid=rho_grid_s29)
+    assert abs(val - 1.0) < 2e-5
+
+
+@pytest.mark.parametrize("sector, x21", [
+    ("a", 12.7), ("a", 12.661), ("a", 6.3), ("a", 25.0), ("a", 29.025),
+    ("s", 29.025), ("s", 20.0),
+])
+def test_sum_rule_on_pole_refined_grid(params, sector, x21):
+    """A(0) = int rho = 1 on the grid of a 600-time transform up to 5 x21,
+    narrow poles included: gamma_a = 3.3e-5 at 12.7 and 3.8e-9 at 12.661,
+    where the window width is clamped at 1e-8."""
+    grid = continuum_weight_grid(sector, x21, params, t_max=5.0 * x21)
+    val = amplitude_quadrature(0.0, sector, x21, params, grid=grid)
     assert abs(val - 1.0) < 2e-5
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,22 @@ def test_lattice_solver_failure_is_exit_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "p1_s.csv").exists()
 
 
+def test_large_form_factor_exponent_solves(tmp_path, capsys):
+    """(1 + (z/omegaM)^2)^(2 n_ff) overflows on the far ray nodes for a large
+    n_ff; v^2 takes its limit 0 there, so the principal poles solve with no
+    RuntimeWarning."""
+    for n_ff in (20, 30):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(tmp_path, "poles", f"model.n_ff={n_ff}", "poles.n_min=0", "poles.n_max=0")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        for tag in ("s", "a"):
+            rows = np.genfromtxt(tmp_path / f"poles_{tag}.csv", delimiter=",", names=True,
+                                 dtype=None, encoding="utf-8")
+            assert np.isfinite(rows["re"]) and np.isfinite(rows["im"])
+
+
 @pytest.mark.parametrize("command, override", [
     ("sweep", "sweep.step=0"),
     ("sweep", "sweep.step=-1"),
@@ -193,6 +210,8 @@ def test_lattice_solver_failure_is_exit_2(tmp_path, capsys, monkeypatch):
     ("evolve", "evolve.profile_time_factors=1.0"),
     ("bounces", "bounces.resum_time_factors=2"),
     ("contour", "contour.re_min=NaN"),
+    ("contour", "contour.sector=null"),
+    ("contour", "contour.re_min=3"),
     ("waveguide", "waveguide.g0=NaN"),
     ("poles", "--config=DIR"),
     ("poles", "--config=[1]"),
