@@ -38,7 +38,7 @@ from .greens import (
     one_atom_pole,
 )
 from .io import write_csv, write_json
-from .quadrature import fourier_halfline
+from .quadrature import Jet, fourier_halfline
 
 __all__ = [
     "Jet",
@@ -65,108 +65,6 @@ N_CAP = 120                # resummed sums at most N_CAP + 1 bounce terms
 
 class ResummationError(SolverError):
     """The untruncated bounce series did not meet its tail bound."""
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Truncated Taylor series sum_m c_m (k - center)^m, m <= order.
-
-    Arithmetic is exact truncated-series algebra: products are Cauchy
-    convolutions cut at the common order, exp/reciprocal use the standard
-    series recurrences. The n-th derivative at the center is n! * c_n.
-    """
-
-    center: complex
-    coeffs: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def constant(value: complex, center: complex, order: int) -> "Jet":
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = value
-        return Jet(complex(center), c)
-
-    @staticmethod
-    def variable(center: complex, order: int) -> "Jet":
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = center
-        if order >= 1:
-            c[1] = 1.0
-        return Jet(complex(center), c)
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if other.center != self.center:
-                raise ConfigError("jets must share a center")
-            return other
-        return Jet.constant(complex(other), self.center, self.order)
-
-    def __add__(self, other) -> "Jet":
-        other = self._coerce(other)
-        n = min(self.order, other.order)
-        return Jet(self.center, self.coeffs[: n + 1] + other.coeffs[: n + 1])
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            return Jet(self.center, self.coeffs * complex(other))
-        other = self._coerce(other)
-        n = min(self.order, other.order)
-        out = np.zeros(n + 1, dtype=complex)
-        for m in range(n + 1):
-            out[m] = np.dot(self.coeffs[: m + 1], other.coeffs[m::-1])
-        return Jet(self.center, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Jet":
-        if not (isinstance(n, int) and n >= 0):
-            raise ConfigError("jet powers must be non-negative integers")
-        out = Jet.constant(1.0, self.center, self.order)
-        base = self
-        m = n
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
-    def reciprocal(self) -> "Jet":
-        if self.coeffs[0] == 0:
-            raise SolverError("jet reciprocal at a zero")
-        out = np.zeros(self.order + 1, dtype=complex)
-        out[0] = 1.0 / self.coeffs[0]
-        for m in range(1, self.order + 1):
-            out[m] = -np.dot(self.coeffs[1 : m + 1], out[m - 1 :: -1]) / self.coeffs[0]
-        return Jet(self.center, out)
-
-    def exp(self) -> "Jet":
-        out = np.zeros(self.order + 1, dtype=complex)
-        out[0] = np.exp(self.coeffs[0])
-        for m in range(1, self.order + 1):
-            acc = 0.0
-            for j in range(1, m + 1):
-                acc += j * self.coeffs[j] * out[m - j]
-            out[m] = acc / m
-        return Jet(self.center, out)
-
-    def derivative(self, n: int) -> complex:
-        """f^(n)(center) = n! * c_n."""
-        if n > self.order:
-            raise ConfigError(f"derivative order {n} beyond jet order {self.order}")
-        return complex(self.coeffs[n]) * _factorial(n)
-
-
-def _factorial(n: int) -> float:
-    out = 1.0
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _form_factor_jet(center: complex, order: int, params: ModelParams) -> Jet:
@@ -199,9 +97,9 @@ def delta_jet(center: complex, order: int, x21: float, params: ModelParams) -> J
 def eta_s1(z, x21: float, params: ModelParams):
     """eta_s1^+(z): the symmetric eta with the e^{+ikx} piece continued from
     below (-i eps) instead of above, leaving a single lower-half-plane pole.
-    Equivalently eta_s^+(z) + Delta(z); assembled that way from the shared
-    ray kernels (the generic three-integral assembly is kept as a test
-    oracle)."""
+    Equivalently eta_s^+(z) + Delta(z); assembled that way from the
+    closed-form eta_s^+ (the generic three-integral assembly is kept as a
+    test oracle)."""
     ev = eta_evaluator(SYMMETRIC, x21, params)
     return ev.values(z) + delta_k(z, x21, params)
 

@@ -30,7 +30,7 @@ from .greens import (
     one_atom_pole,
 )
 from .io import write_csv
-from .quadrature import ray_integrals, ray_rows, ray_scale
+from .quadrature import _exp_pole_terms, _pole_coefficients, _pole_sum
 
 __all__ = [
     "LatticeModel",
@@ -370,23 +370,19 @@ def field_intensity(model: LatticeModel, initial, xs, t: float,
                         label=label or f"P(x,t={t:g})")
 
 
-def _phase_integrals(z: complex, c: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Continued int_0^inf u(k) e^{ikc} / (z - k) dk, u = (1+(k/omegaM)^2)^-n,
-    on the + branch (Im z <= 0) for every distance in c, as ray-kernel rows
-    formed _BLOCK at a time. Rotation sign follows sign(c); only the
-    upward-rotated pieces pick up the residue correction."""
-    def numer(k):
-        return (1.0 + (k / params.omegaM) ** 2) ** (-params.n_ff)
-
-    out = np.empty(c.size, dtype=complex)
-    for rows in _blocks(c.size):
-        nodes, weights = ray_rows(numer, c[rows], [ray_scale(ci, params.omegaM) for ci in c[rows]])
-        i1, _ = ray_integrals(np.full((len(nodes), 1), z), nodes, weights,
-                              index=np.arange(len(nodes)))
-        out[rows] = i1[:, 0]
-    up = c >= 0
-    out[up] -= 2j * np.pi * numer(z) * np.exp(1j * z * c[up])
-    return out
+def _phase_integrals(z: complex, d: np.ndarray, params: ModelParams) -> np.ndarray:
+    """F_d + F_-d for every distance d, with F_c the continued
+    int_0^inf u(k) e^{ikc} / (z - k) dk, u = (1+(k/omegaM)^2)^-n, on the +
+    branch (Im z <= 0), in the closed form of `collective1d.quadrature`:
+    -u(z) (K_c + K_-c) plus the principal parts of u(k)/(z - k) at
+    +-i omegaM, c = |d|."""
+    c = np.abs(d)
+    u = (1.0 + (z / params.omegaM) ** 2) ** (-params.n_ff)
+    coeffs = _pole_coefficients(np.concatenate([c, -c]), params.omegaM, params.n_ff, 0)
+    poles = _pole_sum(np.full(2 * c.size, complex(z)), coeffs, params.omegaM).reshape(2, -1)
+    kp, km = _exp_pole_terms(z, np.where(c > 0, c, 1.0))
+    pole_terms = np.where(c > 0, kp + km, 2.0 * (1j * np.pi - np.log(z)))
+    return poles.sum(axis=0) - u * pole_terms
 
 
 def collective_field(params: ModelParams, sector, x21, xs, t: float,
@@ -406,11 +402,10 @@ def collective_field(params: ModelParams, sector, x21, xs, t: float,
     if np.any(reach > OVERFLOW_EXPONENT):
         i = int(np.argmax(reach > OVERFLOW_EXPONENT))
         raise OverflowGuardError(f"gamma*|x-x_i| = {reach[i]:.1f} overflows at x={xs[i]}")
-    d1, d2 = xs - p.x1, xs - p.x2
-    i1, j1, i2, j2 = _phase_integrals(pole.value, np.concatenate([d1, -d1, d2, -d2]),
-                                      p).reshape(4, xs.size)
+    q1, q2 = _phase_integrals(pole.value, np.concatenate([xs - p.x1, xs - p.x2]),
+                              p).reshape(2, xs.size)
     pref = p.lam / (2.0 * np.sqrt(2.0 * np.pi))
-    amp = np.sqrt(pole.normalization) * pref * (i1 + j1 + sector.sigma * (i2 + j2))
+    amp = np.sqrt(pole.normalization) * pref * (q1 + sector.sigma * q2)
     intensity = np.abs(amp) ** 2 * abs(pole.normalization) * np.exp(-2.0 * pole.gamma * t)
     return FieldProfile(xs, intensity, float(t), label=f"P_z{pole.sector[0]}(x,t={t:g})")
 

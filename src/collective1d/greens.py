@@ -7,20 +7,19 @@ The two-atom inverse Green's function in sector j is
     J^+(z) = continued int_0^inf 2 lam^2 v(k)^2 (1 + sigma_j cos(k x21)) / (z - k) dk,
 
 the one-atom variant dropping the cosine. Splitting the cosine into
-e^{+-ikx21} exponentials and rotating each half-line integral onto the ray
-arg k = +-pi/4 makes every quadrature smooth and non-oscillatory; the
-continuation across the real axis then consists of explicit residue terms.
-For -pi/4 < arg z < pi/4 (all of the physics: poles sit just below the
-positive real axis),
+e^{+-ikx21} exponentials gives three integrals of the closed form of
+`collective1d.quadrature` (c = 0, +x21, -x21; numerator v(k)^2, rational
+with poles of order 2 n_ff at +-i omegaM):
 
-    J^+(z) = 2 lam^2 [A(z) - 2 pi i v2(z)]
-           + sigma lam^2 [B_plus(z) - 2 pi i v2(z) e^{i z x21}]
-           + sigma lam^2  B_minus(z),
+    J^+(z) = -v2(z) [2 lam^2 K_0(z) + sigma lam^2 (K_x21(z) + K_-x21(z))]
+             + (principal parts at +-i omegaM: a rational function of z),
 
-where A, B_plus, B_minus are the rotated-ray integrals with numerators
-v2(k), v2(k) e^{ikx21}, v2(k) e^{-ikx21}. The e^{i z x21} term carries the
-e^{gamma x21} growth that drives the collective physics; it overflows double
-precision at gamma*x21 > 650 and is guarded, not saturated.
+K_0 = i pi - log z and K_c = e^{izc} [E_1(izc) + 2 pi i [c > 0]], on the
+retarded (+) branch throughout the evaluation region Re z > 0,
+|Im z| < 0.7 Re z (all of the physics: poles sit just below the positive
+real axis). The e^{i z x21} term carries the e^{gamma x21} growth that
+drives the collective physics; it overflows double precision at
+gamma*x21 > 650 and is guarded, not saturated.
 """
 from __future__ import annotations
 
@@ -30,9 +29,11 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import ANTISYMMETRIC, SYMMETRIC, ConfigError, ModelParams, SolverError, as_sector, validate
+from .core import (ANTISYMMETRIC, SYMMETRIC, ConfigError, ModelParams, SolverError, as_sector,
+                   finite_real, validate)
 from .io import write_csv
-from .quadrature import ContinuationDomainError, QuadratureError, ray_integrals, ray_rows, ray_scale
+from .quadrature import (_BLOCK, ContinuationDomainError, QuadratureError, _exp_pole_terms,
+                         _pole_coefficients, _pole_sum)
 
 __all__ = [
     "ComplexEnergy",
@@ -161,15 +162,6 @@ def form_factor_sq_derivative(z, params: ModelParams):
     return out if np.ndim(z) else complex(out)
 
 
-@lru_cache(maxsize=8)
-def _a_kernel(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the A ray kernel, which no distance enters."""
-    nodes, weights = ray_rows(partial(form_factor_sq, params=params), 0.0,
-                              ray_scale(0.0, params.omegaM))
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 _SECTORS = {0: None, SYMMETRIC.sigma: SYMMETRIC, ANTISYMMETRIC.sigma: ANTISYMMETRIC}
 
 
@@ -184,10 +176,10 @@ class EtaEvaluator:
     """Vectorized eta^+ (and d eta^+/dz) on rows (sigma_r, x21_r).
 
     sigma is +1 or -1 on every row (two-atom sectors at distance x21 > 0) or
-    0 on every row (the one-atom function; x21 is ignored). All rows share
-    the A kernel of params. Each distinct distance keeps one row of B^+
-    nodes and weights for both sectors: the B^- ray is the mirror image of
-    the B^+ ray, so I^-(z) = conj(I^+(conj z)).
+    0 on every row (the one-atom function; x21 is ignored). Each row keeps
+    its distance and the z-independent coefficients of its principal parts
+    at +-i omegaM (`quadrature._pole_coefficients`), weighted by 2 lam^2
+    (c = 0) and sigma lam^2 (c = +-x21).
     """
 
     def __init__(self, params: ModelParams, sigma, x21):
@@ -198,17 +190,17 @@ class EtaEvaluator:
             raise ConfigError("an evaluator holds two-atom rows or one-atom rows, not both")
         self.params = params
         self.sigma = sigma
-        self._a_nodes, self._a_weights = _a_kernel(params)
-        if not self.two_atom:
-            self.x21 = np.zeros(sigma.shape)
-            return
-        self.x21 = np.broadcast_to(np.asarray(x21, dtype=float), sigma.shape)
-        if not np.all(np.isfinite(self.x21) & (self.x21 > 0)):
-            raise ConfigError("two-atom eta^+ needs finite distances x21 > 0")
-        dist, self._b_row = np.unique(self.x21, return_inverse=True)
-        self._b_nodes, self._b_weights = ray_rows(
-            partial(form_factor_sq, params=params), dist,
-            [ray_scale(x, params.omegaM) for x in dist])
+        self.x21 = np.zeros(sigma.shape)
+        if self.two_atom:
+            self.x21 = np.broadcast_to(np.asarray(x21, dtype=float), sigma.shape)
+            if not np.all(np.isfinite(self.x21) & (self.x21 > 0)):
+                raise ConfigError("two-atom eta^+ needs finite distances x21 > 0")
+        lam2 = params.lam**2
+        self._sigma_lam2 = sigma * lam2
+        coeffs = _pole_coefficients(np.concatenate([[0.0], self.x21, -self.x21]), params.omegaM,
+                                    2 * params.n_ff, 1)
+        plus, minus = np.split(coeffs[1:], 2)
+        self._coeffs = 2.0 * lam2 * coeffs[:1] + self._sigma_lam2[:, None, None] * (plus + minus)
 
     @staticmethod
     def off_domain(z, x21):
@@ -223,49 +215,51 @@ class EtaEvaluator:
         """eta^+(z) (and d eta^+/dz). rows=None evaluates every z on the
         evaluator's only row; otherwise z[i] (with any trailing axes) is
         evaluated on row rows[i]. Raises ContinuationDomainError or
-        OverflowGuardError if any point is off the domain."""
+        OverflowGuardError if any point is off the domain. Points are taken
+        _BLOCK at a time, which bounds the work arrays."""
         z_in = np.asarray(z, dtype=complex)
+        zz = z_in.ravel()
         if rows is None:
             if self.sigma.size != 1:
                 raise ConfigError("rows are required on a multi-row evaluator")
-            rows = slice(None)
-            zz = z_in.reshape(1, -1)
+            row = np.zeros(zz.size, dtype=int)
         else:
-            zz = z_in.reshape(len(rows), -1)
-        x21 = self.x21[rows, None]
-        outside, overflow = self.off_domain(zz, x21)
+            row = np.repeat(np.asarray(rows, dtype=int), zz.size // max(1, len(rows)))
+        outside, overflow = self.off_domain(zz, self.x21[row])
         if outside.any():
             raise ContinuationDomainError(
                 f"z outside the evaluation region Re z > 0, |Im z| < {_FAST_REGION_SLOPE} Re z")
         if overflow.any():
             raise _overflow_error()
-        lam2 = self.params.lam**2
-        v2 = form_factor_sq(zz, self.params)
-        a1, a2 = ray_integrals(zz, self._a_nodes, self._a_weights, derivative)
-        J = 2.0 * lam2 * (a1 - 2j * np.pi * v2)
-        if derivative:
-            dv2 = form_factor_sq_derivative(zz, self.params)
-            dJ = 2.0 * lam2 * (-a2 - 2j * np.pi * dv2)
+        parts = [self._block(zz[start:start + _BLOCK], row[start:start + _BLOCK], derivative)
+                 for start in range(0, max(zz.size, 1), _BLOCK)]
+        out = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+        out = [complex(v[0]) if z_in.ndim == 0 else v.reshape(z_in.shape) for v in out]
+        return tuple(out) if derivative else out[0]
+
+    def _block(self, z, row, derivative: bool):
+        """eta^+ (and eta^+') at points z on rows row, from the module formula."""
+        params = self.params
+        lam2 = params.lam**2
+        v2 = form_factor_sq(z, params)
+        bracket = 2.0 * lam2 * (1j * np.pi - np.log(z))         # 2 lam^2 K_0
         if self.two_atom:
-            sigma = self.sigma[rows, None]
-            osc = np.exp(1j * zz * x21)
-            index = self._b_row[rows]
-            bp1, bp2 = ray_integrals(zz, self._b_nodes, self._b_weights, derivative, index)
-            if zz.imag.any():
-                bm1, bm2 = ray_integrals(zz.conj(), self._b_nodes, self._b_weights, derivative,
-                                         index)
-            else:       # real z: conj(z) = z, so the B^+ pass is the B^- pass
-                bm1, bm2 = bp1, bp2
-            J = J + sigma * lam2 * (bp1 - 2j * np.pi * v2 * osc + bm1.conj())
-            if derivative:
-                dJ = dJ + sigma * lam2 * (
-                    -bp2 - 2j * np.pi * (dv2 + 1j * x21 * v2) * osc - bm2.conj()
-                )
-        eta = (zz - self.params.omega1 - J).reshape(z_in.shape)
-        if derivative:
-            deta = (1.0 - dJ).reshape(z_in.shape)
-            return (complex(eta), complex(deta)) if z_in.ndim == 0 else (eta, deta)
-        return complex(eta) if z_in.ndim == 0 else eta
+            x21 = self.x21[row]
+            kp, km = _exp_pole_terms(z, x21)
+            sigma_lam2 = self._sigma_lam2[row]
+            bracket = bracket + sigma_lam2 * (kp + km)
+        poles = _pole_sum(z, self._coeffs[row], params.omegaM, derivative)
+        if not derivative:
+            return (z - params.omega1 + v2 * bracket - poles,)
+        poles, dpoles = poles
+        dbracket = -2.0 * lam2 / z                  # dK_c/dz = ic K_c - 1/z
+        if self.two_atom:
+            dbracket = dbracket + sigma_lam2 * (1j * x21 * (kp - km) - 2.0 / z)
+        # v2' = v2 (1/z - 4n z / (omegaM^2 + z^2)) from v2 in hand (0 where v2
+        # takes its limit 0): form_factor_sq_derivative would repeat its guards
+        dv2 = v2 * (1.0 / z - 4.0 * params.n_ff * z / (params.omegaM**2 + z * z))
+        return (z - params.omega1 + v2 * bracket - poles,
+                1.0 + dv2 * bracket + v2 * dbracket - dpoles)
 
 
 @lru_cache(maxsize=64)
@@ -286,7 +280,7 @@ def eta_plus(z, sector, x21, params: ModelParams):
 
 
 def eta_plus_derivative(z, sector, x21, params: ModelParams):
-    """(eta^+(z), d eta^+/dz) with the derivative from the same ray nodes."""
+    """(eta^+(z), d eta^+/dz), the derivative in closed form."""
     return eta_evaluator(sector, x21, params).values(z, derivative=True)
 
 
@@ -576,12 +570,18 @@ def continuum_weight_grid(sector, x21, params: ModelParams, quad=None,
     1/(k - omega)^2 tails are resolved and the sum rule int rho = 1 holds
     for widths down to 1e-8. Needed by the survival-amplitude quadrature.
 
-    quad is ignored: eta^+ runs on fixed ray kernels. The slot stays only
-    because the benchmark passes it positionally; the next benchmark change
-    removes it.
+    k_max and base_step must be positive and t_max >= 0, all finite; None
+    takes the default. quad is ignored: eta^+ is in closed form. The slot
+    stays only because the benchmark passes it positionally; the next
+    benchmark change removes it.
     """
     sector = as_sector(sector)
-    k_max = k_max or 16.0 * params.omegaM
+    for name, value, zero_ok in (("k_max", k_max, False), ("base_step", base_step, False),
+                                 ("t_max", t_max, True)):
+        if value is not None and not (finite_real(value, name) > 0 or zero_ok and value == 0):
+            raise ConfigError(f"{name} must be {'>= 0' if zero_ok else 'positive'}, got {value!r}")
+    t_max = t_max or 0.0
+    k_max = 16.0 * params.omegaM if k_max is None else k_max
     if base_step is None:
         base_step = 2.5e-3
         if sector is not None and x21 > 0:

@@ -1,19 +1,25 @@
-"""Quadrature backbone: adaptive Gauss panels, rotated-ray kernels for the
-analytically continued and Fourier-type integrands, and a Filon integrator
-for strongly oscillatory transforms.
+"""Quadrature backbone: adaptive Gauss panels, the closed-form pole
+integrals behind eta^+ and the collective field, and a Filon integrator for
+strongly oscillatory transforms.
 
-Every integral in this package is one of
+The continued integrals F(z) = int_0^inf N(k) e^{ikc} / (z - k) dk, with
+N(k) = k^e (1 + k^2/omegaM^2)^-r, follow the retarded (+) branch: the plain
+integral above the real axis and its analytic continuation below. N is
+rational, so partial fractions split N(k)/(z - k) into -N(z)/(k - z) and
+principal parts of order r at p = +-i omegaM, and every piece is one of
 
-    int_0^inf f(k) dk,                int_0^inf f(k) / (z - k)^m dk,
+    I_m(p, c) = int_0^inf e^{ikc} (k - p)^-m dk = (-p)^(1-m) e^w E_m(w),  w = ipc
 
-with f analytic near the positive half-line. The continued variant follows
-the retarded (+) branch: the plain integral above the real axis, principal
-value minus i*pi*f on it, and plain minus 2*pi*i*f(z) below it.
+(A&S 5.1; E_m on the side of its cut that the path k -> inf leaves w
+toward). The pole at z gives -N(z) K_c(z) (`_exp_pole_terms`); those at
++-i omegaM give coefficients free of z (`_pole_coefficients`), so a point
+costs one e^w E_1(w) per c != 0 and a rational function (`_pole_sum`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,16 +32,14 @@ __all__ = [
     "adaptive_integral",
     "halfline_integral",
     "RayKernel",
+    "Jet",
     "fourier_halfline",
 ]
 
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-_RAY_NODES, _RAY_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# ray-kernel blocks: (z, node) pairs per broadcast (~1.6 MB, so a block stays
-# in cache) and rows per block
-_BLOCK_PAIRS = 1.0e5
-_ROW_CHUNK = 16
+_BLOCK = 1024            # points per block of exponential-integral and eta^+ work arrays
+_SIDES = np.array([1.0, -1.0])     # the form-factor poles p = s*i*omegaM
 # Filon panels off the uniform lattice: (time, panel) pairs per block
 _DIRECT_PAIRS = 10_000
 # Taylor coefficients of the Filon weights in s = theta^2, highest power
@@ -58,8 +62,8 @@ class ContinuationDomainError(ConfigError):
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Cutoff and tolerance budget of the adaptive integrator
-    (`adaptive_integral`, `halfline_integral`); the rotated-ray kernels
-    behind eta^+ do not read it.
+    (`adaptive_integral`, `halfline_integral`); the closed-form eta^+ does
+    not read it.
 
     cutoff     : upper limit of the resolved range; the [cutoff, inf) tail is
                  folded in by a 1/k substitution, so cutoff only needs to
@@ -158,109 +162,262 @@ def halfline_integral(f, spec: QuadratureSpec) -> complex:
 
 
 class RayKernel:
-    """Pole integrals of numer(k) e^{i k c} along the ray arg k = sign(c) * pi/4.
+    """I_m(z) = int numer(k) e^{ikc} / (z - k)^m dk (m = 1, 2) along the ray
+    arg k = sign(c) pi/4, where e^{ikc} decays, by 24 Gauss panels of 32
+    nodes on k = scale t / (1 - t); continuation terms are the caller's.
+    A cross-check of the closed form: no package code calls it."""
 
-    Rotating the half-line by +-45 degrees turns the e^{ikc} oscillation into
-    exponential decay while keeping the form-factor poles at +-i*omegaM off
-    the contour; for c == 0 the rotation just moves the contour away from the
-    resonance region. The kernel precomputes numer * jacobian * Gauss weights
-    at fixed nodes, so evaluating
-
-        I_m(z) = int numer(k) e^{ikc} / (z - k)^m dk     (m = 1, 2)
-
-    for a batch of z costs one broadcasted division per m.
-
-    Validity: any z off the chosen ray. Continuation corrections are NOT
-    included here; callers add the residue terms appropriate to their branch.
-    """
+    _X, _W = np.polynomial.legendre.leggauss(32)
+    _T = ((np.arange(24)[:, None] + 0.5 + 0.5 * _X) / 24.0).ravel()
+    _GW = np.tile(_W / 48.0, 24)
 
     def __init__(self, numer, c: float, scale: float):
-        self.nodes, self.weights = ray_rows(numer, c, scale)
+        phase = np.exp(0.25j * np.pi * (1.0 if c >= 0 else -1.0))
+        self.nodes = scale * self._T / (1.0 - self._T) * phase
+        self.weights = (numer(self.nodes) * np.exp(1j * self.nodes * c)
+                        * scale / (1.0 - self._T) ** 2 * phase * self._GW)
 
     def integrals(self, z, second: bool = False):
         """I_1(z) (and I_2(z) if second) for scalar or array z."""
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        i1, i2 = ray_integrals(zz.reshape(1, -1), self.nodes, self.weights, second)
-        if np.ndim(z) == 0:
-            return (complex(i1[0, 0]), complex(i2[0, 0])) if second else complex(i1[0, 0])
-        return (i1.reshape(zz.shape), i2.reshape(zz.shape)) if second else i1.reshape(zz.shape)
+        inv = 1.0 / (np.asarray(z, dtype=complex)[..., None] - self.nodes)
+        out = [inv @ self.weights, (inv * inv) @ self.weights][:1 + second]
+        out = [complex(v) if v.ndim == 0 else v for v in out]
+        return tuple(out) if second else out[0]
 
 
-def _ray_map() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t in (0, 1) and weights of 24 Gauss panels for the ray map
-    k = scale * t / (1 - t)."""
-    edges = np.linspace(0.0, 1.0, 25)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * _RAY_NODES[None, :]).ravel()
-    gw = (half[:, None] * _RAY_WEIGHTS[None, :]).ravel()
-    return t, gw
+@dataclass(frozen=True)
+class Jet:
+    """Truncated Taylor series sum_m c_m (k - center)^m, m <= order.
 
-
-_RAY_T, _RAY_GW = _ray_map()
-
-
-def ray_rows(numer, c, scale) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of RayKernel(numer, c, scale), one row per entry of
-    the 1-D arrays c and scale (scalars give one 1-D row). The weights are
-    formed _ROW_CHUNK rows at a time, which bounds the temporaries."""
-    one_row = np.ndim(c) == 0
-    c = np.asarray(c, dtype=float).reshape(-1, 1)
-    scale = np.asarray(scale, dtype=float).reshape(-1, 1)
-    phase = np.exp(1j * np.where(c >= 0, 1.0, -1.0) * np.pi / 4)
-    nodes = scale * _RAY_T / (1.0 - _RAY_T) * phase
-    weights = np.empty_like(nodes)
-    for r0 in range(0, len(nodes), _ROW_CHUNK):
-        rs = slice(r0, r0 + _ROW_CHUNK)
-        jac = scale[rs] / (1.0 - _RAY_T) ** 2
-        weights[rs] = numer(nodes[rs]) * np.exp(1j * nodes[rs] * c[rs]) * jac * phase[rs] * _RAY_GW
-    return (nodes[0], weights[0]) if one_row else (nodes, weights)
-
-
-def ray_integrals(z, nodes, weights, second: bool = False, index=None):
-    """Pole integrals of ray kernels given as rows of nodes and weights.
-
-    z has shape (R, m). With index None, nodes and weights are one kernel of
-    shape (n,) shared by every row; otherwise they hold kernels as rows of
-    shape (D, n) and z row r uses kernel index[r]. Returns (I_1, I_2), each
-    of shape (R, m), with I_2 None unless second:
-
-        I_p[r, j] = sum_k weights[r, k] / (z[r, j] - nodes[r, k])^p.
-
-    Blocks of at most _ROW_CHUNK rows and _BLOCK_PAIRS (z, node) pairs are
-    reduced one (z row, kernel) product at a time, so no value depends on
-    which other rows share the call.
+    Arithmetic is exact truncated-series algebra: products are Cauchy
+    convolutions cut at the common order, exp/reciprocal use the standard
+    series recurrences. The n-th derivative at the center is n! * c_n.
     """
-    n_rows, m = z.shape
-    n = nodes.shape[-1]
-    if index is not None and len(nodes) == 1:     # one kernel: skip the per-block gathers
-        nodes, weights, index = nodes[0], weights[0], None
-    i1 = np.empty((n_rows, m), dtype=complex)
-    i2 = np.empty((n_rows, m), dtype=complex) if second else None
-    row_step = max(1, min(_ROW_CHUNK, int(_BLOCK_PAIRS / (m * n))))
-    point_step = max(1, int(_BLOCK_PAIRS / n))
-    for r0 in range(0, n_rows, row_step):
-        rs = slice(r0, r0 + row_step)
-        if index is None:
-            nd, w = nodes, weights[:, None]
-        else:
-            nd, w = nodes[index[rs], None, :], weights[index[rs], :, None]
-        for j0 in range(0, m, point_step):
-            js = slice(j0, j0 + point_step)
-            inv = np.subtract(z[rs, js, None], nd)
-            np.divide(1.0, inv, out=inv)
-            i1[rs, js] = (inv @ w)[..., 0]
-            if second:
-                np.multiply(inv, inv, out=inv)
-                i2[rs, js] = (inv @ w)[..., 0]
-    return i1, i2
+
+    center: complex
+    coeffs: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    @staticmethod
+    def constant(value: complex, center: complex, order: int) -> "Jet":
+        c = np.zeros(order + 1, dtype=complex)
+        c[0] = value
+        return Jet(complex(center), c)
+
+    @staticmethod
+    def variable(center: complex, order: int) -> "Jet":
+        jet = Jet.constant(center, center, order)
+        jet.coeffs[1:2] = 1.0
+        return jet
+
+    def _coerce(self, other) -> "Jet":
+        if isinstance(other, Jet):
+            if other.center != self.center:
+                raise ConfigError("jets must share a center")
+            return other
+        return Jet.constant(complex(other), self.center, self.order)
+
+    def __add__(self, other) -> "Jet":
+        other = self._coerce(other)
+        n = min(self.order, other.order)
+        return Jet(self.center, self.coeffs[: n + 1] + other.coeffs[: n + 1])
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "Jet":
+        if not isinstance(other, Jet):
+            return Jet(self.center, self.coeffs * complex(other))
+        other = self._coerce(other)
+        n = min(self.order, other.order)
+        out = np.zeros(n + 1, dtype=complex)
+        for m in range(n + 1):
+            out[m] = np.dot(self.coeffs[: m + 1], other.coeffs[m::-1])
+        return Jet(self.center, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "Jet":
+        if not (isinstance(n, int) and n >= 0):
+            raise ConfigError("jet powers must be non-negative integers")
+        out = Jet.constant(1.0, self.center, self.order)
+        base = self
+        m = n
+        while m:
+            if m & 1:
+                out = out * base
+            base = base * base
+            m >>= 1
+        return out
+
+    def reciprocal(self) -> "Jet":
+        if self.coeffs[0] == 0:
+            raise SolverError("jet reciprocal at a zero")
+        out = np.zeros(self.order + 1, dtype=complex)
+        out[0] = 1.0 / self.coeffs[0]
+        for m in range(1, self.order + 1):
+            out[m] = -np.dot(self.coeffs[1 : m + 1], out[m - 1 :: -1]) / self.coeffs[0]
+        return Jet(self.center, out)
+
+    def exp(self) -> "Jet":
+        out = np.zeros(self.order + 1, dtype=complex)
+        out[0] = np.exp(self.coeffs[0])
+        for m in range(1, self.order + 1):
+            acc = 0.0
+            for j in range(1, m + 1):
+                acc += j * self.coeffs[j] * out[m - j]
+            out[m] = acc / m
+        return Jet(self.center, out)
+
+    def derivative(self, n: int) -> complex:
+        """f^(n)(center) = n! * c_n."""
+        if n > self.order:
+            raise ConfigError(f"derivative order {n} beyond jet order {self.order}")
+        return complex(self.coeffs[n]) * math.factorial(n)
 
 
-def ray_scale(c: float, omegaM: float) -> float:
-    """Transform scale so the nodes concentrate where the integrand lives."""
-    if c == 0.0:
-        return omegaM
-    return min(omegaM, 12.0 / abs(c) + 0.2)
+
+
+def _en_series(w, m):
+    """e^w E_m(w) by its power series (A&S 5.1.12), summed until
+    (-w)^k / k! falls below 1e-17 e^|w|."""
+    reach = float(np.abs(w).max())
+    k = np.arange(max(int(reach + 10.0 * math.sqrt(reach)) + 25, int(m.max()) + 1))
+    terms = np.ones((w.size, k.size), dtype=complex)
+    terms[:, 1:] = -w[:, None] / k[1:]
+    np.cumprod(terms, axis=1, out=terms)                # (-w)^k / k!
+    psi = np.concatenate(([0.0], np.cumsum(1.0 / k[1:m.max()])))[m - 1] - np.euler_gamma
+    log_term = terms[np.arange(w.size), m - 1] * (psi - np.log(w))
+    gap = k - (m[:, None] - 1.0)
+    terms *= np.divide(-1.0, gap, out=np.zeros(gap.shape), where=gap != 0)
+    return np.exp(w) * (terms.sum(axis=1) + log_term)
+
+
+def _en_asymptotic(w, m):
+    """e^w E_m(w) ~ sum_k (-1)^k (m)_k / w^(k+1) (A&S 5.1.51), for
+    |w| >= min(4m + 80, 600), where the first m + 41 terms reach 1e-17."""
+    terms = np.empty((w.size, int(m.max()) + 41), dtype=complex)
+    terms[:, 0] = 1.0 / w
+    terms[:, 1:] = -(m[:, None] + np.arange(terms.shape[1] - 1.0)) / w[:, None]
+    return np.cumprod(terms, axis=1).sum(axis=1)
+
+
+@lru_cache(maxsize=32)
+def _laguerre(depth: int):
+    return np.polynomial.laguerre.laggauss(depth)
+
+
+def _en_fraction(w, m):
+    """e^w E_m(w) by the even part of its continued fraction (A&S 5.1.22;
+    Numerical Recipes 6.3), backward from the depth 190/(|w| + Re w) + 3 + m:
+    3e-16 against 30-digit mpmath for |arg w| <= 130 degrees at m = 1 (tight
+    on the positive axis) and on the positive axis up to m = 61. For m = 1
+    and depth n <= 20 the n-point Gauss-Laguerre rule for
+    int_0^inf e^-s / (w + s) ds, the fraction's n-th convergent, replaces the
+    n sequential levels by one broadcast (2e-15 with numpy's rules)."""
+    depth = math.ceil(190.0 / (np.abs(w) + w.real).min()) + 3 + (m if np.ndim(m) == 0 else int(m.max()))
+    if depth <= 20 and np.ndim(m) == 0 and m == 1:
+        nodes, weights = _laguerre(depth)
+        return (1.0 / np.add.outer(w, nodes)) @ weights
+    shifted = np.add.outer(w + m, 2.0 * np.arange(depth))      # w + m + 2k
+    f = shifted[:, -1] + 2.0
+    for k in range(depth, 0, -1):
+        f = shifted[:, k - 1] - k * (m + k - 1.0) / f
+    return 1.0 / f
+
+
+def _scaled_en(w, m=1):
+    """e^w E_m(w) for complex w and integer orders m >= 1 (broadcast). On the
+    negative real axis the sign of Im w = +-0 picks the side of the cut:
+    e^-x E_1(-x - 0j) = -e^-x Ei(x) + i pi e^-x. Work per point is bounded,
+    in blocks of at most _BLOCK points: the continued fraction where
+    |w| + Re w > 3 (at most 68 levels for m = 1), else the power series
+    (losing at most ~e^3 ulp), or near the negative axis, where
+    |w| >= min(4m + 80, 600), the asymptotic series."""
+    w = np.asarray(w, dtype=complex)
+    flat = w.ravel()
+    reach = np.abs(flat)
+    near = reach + flat.real <= 3.0
+    if 0 < flat.size <= _BLOCK and np.ndim(m) == 0 and not near.any():
+        return _en_fraction(flat, m).reshape(w.shape)
+    order = np.broadcast_to(np.asarray(m, dtype=int), w.shape).ravel()
+    far = near & (reach >= np.minimum(4 * order + 80, 600))
+    out = np.empty(flat.shape, dtype=complex)
+    for method, mask in ((_en_fraction, ~near), (_en_series, near & ~far), (_en_asymptotic, far)):
+        idx = np.flatnonzero(mask)
+        for start in range(0, idx.size, _BLOCK):
+            at = idx[start:start + _BLOCK]
+            out[at] = method(flat[at], order[at])
+    return out.reshape(w.shape)
+
+
+def _exp_pole_terms(z, c):
+    """(K_c(z), K_-c(z)) for c > 0, broadcast: the pole-at-z pieces of the +
+    branch of int_0^inf N(k) e^{+-ikc} / (z - k) dk per unit -N(z),
+    K_c = e^{izc} [E_1(izc) + 2 pi i], K_-c = e^{-izc} E_1(-izc) and
+    K_0 = i pi - log z. Below the axis the plain integral of e^{ikc}/(k - z)
+    is e^{izc} E_1(izc) (its mirror for -c, -log(-z) for c = 0) and the +
+    branch adds 2 pi i N(z) e^{izc}; each K is analytic across the real axis
+    for Re z > 0, with dK_c/dz = ic K_c - 1/z."""
+    t = (1j * z * c).ravel()
+    plus, minus = _scaled_en(np.concatenate((t, -t))).reshape(2, -1)
+    return plus + 2j * np.pi * np.exp(t), minus
+
+
+@lru_cache(maxsize=16)
+def _laurent(omegaM: float, order: int, power: int) -> np.ndarray:
+    """H[s, i, m] = h_s(order - 1 - i - m), 0 past the end, with h_s(j) the
+    Taylor coefficients at u = 0 of (s i omegaM + omegaM u)^power
+    (2 s i + u)^-order: N(k) = k^power (1 + k^2/omegaM^2)^-order
+    = u^-order sum_j h_s(j) u^j near p = s i omegaM, u = (k - p)/omegaM."""
+    u = Jet.variable(0.0, order - 1)
+    # the power of the reciprocal: its Cauchy products add terms of one
+    # phase, where the reciprocal of the power cancels
+    h = np.array([((u + 2j * s).reciprocal() ** order * ((u + 1j * s) * omegaM) ** power).coeffs
+                  for s in _SIDES])
+    lag = order - 1 - np.add.outer(np.arange(order), np.arange(order))
+    out = np.where(lag >= 0, h[:, np.maximum(lag, 0)], 0.0)
+    out.flags.writeable = False
+    return out
+
+
+def _pole_coefficients(c, omegaM: float, order: int, power: int) -> np.ndarray:
+    """T (len(c), 2, order), free of z: the principal parts of N(k)/(z - k)
+    at p = s i omegaM add sum_s sum_i T[., s, i] (omegaM / (z - p))^(i+1)
+    (`_pole_sum`) to int_0^inf N(k) e^{ikc}/(z - k) dk. T = H J, with
+    J_m = int e^{ikc} u^-m dk / omegaM = (-si)^(1-m) e^w E_m(w), w = ipc,
+    below the cut for c > 0; at c = 0, (-si)^(1-m)/(m - 1) and -log(-p) for
+    m = 1 (the log of the cutoff cancels over the poles). Every order is
+    evaluated directly: the recursion between orders amplifies rounding by
+    (omegaM |c|)^m / m! upward."""
+    c = np.asarray(c, dtype=float).ravel()
+    m = np.arange(1, order + 1)
+    s = _SIDES[:, None, None]
+    w = np.empty((2, c.size, order), dtype=complex)
+    w.real = -s * omegaM * np.where(c == 0, 1.0, c)[:, None]
+    w.imag = np.copysign(0.0, -c)[:, None]
+    at_zero = np.concatenate([0.5j * np.pi * _SIDES[:, None] - math.log(omegaM),
+                              np.broadcast_to(1.0 / m[:-1], (2, order - 1))], axis=1)
+    scaled = np.where((c == 0)[:, None], at_zero[:, None, :], _scaled_en(w, m))
+    return np.einsum("snm,sim->nsi", (-1j * s) ** (1 - m) * scaled,
+                     _laurent(float(omegaM), order, power))
+
+
+def _pole_sum(z, coeffs, omegaM: float, derivative: bool = False):
+    """sum_s sum_i coeffs[:, s, i] q_s^(i+1), q_s = omegaM / (z - s i omegaM),
+    for z (n,) and coeffs (n, 2, order), by Horner's rule; with derivative
+    also its z-derivative, -sum_s sum_i (i+1) coeffs q_s^(i+2) / omegaM."""
+    q = omegaM / (z[:, None] - 1j * omegaM * _SIDES)
+    sums = []
+    for weights in (coeffs, coeffs * np.arange(1.0, coeffs.shape[-1] + 1))[:1 + derivative]:
+        acc = weights[..., -1]
+        for i in range(weights.shape[-1] - 2, -1, -1):
+            acc = acc * q + weights[..., i]
+        sums.append(acc * q)
+    total = sums[0].sum(axis=1)
+    return (total, -(sums[1] * q).sum(axis=1) / omegaM) if derivative else total
 
 
 def _filon_weights(theta):

@@ -55,7 +55,7 @@ class SweepRecord:
         return self.z_a is not None
 
 
-_BLOCK = 64     # distances per batched solve: bounds the B^+ kernel rows held at once
+_BLOCK = 64     # distances per batched solve: bounds the evaluator rows and the Jacobi passes
 
 
 def _better(a: ComplexEnergy | None, b: ComplexEnergy | None) -> ComplexEnergy | None:

@@ -97,6 +97,30 @@ def test_sweep_command(tmp_path):
     assert all(item["gamma_check"] < 1e-6 for item in zd)
 
 
+def test_no_runtime_path_builds_a_ray_kernel(tmp_path, monkeypatch):
+    """eta^+ and the collective-field phase integrals are in closed form: with
+    quadrature.RayKernel patched to raise, every command that evaluates
+    them still exits 0 (mirrors test_no_quadrature_spec_in_the_eta_layer)."""
+    from collective1d import quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a runtime path built a RayKernel")
+
+    monkeypatch.setattr(quadrature.RayKernel, "__init__", refuse)
+    cases = {
+        "poles": {"poles": {"x21": 8.0, "n_min": -1, "n_max": 1}},
+        "contour": {"contour": {"x21": 8.0, "nx": 15, "ny": 5, "re_min": 1.8, "re_max": 2.2}},
+        "bounces": {},
+        "evolve": {"lattice": {"L": 40.0, "n_modes": 201},
+                   "evolve": {"x21": 5.0, "t_max_factor": 2.0, "n_t": 21,
+                              "profile_time_factors": [1.0], "n_x": 21}},
+        "sweep": {"sweep": {"x21_min": 7.5, "x21_max": 7.7, "step": 0.1, "zero_decay_max_n": 1}},
+    }
+    for command, cfg in cases.items():
+        (tmp_path / command).mkdir()
+        assert run(tmp_path / command, command, config=cfg) == 0, command
+
+
 def test_sweep_reports_skipped_zero_decay_solutions(tmp_path, capsys, monkeypatch):
     from collective1d import sweep as sw
     from collective1d.greens import ConvergenceError

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from collective1d import (
     ANTISYMMETRIC,
     SYMMETRIC,
+    ConfigError,
     ContinuationDomainError,
     FormFactorPoleError,
     ModelParams,
@@ -30,11 +31,13 @@ from collective1d.greens import (
     EstimateDivergence,
     EtaEvaluator,
     fixed_point,
+    form_factor_sq_derivative,
     newton,
     pole_records_to_csv,
     solve_poles,
 )
-from reference import continued_halfline_integral
+from collective1d.quadrature import QuadratureSpec
+from reference import continued_halfline_integral, ray_eta_plus
 
 X21 = 29.025
 
@@ -84,13 +87,12 @@ def test_eta_fast_path_vs_generic_quadrature(z, sector, sigma, x21, params, quad
 
 # The oracle cannot resolve 0 < |Im z| < ~1e-10 (its panels stall on the
 # near-pole), so the real axis is drawn exactly and off-axis points keep
-# |Im z| >= 1e-6 Re z. Re z stays >= 0.2: closer to the origin the ray
-# kernels under-resolve 1/(z - k), see test_eta_near_origin_is_under_resolved.
+# |Im z| >= 1e-6 Re z.
 _IM_FRACTION = st.one_of(st.just(0.0), st.floats(-0.69, -1e-6), st.floats(1e-6, 0.69))
 
 
 @settings(max_examples=30, deadline=None)
-@given(re=st.floats(0.2, 20.0), frac=_IM_FRACTION, x21=st.floats(1.0, 40.0),
+@given(re=st.floats(0.01, 20.0), frac=_IM_FRACTION, x21=st.floats(1.0, 40.0),
        case=st.sampled_from([(None, None), (SYMMETRIC, 1), (ANTISYMMETRIC, -1)]))
 def test_eta_matches_oracle_at_random_points(params, quad, re, frac, x21, case):
     """eta^+ against the adaptive continued integral anywhere in the
@@ -104,14 +106,58 @@ def test_eta_matches_oracle_at_random_points(params, quad, re, frac, x21, case):
     assert abs(fast - generic) < 2e-9 * max(1.0, abs(np.exp(1j * z * x21)))
 
 
-@pytest.mark.xfail(strict=True, reason="the ray kernels under-resolve 1/(z - k) near the origin")
+@settings(max_examples=40, deadline=None)
+@given(re=st.floats(0.2, 20.0), frac=st.floats(-0.69, 0.69), x21=st.floats(1.0, 40.0),
+       sector=st.sampled_from([None, SYMMETRIC, ANTISYMMETRIC]), n_ff=st.integers(1, 3))
+def test_eta_and_derivative_match_ray_oracle(re, frac, x21, sector, n_ff):
+    """The closed form against the rotated-ray quadrature it replaced, eta^+
+    and eta^+' both, where the rays resolve the integrand (Re z >= 0.2; they
+    agreed to 4e-15 on 1 350 such points), to 1e-12 max(1, |e^{i z x21}|)."""
+    p = ModelParams(n_ff=n_ff)
+    x21 = 0.0 if sector is None else x21
+    z = complex(re, frac * re)
+    eta, deta = eta_plus_derivative(z, sector, x21, p)
+    want, dwant = ray_eta_plus(z, sector, x21, p)
+    scale = 1e-12 * max(1.0, abs(np.exp(1j * z * x21)))
+    assert abs(eta - want) < scale and abs(deta - dwant) < scale
+
+
 @pytest.mark.parametrize("z, sector, sigma, x21", [
     (0.01 + 0j, None, None, 0.0), (0.0284 + 0.0142j, SYMMETRIC, 1, 32.8)])
-def test_eta_near_origin_is_under_resolved(params, quad, z, sector, sigma, x21):
-    """Known loss of accuracy for Re z < ~0.15 (4.8e-9 and 1.6e-7 off the
-    oracle at these points); strict, so a fix shows up as XPASS."""
+def test_eta_near_origin_is_resolved(params, quad, z, sector, sigma, x21):
+    """The rotated-ray kernels were 4.8e-9 and 1.6e-7 off the oracle at these
+    points; the closed form has no nodes to under-resolve 1/(z - k)."""
     fast = eta_plus(z, sector, x21, params)
     assert abs(fast - _eta_generic(complex(z), sigma, x21, params, quad)) < 2e-9
+
+
+@pytest.mark.parametrize("n_ff", [1, 2])
+@pytest.mark.parametrize("z, sector, x21", [
+    (0.01 + 0j, None, 0.0), (0.4 - 0.2j, None, 0.0), (0.0284 + 0.0142j, SYMMETRIC, 32.8),
+    (0.01 - 0.005j, ANTISYMMETRIC, 5.0), (2.0156 - 0.0114j, SYMMETRIC, X21),
+    (1.3 + 0.4j, ANTISYMMETRIC, 12.7), (7.5 - 3.0j, SYMMETRIC, 3.0)])
+def test_eta_and_derivative_match_tight_oracle(n_ff, z, sector, x21):
+    """eta^+ and eta^+' against the adaptive continued integral at
+    rel_tol 1e-13, to 1e-13 max(1, |e^{i z x21}|), down to Re z = 0.01.
+    The oracle's eta^+' integrates w'(k)/(z - k): by parts,
+    d/dz int w/(z - k) = w(0)/z + int w'/(z - k), and w(0) = 0."""
+    p = ModelParams(n_ff=n_ff)
+    spec = QuadratureSpec.for_params(p, rel_tol=1e-13, abs_tol=1e-14, max_panels=100_000)
+    sigma = 0.0 if sector is None else sector.sigma
+
+    def w(k):
+        k = np.asarray(k, dtype=complex)
+        return 2 * p.lam**2 * form_factor_sq(k, p) * (1 + sigma * np.cos(k * x21))
+
+    def dw(k):
+        k = np.asarray(k, dtype=complex)
+        return 2 * p.lam**2 * (form_factor_sq_derivative(k, p) * (1 + sigma * np.cos(k * x21))
+                               - sigma * x21 * form_factor_sq(k, p) * np.sin(k * x21))
+
+    eta, deta = eta_plus_derivative(z, sector, x21, p)
+    scale = 1e-13 * max(1.0, abs(np.exp(1j * z * x21)))
+    assert abs(eta - (z - p.omega1 - continued_halfline_integral(w, z, spec))) < scale
+    assert abs(deta - (1.0 - continued_halfline_integral(dw, z, spec))) < scale
 
 
 def test_eta_against_mpmath_30_digits(params):
@@ -430,6 +476,17 @@ def test_continuum_weight_antisymmetric_zero(params):
     k = 2 * np.pi * 3 / x21    # cos(k x21) = 1 exactly
     val = continuum_weight(k, ANTISYMMETRIC, x21, params)
     assert abs(val) < 1e-18
+
+
+@pytest.mark.parametrize("bad", [
+    {"t_max": float("nan")}, {"t_max": -5.0}, {"t_max": float("inf")}, {"base_step": 0.0},
+    {"k_max": float("nan")}, {"base_step": -1e-3}, {"k_max": 0.0}])
+def test_continuum_weight_grid_rejects_bad_inputs(params, bad):
+    """A non-finite or out-of-range t_max, k_max or base_step is a one-line
+    ConfigError, raised before any pole is searched."""
+    with pytest.raises(ConfigError, match=next(iter(bad))) as exc:
+        continuum_weight_grid("s", X21, params, **bad)
+    assert "\n" not in str(exc.value)
 
 
 def test_continuum_weight_sum_rule(params, rho_grid_s29):

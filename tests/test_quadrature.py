@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,8 @@ from collective1d import (
     fourier_halfline,
     halfline_integral,
 )
-from collective1d.quadrature import RayKernel, adaptive_integral, ray_scale
-from reference import continued_halfline_integral
+from collective1d.quadrature import RayKernel, _scaled_en, adaptive_integral
+from reference import continued_halfline_integral, ray_scale
 from reference import fourier_halfline as fourier_halfline_oracle
 
 
@@ -209,3 +211,48 @@ def test_fourier_halfline_matches_per_time_oracle(case):
     got = fourier_halfline(k, rho, ts)
     top = fourier_halfline_oracle(k, rho, [0.0])[0].real
     assert np.max(np.abs(got - want)) <= 1e-12 * top
+
+
+def _scaled_en_reference(w: complex, m: int) -> complex:
+    """e^w E_m(w) at 30 digits; a real negative w carries the side of the
+    cut in the sign of its zero imaginary part."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        arg = mp.mpc(w.real, math.copysign(1e-60, w.imag) if w.imag == 0 else w.imag)
+        return complex(mp.exp(arg) * mp.expint(m, arg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_r=st.floats(-6.0, 4.0), degrees=st.floats(50.0, 130.0), below=st.booleans())
+def test_scaled_e1_in_the_engine_sector(log_r, degrees, below):
+    """e^t E_1(t) over the arguments t = izc of the eta^+ and field
+    integrals, arg t in [50, 130] degrees and its mirror, 1e-6 <= |t| <=
+    1e4, to 1e-14 relative plus 4 eps |t| (the phase rounding of e^t).
+    The reference is 30-digit mpmath: scipy.special.exp1 is itself
+    1.4e-14 off near |t| = 3.2 at arg t = 60 degrees, above this bound."""
+    t = 10.0**log_r * np.exp(1j * np.deg2rad(degrees))
+    t = t.conjugate() if below else t
+    want = _scaled_en_reference(t, 1)
+    got = _scaled_en(np.array([t]))[0]
+    assert abs(got - want) <= (1e-14 + 4 * np.finfo(float).eps * abs(t)) * abs(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_x=st.floats(-6.0, 4.0), order=st.integers(1, 61),
+       side=st.sampled_from([1.0, -0.0, 0.0]))
+def test_scaled_en_on_the_real_axis(log_x, order, side):
+    """e^w E_m(w) at the real arguments w = +-omegaM |c| of the form-factor
+    pole integrals, orders up to 61 (n_ff = 30), on the positive axis
+    (side 1) and on the cut from below (-0.0) and above (+0.0), where
+    E_1(-x -+ i0) = -Ei(x) +- i pi; checked against scipy's expi too."""
+    from scipy.special import expi
+
+    x = 10.0**log_x
+    w = complex(x, 0.0) if side == 1.0 else complex(-x, side)
+    got = _scaled_en(np.array([w]), order)[0]
+    want = _scaled_en_reference(w, order)
+    assert abs(got - want) <= 1e-14 * abs(want)
+    if side != 1.0 and order == 1 and x < 700:
+        sign = -1.0 if math.copysign(1.0, side) < 0 else 1.0
+        assert abs(got - np.exp(-x) * (-expi(x) - sign * 1j * np.pi)) <= 1e-14 * abs(got)
