@@ -451,8 +451,21 @@ def pole_scan(sector, x21, n_range, params: ModelParams):
 
         warnings.warn(f"x21={x21} beyond 1/gamma_1={1.0 / z1.gamma:.1f}; Eq-lattice seeding degrades",
                       stacklevel=2)
-    principal = find_pole(sector, x21, z1.value, params, lattice_index=0)
-    fdf = partial(eta_evaluator(sector, x21, params).values, derivative=True)
+    ev = eta_evaluator(sector, x21, params)
+    try:
+        principal = find_pole(sector, x21, z1.value, params, lattice_index=0)
+    except ConvergenceError:
+        # in narrow distance windows z1 sits between the principal pole and
+        # its n = -sigma neighbour, pi/x21 to the -sigma side, and the damped
+        # map stalls between them: seed pi/(2 x21) to the sigma side of z1,
+        # then to the other side
+        quarter = 0.5 * np.pi / x21 * sector.sigma
+        roots = [r for r in solve_poles(ev, [z1.value + quarter, z1.value - quarter], [0, 0])
+                 if not isinstance(r, SolverError)]
+        if not roots:
+            raise
+        principal = roots[0]
+    fdf = partial(ev.values, derivative=True)
     sigma = sector.sigma
     spacing = 2.0 * np.pi / x21
     dedup = 1e-6 * params.omega1

@@ -336,8 +336,24 @@ def test_find_pole_raises_the_row_error(params):
 def test_find_pole_from_z1_in_a_stall_window(params, z1, sector, x21):
     """Known fault: from the one-atom seed the damped phase stalls and Newton
     fails on 19 of 7 400 distances per sector in [3, 40) (step 0.005), e.g.
-    [26.88, 26.95] (a) and [25.295, 25.375] (s), so pole_scan raises there."""
+    [26.88, 26.95] (a) and [25.295, 25.375] (s); pole_scan seeds off z1 there."""
     find_pole(sector, x21, z1.value, params)
+
+
+@pytest.mark.parametrize("sector, x21", [(ANTISYMMETRIC, 26.9375), (SYMMETRIC, 25.33),
+                                         (SYMMETRIC, 19.0)])
+def test_pole_scan_in_a_stall_window(params, sector, x21):
+    """Where the solve from z1 stalls, pole_scan still finds the principal
+    pole and its lattice neighbours n = -2..2; at (a, 26.9375) the principal
+    pole is the root the sweep's continuation reaches."""
+    records, missing = pole_scan(sector, x21, range(-2, 3), params)
+    assert missing == []
+    assert sorted(r.lattice_index for r in records) == [-2, -1, 0, 1, 2]
+    for rec in records:
+        assert abs(eta_plus(rec.value, sector, x21, params)) < ROOT_TOL * max(1.0, abs(rec.value))
+    if sector is ANTISYMMETRIC:
+        principal = next(r for r in records if r.lattice_index == 0)
+        assert principal.value == pytest.approx(1.930631640981 - 0.032066947066j, abs=1e-11)
 
 
 @pytest.mark.parametrize("sigma, x21", [(1, 0.0), (-1, -3.0), (1, np.nan), ([1, 0], 5.0)])

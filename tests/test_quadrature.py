@@ -245,7 +245,9 @@ def test_scaled_en_on_the_real_axis(log_x, order, side):
     """e^w E_m(w) at the real arguments w = +-omegaM |c| of the form-factor
     pole integrals, orders up to 61 (n_ff = 30), on the positive axis
     (side 1) and on the cut from below (-0.0) and above (+0.0), where
-    E_1(-x -+ i0) = -Ei(x) +- i pi; checked against scipy's expi too."""
+    E_1(-x -+ i0) = -Ei(x) +- i pi. The side of the cut is checked against
+    scipy's expi too, to scipy's own accuracy: e^{-x}(-Ei(x) + i pi) from
+    scipy is up to 2.8e-14 off the 30-digit value near x = 40."""
     from scipy.special import expi
 
     x = 10.0**log_x
@@ -255,4 +257,4 @@ def test_scaled_en_on_the_real_axis(log_x, order, side):
     assert abs(got - want) <= 1e-14 * abs(want)
     if side != 1.0 and order == 1 and x < 700:
         sign = -1.0 if math.copysign(1.0, side) < 0 else 1.0
-        assert abs(got - np.exp(-x) * (-expi(x) - sign * 1j * np.pi)) <= 1e-14 * abs(got)
+        assert abs(got - np.exp(-x) * (-expi(x) - sign * 1j * np.pi)) <= 5e-14 * abs(got)
