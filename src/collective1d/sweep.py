@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ANTISYMMETRIC, SYMMETRIC, ConfigError, ModelParams, SolverError, as_sector,
-                   instability_margin, validate)
+                   finite_integer, instability_margin, validate)
 from .greens import (
     ComplexEnergy,
     EtaEvaluator,
@@ -210,6 +210,7 @@ def zero_decay_solve(sector, n: int, params: ModelParams) -> ZeroDecaySolution:
     sector = as_sector(sector)
     if sector is None:
         raise ConfigError("zero_decay_solve needs a two-atom sector")
+    n = finite_integer(n, "zero-decay n")
     validate(params)
     if instability_margin(params) <= 0:
         raise ConfigError("zero-decay solve requires the unstable regime")

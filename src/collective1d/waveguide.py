@@ -8,10 +8,15 @@ not modelled here; the coupling is a smooth single-peak model concentrated
 on the open channel, set by three numbers (g0, k_c, channel_decay), so
 every check in this module is structural (self-consistency, parity, signs)
 rather than a numeric prediction.
+
+Every channel integral is in closed form: v0^2 is even and rational in k, so
+each integral is half a real-line integral, which the residues at k = a_l
+(the channel pole) and at the double pole k = i k_c sum exactly.
 """
 from __future__ import annotations
 
-import warnings
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +24,6 @@ import numpy as np
 from .core import ConfigError, SolverError, as_sector, finite_integer, finite_real
 from .greens import ComplexEnergy, fixed_point, newton
 from .io import write_json
-from .quadrature import QuadratureSpec, adaptive_integral
 
 __all__ = [
     "WaveguideParams",
@@ -52,8 +56,10 @@ class WaveguideParams:
     def coupling(self, k, l: int):
         """Invented smooth coupling v0(k, l) = g0 k/(1+(k/k_c)^2) * channel_decay^(l-1):
         linear in k at the threshold, so the existence integral converges;
-        analytic in k for the pole solver; geometric across closed channels,
-        so their sum has a sign-definite tail."""
+        geometric across closed channels, so their sum has a sign-definite
+        tail. Its square is even and rational in k, with a double pole at
+        k = i k_c: `_channel_sum` integrates it by residues in that form, so
+        a change here needs a new closed form there."""
         return self.g0 * k / (1.0 + (k / self.k_c) ** 2) * self.channel_decay ** (l - 1)
 
     @property
@@ -109,6 +115,7 @@ def trap_distance(xi: float, n: int, sector, W: float) -> float:
     sector = as_sector(sector)
     if sector is None:
         raise ConfigError("trap_distance needs a two-cavity sector")
+    n = finite_integer(n, "trap n", minimum=1)
     if (n % 2 == 0) == (sector.sigma > 0):
         raise ConfigError(
             f"parity mismatch: n={n} requires the "
@@ -119,25 +126,78 @@ def trap_distance(xi: float, n: int, sector, W: float) -> float:
     return n / np.sqrt(xi - E01)
 
 
-_WG_QUAD = QuadratureSpec(cutoff=800.0, rel_tol=1e-11, abs_tol=1e-13, max_panels=4000)
 TRAP_TOL = 1e-12
 _TRAP_MAX_ITER = 300
 # |eta_wg| < 1e-11 at the default trap, where |z| ~ xi0 = 2
 WG_POLE_TOL = 5e-12
+# e^u = 1 + u + u^2 sum_n u^n/(n+2)!, truncated where |u| < 1 leaves 1/22! ~ 1e-21
+_PHI2 = tuple(1.0 / math.factorial(n + 2) for n in range(20))
 
 
-def _closed_channel_sum(wg: WaveguideParams, quad: QuadratureSpec, integrand_for_l) -> float:
-    """Sum over l = 2..l_max of smooth channel integrals; warns when the
-    last term, which bounds the geometric tail (terms are sign-definite
-    below threshold), exceeds 1e3 abs_tol."""
-    total = term = 0.0
-    for l in range(2, wg.l_max + 1):
-        term = float(np.real(adaptive_integral(integrand_for_l(l), 1e-12, quad.cutoff, quad)))
-        total += term
-    if abs(term) > 1e3 * quad.abs_tol:
-        warnings.warn(f"closed-channel tail after l_max={wg.l_max} may exceed tolerance "
-                      f"(last term {term:.2e})", stacklevel=3)
-    return total
+def _residue_integral(a: complex, x: float, k_c: float) -> tuple[complex, complex]:
+    """G(a, x) = int_R k^2 e^{ikx} dk / ((k^2 + k_c^2)^2 (a^2 - k^2)) and dG/da.
+
+    For Im a > 0 and x >= 0 the upper half-plane holds a simple pole at k = a
+    and a double pole at k = i k_c; their residues sum to
+    pi [e^{-k_c x} (x + 1/k_c)/2 + i a x^2 Psi] / (a + i k_c)^2 with
+    Psi = e^{-k_c x} phi(u), phi(u) = (e^u - 1 - u)/u^2, u = i (a - i k_c) x,
+    which continues G analytically to Im a <= 0. Written this way the two
+    residues' 1/(a^2 + k_c^2)^2 terms, which cancel where the poles meet
+    (a = i k_c), never appear; phi is a power series where |u| < 1.
+    """
+    u = 1j * (a - 1j * k_c) * x
+    decay = math.exp(-k_c * x)
+    if abs(u) < 1.0:
+        psi = dpsi = 0j
+        for n in range(len(_PHI2) - 1, 0, -1):
+            psi = psi * u + _PHI2[n]
+            dpsi = dpsi * u + n * _PHI2[n]
+        psi = decay * (psi * u + _PHI2[0])
+        dpsi = decay * dpsi
+    else:
+        wave = cmath.exp(1j * a * x)
+        psi = (wave - decay * (1.0 + u)) / u**2
+        dpsi = (wave * (u - 2.0) + decay * (u + 2.0)) / u**3
+    w = 1.0 / (a + 1j * k_c)
+    g = math.pi * (0.5 * decay * (x + 1.0 / k_c) + 1j * a * x * x * psi) * w * w
+    dg = -2.0 * g * w + 1j * math.pi * x * x * (psi + 1j * a * x * dpsi) * w * w
+    return g, dg
+
+
+def _channel_sum(z: complex, wg: WaveguideParams, sigma: int, x21: float,
+                 derivative: bool = False):
+    """sum_{l=1}^{l_max} J_l(z), J_l = int_0^inf v0(k,l)^2 (1 + sigma cos k x21)
+    / (z - E_{k,l}) dk on the + branch, and with `derivative` also its z-derivative.
+
+    The integrand is even in k, so J_l = (pi g0 k_c^2 d^(l-1))^2/2
+    [G(a_l, 0) + sigma G(a_l, x21)] (d = channel_decay) with
+    a_l^2 = pi^2 (z - l^2/W^2): the open channel takes the principal root
+    a_1 = pi sqrt(z - E_01), continued through the axis; a closed channel takes
+    a_l = i pi sqrt(l^2/W^2 - z), in the upper half-plane on both sides of it.
+    On the axis J^- = conj J^+, so Re J^+ is the principal value.
+    da/dz = pi^2/(2a) turns dG/da into the exact derivative.
+    """
+    z = complex(z)
+    if z.real >= lead_energy(0.0, 2, wg.W):
+        raise SolverError("Re z crosses a closed-channel threshold; single-open-channel "
+                          "assumption violated")
+    total = slope = 0j
+    for l in range(1, wg.l_max + 1):
+        if l == 1:
+            a = math.pi * cmath.sqrt(z - wg.threshold)
+        else:
+            a = 1j * math.pi * cmath.sqrt(l**2 / wg.W**2 - z)
+        w = 1.0 / (a + 1j * wg.k_c)
+        g = 0.5 * math.pi * w * w / wg.k_c      # G(a, 0)
+        dg = -2.0 * g * w
+        if sigma:
+            gx, dgx = _residue_integral(a, abs(x21), wg.k_c)
+            g, dg = g + sigma * gx, dg + sigma * dgx
+        scale = 0.5 * (math.pi * wg.g0 * wg.k_c**2 * wg.channel_decay ** (l - 1)) ** 2
+        total += scale * g
+        if derivative:
+            slope += scale * dg * math.pi**2 / (2.0 * a)
+    return (total, slope) if derivative else total
 
 
 @dataclass
@@ -146,21 +206,13 @@ class ExistenceReport:
     margin: float
 
 
-def existence_check(wg: WaveguideParams, quad: QuadratureSpec = _WG_QUAD) -> ExistenceReport:
-    """Margin xi0 - E_{0,1} - 2 sum_l int |v0|^2 / (E_{k,l} - E_{0,1}) dk;
-    positive means the trap equation has a solution (the structural analogue
-    of the one-atom instability condition)."""
+def existence_check(wg: WaveguideParams) -> ExistenceReport:
+    """Margin xi0 - E_{0,1} - 2 sum_l int |v0|^2 / (E_{k,l} - E_{0,1}) dk, that is
+    xi0 - E_{0,1} + 2 sum_l J_l(E_{0,1}) at sigma = 0; positive means the trap
+    equation has a solution (the structural analogue of the one-atom
+    instability condition)."""
     wg.validate()
-    E01 = wg.threshold
-    v0 = wg.coupling
-
-    def open_integrand(k):
-        return v0(k, 1) ** 2 * np.pi**2 / k**2     # E_{k,1} - E01 = k^2/pi^2
-
-    total = float(np.real(adaptive_integral(open_integrand, 1e-12, quad.cutoff, quad)))
-    total += _closed_channel_sum(
-        wg, quad, lambda l: (lambda k: v0(k, l) ** 2 / (lead_energy(k, l, wg.W) - E01)))
-    margin = wg.xi0 - E01 - 2.0 * total
+    margin = wg.xi0 - wg.threshold + 2.0 * _channel_sum(wg.threshold, wg, 0, 0.0).real
     return ExistenceReport(bool(margin > 0), float(margin))
 
 
@@ -174,45 +226,24 @@ class TrapSolution:
     residual: float
 
 
-def solve_trap(wg: WaveguideParams, n: int, sector,
-               quad: QuadratureSpec = _WG_QUAD) -> TrapSolution:
+def solve_trap(wg: WaveguideParams, n: int, sector) -> TrapSolution:
     """Self-consistent trapped energy xi_tilde and distance x21 = g(xi_tilde).
 
-    Damped `fixed_point` of the principal-value trap equation, to TRAP_TOL
-    within _TRAP_MAX_ITER steps; the open-channel PV uses subtraction around
-    k0 (the leftover PV of 1/(k0^2 - k^2) over the half-line is exactly zero).
+    Damped `fixed_point` of the principal-value trap equation
+    xi = xi0 + 2 Re sum_l J_l(xi) at x21 = g(xi), to TRAP_TOL within
+    _TRAP_MAX_ITER steps.
     """
     sector = as_sector(sector)
     wg.validate()
-    report = existence_check(wg, quad)
+    report = existence_check(wg)
     if not report.ok:
         raise ConfigError(f"existence condition violated (margin {report.margin:.3e})")
-    trap_distance(wg.xi0, n, sector, wg.W)   # parity/threshold validation
-    E01 = wg.threshold
-    v0 = wg.coupling
-    sigma = sector.sigma
+    trap_distance(wg.xi0, n, sector, wg.W)   # integer/parity/threshold validation
 
     def trap_map(xi):
         g = trap_distance(xi, n, sector, wg.W)
-        k0 = np.pi * np.sqrt(xi - E01)
-
-        def h_open(k):
-            return v0(k, 1) ** 2 * (1.0 + sigma * np.cos(k * g))
-
-        h0 = h_open(k0)
-
-        def subtracted(k):
-            return (h_open(k) - h0) * np.pi**2 / (k0**2 - k**2)
-
-        seeds = [0.0, 0.5 * k0, k0, 1.5 * k0, 3 * k0, quad.cutoff]
-        total = float(np.real(adaptive_integral(subtracted, 1e-12, quad.cutoff, quad,
-                                                seed_edges=seeds)))
-        total += _closed_channel_sum(
-            wg, quad,
-            lambda l: (lambda k: v0(k, l) ** 2 * (1.0 + sigma * np.cos(k * g))
-                       / (xi - lead_energy(k, l, wg.W))))
-        xi_new = wg.xi0 + 2.0 * total
-        if not (E01 < xi_new < lead_energy(0.0, 2, wg.W)):
+        xi_new = wg.xi0 + 2.0 * _channel_sum(xi, wg, sector.sigma, g).real
+        if not (wg.threshold < xi_new < lead_energy(0.0, 2, wg.W)):
             raise SolverError(f"trap fixed point left the single-channel window: {xi_new}")
         return xi_new
 
@@ -221,56 +252,23 @@ def solve_trap(wg: WaveguideParams, n: int, sector,
                         float(trap_distance(xi, n, sector, wg.W)), float(residual))
 
 
-def _eta_wg(z: complex, wg: WaveguideParams, sigma: int, x21: float,
-            quad: QuadratureSpec) -> complex:
-    """z - xi0 - 2 sum_l J_l(z) on the + branch.
-
-    Open channel: substituting E = E_{k,1} makes the continuation correction
-    -2 pi i |v0(k0,1)|^2 (1+sigma cos k0 x21) dk/dE; folded into the single
-    analytic expression J_1 = int (h - h(kz))/(z - E_{k,1}) dk
-    - i pi^3 h(kz)/(2 kz), kz = pi sqrt(z - E01), valid on both sides of the
-    axis. Closed channels have no crossing for Re z inside the window and
-    stay plain integrals.
-    """
-    E01 = wg.threshold
-    v0 = wg.coupling
-    kz = np.pi * np.sqrt(complex(z) - E01)
-    hz = v0(kz, 1) ** 2 * (1.0 + sigma * np.cos(kz * x21))
-
-    def subtracted(k):
-        h = v0(k, 1) ** 2 * (1.0 + sigma * np.cos(k * x21))
-        return (h - hz) * np.pi**2 / (kz**2 - k**2)
-
-    k0r = abs(kz)
-    seeds = [0.0, 0.5 * k0r, k0r, 1.5 * k0r, 3 * k0r, quad.cutoff]
-    j1 = adaptive_integral(subtracted, 1e-12, quad.cutoff, quad, seed_edges=seeds)
-    j1 = j1 - 1j * np.pi**3 * hz / (2.0 * kz)
-    total = j1
-    for l in range(2, wg.l_max + 1):
-        if z.real >= lead_energy(0.0, l, wg.W):
-            raise SolverError("Re z crosses a closed-channel threshold; single-open-channel "
-                                 "assumption violated")
-        total += adaptive_integral(
-            lambda k: v0(k, l) ** 2 * (1.0 + sigma * np.cos(k * x21)) / (z - lead_energy(k, l, wg.W)),
-            1e-12, quad.cutoff, quad)
-    return z - wg.xi0 - 2.0 * total
+def _eta_wg(z: complex, wg: WaveguideParams, sigma: int, x21: float) -> complex:
+    """z - xi0 - 2 sum_l J_l(z) on the + branch, one analytic function through
+    the axis."""
+    return z - wg.xi0 - 2.0 * _channel_sum(z, wg, sigma, x21)
 
 
 def collective_pole_wg(wg: WaveguideParams, sector, x21: float,
-                       quad: QuadratureSpec = _WG_QUAD,
                        seed: complex | None = None) -> ComplexEnergy:
     """Collective pole of the waveguide pair at separation x21: `newton` to
-    WG_POLE_TOL, with a central-difference derivative. gamma vanishes to
-    solver tolerance exactly at x21 = g(xi_tilde) from solve_trap."""
+    WG_POLE_TOL, with the exact derivative of the closed form. gamma vanishes
+    to solver tolerance exactly at x21 = g(xi_tilde) from solve_trap."""
     sector = as_sector(sector)
     wg.validate()
 
-    def eta(z):
-        return _eta_wg(z, wg, sector.sigma, x21, quad)
-
     def fdf(z):
-        h = 1e-7
-        return eta(z), (eta(z + h) - eta(z - h)) / (2 * h)
+        total, slope = _channel_sum(z, wg, sector.sigma, x21, derivative=True)
+        return z - wg.xi0 - 2.0 * total, 1.0 - 2.0 * slope
 
     z, df = newton(fdf, complex(wg.xi0, -1e-4) if seed is None else seed,
                    WG_POLE_TOL, 80, "waveguide pole Newton")

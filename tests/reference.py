@@ -25,6 +25,10 @@
 * ``fourier_halfline``: the linear Filon transform summed panel by panel,
   one time at a time; the oracle of the chirp-z lattice sums of
   ``collective1d.quadrature.fourier_halfline``.
+* ``waveguide_channel_sum`` and ``residue_integral``: the waveguide channel
+  integrals and their real-line kernel G(a, x) by tight adaptive quadrature,
+  tail included; the oracles of the residue sums of
+  ``collective1d.waveguide``.
 """
 from __future__ import annotations
 
@@ -53,6 +57,7 @@ from collective1d.quadrature import (
     RayKernel,
     _tail_integral,
     adaptive_integral,
+    halfline_integral,
 )
 from collective1d.sweep import SweepRecord
 
@@ -376,3 +381,31 @@ def fourier_halfline(kgrid: np.ndarray, fvals: np.ndarray, ts: np.ndarray) -> np
         w1[~big] = (term * np.arange(1, 13)[:, None] / fact).sum(axis=0)
         out[i] = np.sum(h * np.exp(-1j * t * k0) * (f0 * w0 + f1 * w1))
     return out
+
+
+WAVEGUIDE_SPEC = QuadratureSpec(cutoff=2000.0, rel_tol=1e-13, abs_tol=1e-16)
+
+
+def waveguide_channel_sum(z: complex, wg, sigma: int, x21: float) -> complex:
+    """sum_l int_0^inf v0(k,l)^2 (1 + sigma cos k x21)/(z - E_{k,l}) dk for
+    Im z > 0, or real z at or below the open threshold E_{0,1}. z - E_{k,l} is
+    formed as (z - l^2/W^2) - k^2/pi^2, exact at z = E_{0,1}, where the open
+    channel's integrand is regular."""
+    total = 0j
+    for l in range(1, wg.l_max + 1):
+        shift = complex(z) - l**2 / wg.W**2
+
+        def f(k, l=l, shift=shift):
+            return wg.coupling(k, l) ** 2 * (1.0 + sigma * np.cos(k * x21)) / (shift - k**2 / np.pi**2)
+
+        total += halfline_integral(f, WAVEGUIDE_SPEC)
+    return total
+
+
+def residue_integral(a: complex, x: float, k_c: float) -> complex:
+    """G(a, x) = int_R k^2 e^{ikx} dk / ((k^2 + k_c^2)^2 (a^2 - k^2)) for Im a > 0,
+    as twice the half-line integral of the even integrand."""
+    def f(k):
+        return 2.0 * k**2 * np.cos(k * x) / ((k**2 + k_c**2) ** 2 * (a * a - k**2))
+
+    return halfline_integral(f, WAVEGUIDE_SPEC)

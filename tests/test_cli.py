@@ -98,15 +98,18 @@ def test_sweep_command(tmp_path):
 
 
 def test_no_runtime_path_builds_a_ray_kernel(tmp_path, monkeypatch):
-    """eta^+ and the collective-field phase integrals are in closed form: with
-    quadrature.RayKernel patched to raise, every command that evaluates
-    them still exits 0 (mirrors test_no_quadrature_spec_in_the_eta_layer)."""
+    """eta^+, the collective-field phase integrals and the waveguide channel
+    integrals are in closed form: with quadrature.RayKernel and the adaptive
+    integrator's panel rule (behind every binding of adaptive_integral)
+    patched to raise, all six commands still exit 0 (mirrors
+    test_no_quadrature_spec_in_the_eta_layer)."""
     from collective1d import quadrature
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a runtime path built a RayKernel")
+        raise AssertionError("a runtime path built a RayKernel or ran adaptive quadrature")
 
     monkeypatch.setattr(quadrature.RayKernel, "__init__", refuse)
+    monkeypatch.setattr(quadrature, "_panel_estimates", refuse)
     cases = {
         "poles": {"poles": {"x21": 8.0, "n_min": -1, "n_max": 1}},
         "contour": {"contour": {"x21": 8.0, "nx": 15, "ny": 5, "re_min": 1.8, "re_max": 2.2}},
@@ -115,6 +118,7 @@ def test_no_runtime_path_builds_a_ray_kernel(tmp_path, monkeypatch):
                    "evolve": {"x21": 5.0, "t_max_factor": 2.0, "n_t": 21,
                               "profile_time_factors": [1.0], "n_x": 21}},
         "sweep": {"sweep": {"x21_min": 7.5, "x21_max": 7.7, "step": 0.1, "zero_decay_max_n": 1}},
+        "waveguide": {},
     }
     for command, cfg in cases.items():
         (tmp_path / command).mkdir()

@@ -390,6 +390,34 @@ def test_field_symmetry_about_origin():
     assert np.max(np.abs(left - right)) < 1e-10 * max(right.max(), 1e-30)
 
 
+@settings(max_examples=20, deadline=None)
+@given(d=st.floats(-100.0, 100.0))
+def test_field_intensity_is_translation_covariant(d):
+    """Shifting x1, x2 and the x grid by one d leaves P(x, t) unchanged to
+    1e-12 of its peak."""
+    xs = np.linspace(-20.0, 25.0, 41)
+    base = field_intensity(build_lattice(ModelParams(x1=0.0, x2=5.0), 60.0, 201, "s"),
+                           "s", xs, 7.0).intensity
+    moved = field_intensity(build_lattice(ModelParams(x1=d, x2=d + 5.0), 60.0, 201, "s"),
+                            "s", xs + d, 7.0).intensity
+    assert np.max(np.abs(moved - base)) <= 1e-12 * base.max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.floats(-100.0, 100.0), tag=st.sampled_from(["s", "a"]))
+def test_collective_field_is_translation_covariant(d, tag):
+    """The same shift leaves the pure collective-state intensity unchanged to
+    1e-12 of its peak: it depends on x - x1 and x - x2 only."""
+    x21 = 12.7
+    p = ModelParams().with_x21(x21)
+    pole = find_pole(tag, x21, one_atom_pole(p).value, p)
+    xs = np.linspace(-1.5 * x21, 2.5 * x21, 81)
+    base = collective_field(p, tag, x21, xs, 2.0 * x21, pole=pole).intensity
+    shifted = ModelParams(x1=p.x1 + d, x2=p.x2 + d)
+    moved = collective_field(shifted, tag, x21, xs + d, 2.0 * x21, pole=pole).intensity
+    assert np.max(np.abs(moved - base)) <= 1e-12 * base.max()
+
+
 def test_collective_field_time_factorization(params, zs29):
     p = params.with_x21(29.025)
     xs = np.linspace(3.0, 25.0, 7)

@@ -135,9 +135,9 @@ def test_jet_reciprocal_at_a_zero_is_a_solver_error():
 
 
 def test_trap_leaving_the_window_is_a_solver_error(monkeypatch, tmp_path, capsys):
-    # a closed-channel sum of -10 keeps the existence margin positive but
-    # drives the trap map far below the threshold E_01 = 1
-    monkeypatch.setattr(wg, "_closed_channel_sum", lambda *args: -10.0)
+    # a channel sum of +10 keeps the existence margin positive but drives the
+    # trap map far above the closed-channel threshold E_02 = 4
+    monkeypatch.setattr(wg, "_channel_sum", lambda *args: 10.0)
     with pytest.raises(SolverError, match="left the single-channel window"):
         solve_trap(WaveguideParams(), 1, "s")
     assert main(["waveguide", "--out", str(tmp_path)]) == 2
@@ -146,7 +146,26 @@ def test_trap_leaving_the_window_is_a_solver_error(monkeypatch, tmp_path, capsys
 
 def test_pole_beyond_a_closed_channel_is_a_solver_error():
     with pytest.raises(SolverError, match="closed-channel threshold"):
-        wg._eta_wg(complex(4.5, -0.01), WaveguideParams(), 1, 1.0, wg._WG_QUAD)
+        wg._eta_wg(complex(4.5, -0.01), WaveguideParams(), 1, 1.0)
+
+
+@pytest.mark.parametrize("n", [1.5, True, 2.0])
+def test_non_integer_n_is_a_config_error(n):
+    """n counts half-wavelengths between the emitters: a float or a bool would
+    pass the parity rule and return a distance where neither
+    1 + sigma cos(k0 x21) nor gamma vanishes."""
+    with pytest.raises(ConfigError, match="zero-decay n must be an integer"):
+        zero_decay_solve("a", n, ModelParams())
+    with pytest.raises(ConfigError, match="trap n must be an integer"):
+        wg.trap_distance(2.3, n, "s", 1.0)
+    with pytest.raises(ConfigError, match="trap n must be an integer"):
+        solve_trap(WaveguideParams(), n, "s")
+
+
+@pytest.mark.parametrize("n, sector", [(0, "a"), (-1, "s")])
+def test_trap_distance_needs_a_positive_n(n, sector):
+    with pytest.raises(ConfigError, match="trap n must be >= 1"):
+        wg.trap_distance(2.3, n, sector, 1.0)
 
 
 @pytest.mark.parametrize("field, value", [

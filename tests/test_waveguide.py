@@ -13,7 +13,8 @@ from collective1d import (
     solve_trap,
     trap_distance,
 )
-from collective1d.waveguide import _eta_wg, trap_report_to_json
+from collective1d.waveguide import _channel_sum, _eta_wg, _residue_integral, trap_report_to_json
+from reference import residue_integral, waveguide_channel_sum
 
 
 @pytest.fixture(scope="module")
@@ -149,16 +150,59 @@ def test_open_channel_boundary_continuity(wg):
     xi = 2.1
     gaps = []
     for delta in (1e-3, 1e-4, 1e-5):
-        up = _eta_wg(xi + 1j * delta, wg, 1, x21, _default_quad())
-        down = _eta_wg(xi - 1j * delta, wg, 1, x21, _default_quad())
+        up = _eta_wg(xi + 1j * delta, wg, 1, x21)
+        down = _eta_wg(xi - 1j * delta, wg, 1, x21)
         gaps.append(abs(up - down))
     assert gaps[2] < 0.15 * gaps[1] < 0.15**2 * gaps[0] * 10
 
 
-def _default_quad():
-    from collective1d.waveguide import _WG_QUAD
+# ----------------------------------------------------------------- closed form
 
-    return _WG_QUAD
+@pytest.mark.parametrize("z", [1.5 + 0.02j, 2.5 + 0.1j, 2.1 + 0.3j, 3.5 + 0.05j])
+@pytest.mark.parametrize("sigma, x21", [(1, 0.99), (-1, 1.7), (1, 5.3)])
+def test_eta_wg_matches_tight_oracle(wg, z, sigma, x21):
+    ref = z - wg.xi0 - 2.0 * waveguide_channel_sum(z, wg, sigma, x21)
+    assert abs(_eta_wg(z, wg, sigma, x21) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_existence_margin_matches_tight_oracle(wg):
+    ref = wg.xi0 - wg.threshold + 2.0 * waveguide_channel_sum(wg.threshold, wg, 0, 0.0).real
+    assert abs(existence_check(wg).margin - ref) <= 1e-13
+
+
+# the l = 2 channel pole meets the coupling's double pole at k = i k_c here
+_Z_COLLISION = 4.0 / WaveguideParams().W ** 2 - WaveguideParams().k_c ** 2 / np.pi**2
+
+
+@pytest.mark.parametrize("z", [2.0181711153 - 1e-9j, 1.5 - 0.05j, 2.5 + 0.1j, 3.3 - 0.2j,
+                               _Z_COLLISION])
+@pytest.mark.parametrize("sigma, x21", [(1, 0.99), (-1, 1.7), (1, 5.3)])
+def test_eta_wg_derivative_is_exact(wg, z, sigma, x21):
+    """The residue form's z-derivative against the Cauchy integral of eta_wg
+    over a circle of radius 1e-2 (32 points, spectrally accurate)."""
+    _, slope = _channel_sum(z, wg, sigma, x21, derivative=True)
+    w = np.exp(2j * np.pi * np.arange(32) / 32)
+    r = 1e-2
+    cauchy = np.mean([_eta_wg(z + r * wk, wg, sigma, x21) / wk for wk in w]) / r
+    assert abs(1.0 - 2.0 * slope - cauchy) < 1e-11
+
+
+def test_channel_pole_meeting_the_coupling_pole_stays_exact(wg):
+    """At z_c = 4/W^2 - k_c^2/pi^2 the l = 2 channel pole a_2 = i pi
+    sqrt(4/W^2 - z) meets the coupling's double pole i k_c, where the textbook
+    residue sum is 0/0: the kernel G stays finite and on the oracle there and
+    at 1e-7 and 1e-5 from it, and eta_wg stays smooth through z_c."""
+    z_c = _Z_COLLISION
+    for delta in (0.0, 1e-7, -1e-7, 1e-7j, 1e-5, -1e-5, 1e-5j):
+        a = 1j * np.pi * np.sqrt(complex(4.0 / wg.W**2 - (z_c + delta)))
+        for x in (0.0, 0.99, 1.7, 5.3):
+            g, dg = _residue_integral(a, x, wg.k_c)
+            assert np.isfinite(g) and np.isfinite(dg)
+            assert abs(g - residue_integral(a, x, wg.k_c)) < 1e-12
+    eta, slope = _channel_sum(z_c, wg, 1, 1.7, derivative=True)
+    assert np.isfinite(eta) and np.isfinite(slope)
+    step = _eta_wg(z_c + 1e-7, wg, 1, 1.7) - _eta_wg(z_c, wg, 1, 1.7)
+    assert abs(step - 1e-7 * (1.0 - 2.0 * slope)) < 1e-12
 
 
 def test_trap_report_json(tmp_path, wg):
