@@ -48,7 +48,6 @@ __all__ = [
     "eta_plus_derivative",
     "eta_evaluator",
     "newton",
-    "fixed_point",
     "solve_poles",
     "find_pole",
     "one_atom_pole",
@@ -289,18 +288,27 @@ def newton(fdf, z, tol: float, max_iter: int, what: str, f=None, df=None):
 
     Converged when |f| < tol*max(1, |z|) at the z returned; returns (z, f'(z))
     so a residue 1/f' belongs to that root. Pass (f, df) when they are
-    already known at z. Leaving the evaluation region
-    (ContinuationDomainError) or running out of max_iter steps raises
-    ConvergenceError naming the solve `what`.
+    already known at z. A caller with no derivative returns (f, None): the
+    step then takes the secant slope through the previous iterate, and slope
+    1 on the first step, so that step is z - f. Leaving the evaluation region
+    (ContinuationDomainError), a zero or non-finite secant slope or running
+    out of max_iter steps raises ConvergenceError naming the solve `what`.
     """
     z = complex(z)
+    z_prev = f_prev = None
     try:
         if f is None:
             f, df = fdf(z)
         for _ in range(max_iter):
             if abs(f) < tol * max(1.0, abs(z)):
                 return z, df
-            z = z - f / df
+            slope = df
+            if slope is None:
+                slope = 1.0 if z_prev is None else 0.0 if z == z_prev else (f - f_prev) / (z - z_prev)
+                if slope == 0 or not np.isfinite(slope):
+                    raise ConvergenceError(f"{what} has secant slope {slope} at z={z} (|f|={abs(f):.2e})")
+            z_prev, f_prev = z, f
+            z = z - f / slope
             f, df = fdf(z)
     except ContinuationDomainError as exc:
         last = "none" if f is None else f"{abs(f):.2e}"
@@ -308,22 +316,6 @@ def newton(fdf, z, tol: float, max_iter: int, what: str, f=None, df=None):
     if abs(f) < tol * max(1.0, abs(z)):
         return z, df
     raise ConvergenceError(f"{what} did not converge in {max_iter} steps (|f|={abs(f):.2e} at z={z})")
-
-
-def fixed_point(g, x: float, tol: float, max_iter: int, what: str):
-    """Damped fixed point x <- (x + g(x))/2 until |g(x) - x| < tol.
-
-    Returns (g(x), |g(x) - x|). g raises its own domain errors; a stall
-    after max_iter steps raises ConvergenceError naming the solve `what`.
-    """
-    residual = np.inf
-    for _ in range(max_iter):
-        gx = g(x)
-        residual = abs(gx - x)
-        if residual < tol:
-            return gx, residual
-        x = 0.5 * (x + gx)
-    raise ConvergenceError(f"{what} stalled at residual {residual:.2e}")
 
 
 def _root_record(z, sigma, deta):
@@ -520,8 +512,7 @@ def weak_coupling_estimate(sector, x21, params: ModelParams) -> ComplexEnergy:
 
     Iterates the pole-contribution equations for (omega_tilde, gamma),
     anchored at the one-atom pole so the one-atom level shift is not lost.
-    Raises EstimateDivergence when e^{gamma x21} runs away; callers fall back
-    to find_pole seeded at omega1.
+    Raises EstimateDivergence when e^{gamma x21} runs away.
     """
     sector = as_sector(sector)
     z1 = one_atom_pole(params)

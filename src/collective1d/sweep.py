@@ -14,7 +14,8 @@ from .core import (ANTISYMMETRIC, SYMMETRIC, ConfigError, ModelParams, SolverErr
 from .greens import (
     ComplexEnergy,
     EtaEvaluator,
-    fixed_point,
+    _MAX_NEWTON,
+    newton,
     one_atom_pole,
     solve_poles,
 )
@@ -37,7 +38,6 @@ __all__ = [
 
 
 ZERO_DECAY_TOL = 1e-12
-_ZERO_DECAY_MAX_ITER = 400
 
 
 @dataclass
@@ -195,18 +195,20 @@ class ZeroDecaySolution:
     n: int
     omega_o: float          # renormalized energy at the zero-decay point
     x21_zero: float         # (2n+1) pi / omega_o (symmetric) or 2n pi / omega_o
-    residual: float         # fixed-point residual of the integral equation
+    residual: float         # |Re eta^+| at omega_o, x21_zero
 
 
 def zero_decay_solve(sector, n: int, params: ModelParams) -> ZeroDecaySolution:
     """Distance at which gamma_j vanishes exactly.
 
-    Solves omega_o = omega1 + PV integral of 2 lam^2 v^2 (1 + sigma cos(m pi
-    k / omega_o))/(omega_o - k), m = 2n+1 (symmetric) or 2n (antisymmetric),
-    by the damped `fixed_point` to ZERO_DECAY_TOL within
-    _ZERO_DECAY_MAX_ITER steps; the principal value is the real part of the
-    continued eta integral at x_eff = m pi / omega_o. Requires the unstable
-    regime (which guarantees a solution)."""
+    Solves h(omega) = Re eta^+(omega) = 0 at x21 = m pi / omega, m = 2n+1
+    (symmetric) or 2n (antisymmetric): omega_o = omega1 + PV integral of
+    2 lam^2 v^2 (1 + sigma cos(m pi k / omega_o))/(omega_o - k), the
+    principal value being the real part of the continued eta integral. Runs
+    `newton` on its secant path (DECISIONS.md, "One scalar root-finder")
+    from the one-atom omega_tilde to ZERO_DECAY_TOL within _MAX_NEWTON
+    steps; residual is |h| re-evaluated at the omega_o returned. Requires
+    the unstable regime (which guarantees a solution)."""
     sector = as_sector(sector)
     if sector is None:
         raise ConfigError("zero_decay_solve needs a two-atom sector")
@@ -218,18 +220,17 @@ def zero_decay_solve(sector, n: int, params: ModelParams) -> ZeroDecaySolution:
     if m <= 0:
         raise ConfigError("need 2n+1 >= 1 (symmetric) or 2n >= 2 (antisymmetric)")
 
-    def g(om):
+    def h(om):
+        om = om.real
+        if not (0.0 < om < params.omegaM):
+            raise SolverError(f"zero-decay solve left (0, omegaM): {om}")
         # built outside the evaluator cache: x_eff moves every step, so a
         # cached evaluator would never be reused and would evict others
-        eta = EtaEvaluator(params, sector.sigma, m * np.pi / om).values(complex(om))
-        om_new = params.omega1 + (om - params.omega1 - eta).real
-        if not (0.0 < om_new < params.omegaM):
-            raise SolverError(f"zero-decay fixed point left (0, omegaM): {om_new}")
-        return om_new
+        return EtaEvaluator(params, sector.sigma, m * np.pi / om).values(complex(om)).real, None
 
-    om, residual = fixed_point(g, one_atom_pole(params).omega_tilde, ZERO_DECAY_TOL,
-                               _ZERO_DECAY_MAX_ITER, "zero-decay fixed point")
-    return ZeroDecaySolution(sector.tag, n, float(om), float(m * np.pi / om), float(residual))
+    om = float(newton(h, one_atom_pole(params).omega_tilde, ZERO_DECAY_TOL, _MAX_NEWTON,
+                      "zero-decay solve")[0].real)
+    return ZeroDecaySolution(sector.tag, n, om, float(m * np.pi / om), float(abs(h(om)[0])))
 
 
 @dataclass

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, SolverError, as_sector, finite_integer, finite_real
-from .greens import ComplexEnergy, fixed_point, newton
+from .greens import _MAX_NEWTON, ComplexEnergy, newton
 from .io import write_json
 
 __all__ = [
@@ -127,7 +127,6 @@ def trap_distance(xi: float, n: int, sector, W: float) -> float:
 
 
 TRAP_TOL = 1e-12
-_TRAP_MAX_ITER = 300
 # |eta_wg| < 1e-11 at the default trap, where |z| ~ xi0 = 2
 WG_POLE_TOL = 5e-12
 # e^u = 1 + u + u^2 sum_n u^n/(n+2)!, truncated where |u| < 1 leaves 1/22! ~ 1e-21
@@ -229,9 +228,10 @@ class TrapSolution:
 def solve_trap(wg: WaveguideParams, n: int, sector) -> TrapSolution:
     """Self-consistent trapped energy xi_tilde and distance x21 = g(xi_tilde).
 
-    Damped `fixed_point` of the principal-value trap equation
-    xi = xi0 + 2 Re sum_l J_l(xi) at x21 = g(xi), to TRAP_TOL within
-    _TRAP_MAX_ITER steps.
+    Solves the principal-value trap equation
+    h(xi) = xi - xi0 - 2 Re sum_l J_l(xi) = 0 at x21 = g(xi) by `newton` on
+    its secant path, from xi0 to TRAP_TOL within _MAX_NEWTON steps; residual
+    is |h| re-evaluated at the xi_tilde returned.
     """
     sector = as_sector(sector)
     wg.validate()
@@ -240,16 +240,16 @@ def solve_trap(wg: WaveguideParams, n: int, sector) -> TrapSolution:
         raise ConfigError(f"existence condition violated (margin {report.margin:.3e})")
     trap_distance(wg.xi0, n, sector, wg.W)   # integer/parity/threshold validation
 
-    def trap_map(xi):
+    def h(xi):
+        xi = xi.real
+        if not (wg.threshold < xi < lead_energy(0.0, 2, wg.W)):
+            raise SolverError(f"trap solve left the single-channel window: {xi}")
         g = trap_distance(xi, n, sector, wg.W)
-        xi_new = wg.xi0 + 2.0 * _channel_sum(xi, wg, sector.sigma, g).real
-        if not (wg.threshold < xi_new < lead_energy(0.0, 2, wg.W)):
-            raise SolverError(f"trap fixed point left the single-channel window: {xi_new}")
-        return xi_new
+        return xi - wg.xi0 - 2.0 * _channel_sum(xi, wg, sector.sigma, g).real, None
 
-    xi, residual = fixed_point(trap_map, wg.xi0, TRAP_TOL, _TRAP_MAX_ITER, "trap fixed point")
-    return TrapSolution(sector.tag, n, wg.xi0, float(xi),
-                        float(trap_distance(xi, n, sector, wg.W)), float(residual))
+    xi = float(newton(h, wg.xi0, TRAP_TOL, _MAX_NEWTON, "trap solve")[0].real)
+    return TrapSolution(sector.tag, n, wg.xi0, xi, float(trap_distance(xi, n, sector, wg.W)),
+                        float(abs(h(xi)[0])))
 
 
 def _eta_wg(z: complex, wg: WaveguideParams, sigma: int, x21: float) -> complex:
@@ -264,6 +264,11 @@ def collective_pole_wg(wg: WaveguideParams, sector, x21: float,
     WG_POLE_TOL, with the exact derivative of the closed form. gamma vanishes
     to solver tolerance exactly at x21 = g(xi_tilde) from solve_trap."""
     sector = as_sector(sector)
+    if sector is None:
+        raise ConfigError("collective_pole_wg needs a two-cavity sector")
+    x21 = finite_real(x21, "waveguide x21")
+    if not x21 > 0:
+        raise ConfigError(f"waveguide x21 must be positive, got {x21!r}")
     wg.validate()
 
     def fdf(z):

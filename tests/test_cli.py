@@ -133,7 +133,7 @@ def test_sweep_reports_skipped_zero_decay_solutions(tmp_path, capsys, monkeypatc
 
     def stalls_at_a2(sector, n, params):
         if (sector, n) == ("a", 2):
-            raise ConvergenceError("zero-decay fixed point stalled at residual 1.00e-03")
+            raise ConvergenceError("zero-decay solve did not converge in 60 steps (|f|=1.00e-03)")
         return solve(sector, n, params)
 
     monkeypatch.setattr(sw, "zero_decay_solve", stalls_at_a2)
@@ -141,7 +141,7 @@ def test_sweep_reports_skipped_zero_decay_solutions(tmp_path, capsys, monkeypatc
     assert run(tmp_path, "sweep", config=cfg) == 0
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["sweep: zero-decay solution (a, 2) skipped: "
-                   "zero-decay fixed point stalled at residual 1.00e-03"]
+                   "zero-decay solve did not converge in 60 steps (|f|=1.00e-03)"]
     zd = json.loads((tmp_path / "zero_decay.json").read_text())
     assert [(item["sector"], item["n"]) for item in zd] == [("symmetric", 2)]
 

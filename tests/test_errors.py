@@ -162,6 +162,17 @@ def test_non_integer_n_is_a_config_error(n):
         solve_trap(WaveguideParams(), n, "s")
 
 
+@pytest.mark.parametrize("sector, x21, message", [
+    (None, 1.0, "needs a two-cavity sector"),
+    ("s", np.nan, "waveguide x21 must be finite"),
+    ("s", np.inf, "waveguide x21 must be finite"),
+    ("s", 0.0, "waveguide x21 must be positive"),
+], ids=["no-sector", "nan", "inf", "zero"])
+def test_waveguide_pole_checks_sector_and_distance(sector, x21, message):
+    with pytest.raises(ConfigError, match=message):
+        wg.collective_pole_wg(WaveguideParams(), sector, x21)
+
+
 @pytest.mark.parametrize("n, sector", [(0, "a"), (-1, "s")])
 def test_trap_distance_needs_a_positive_n(n, sector):
     with pytest.raises(ConfigError, match="trap n must be >= 1"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,6 @@ from collective1d.greens import (
     ConvergenceError,
     EstimateDivergence,
     EtaEvaluator,
-    fixed_point,
     form_factor_sq_derivative,
     newton,
     pole_records_to_csv,
@@ -386,13 +387,35 @@ def test_newton_failures_name_the_solve():
         newton(fenced, 2.5, 1e-12, 50, "fenced step")
 
 
-def test_fixed_point_contraction_and_stall():
-    x, residual = fixed_point(np.cos, 1.0, 1e-13, 200, "cosine")
-    assert residual < 1e-13
-    assert x == pytest.approx(0.7390851332151607, abs=1e-12)
-    with pytest.raises(ConvergenceError, match="drift stalled at residual 1.00e"):
-        fixed_point(lambda x: x + 1.0, 0.0, 1e-12, 30, "drift")
-    assert issubclass(ConvergenceError, SolverError)
+def test_newton_secant_path_without_derivative():
+    z, df = newton(lambda z: (np.cos(z) - z, None), 1.0, 1e-13, 50, "cosine")
+    assert z.real == pytest.approx(0.7390851332151607, abs=1e-12) and z.imag == 0.0
+    assert df is None
+
+
+@pytest.mark.parametrize("const", [1.0, np.float64(1.0)], ids=["float", "float64"])
+def test_newton_secant_flat_slope_names_the_solve(const):
+    """A constant f gives a zero secant slope: a ConvergenceError, never a
+    ZeroDivisionError, a NaN iterate or a numpy RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="flat has secant slope"):
+            newton(lambda z: (const, None), 2.0, 1e-12, 30, "flat")
+
+
+def test_newton_secant_passes_solver_errors_through():
+    err = SolverError("left the window")
+    calls = []
+
+    def h(z):
+        calls.append(z)
+        if len(calls) > 2:
+            raise err
+        return 1.0 / z, None
+
+    with pytest.raises(SolverError) as excinfo:
+        newton(h, 2.0, 1e-12, 30, "window")
+    assert excinfo.value is err and len(calls) == 3
 
 
 # ------------------------------------------------------------------ pole_scan

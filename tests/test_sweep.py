@@ -194,10 +194,28 @@ def test_zero_decay_antisymmetric_n4_is_127(params):
     assert sol.x21_zero == pytest.approx(12.66, abs=5e-2)
 
 
-def test_zero_decay_pole_cross_check(params, z1):
-    sol = zero_decay_solve(SYMMETRIC, 3, params)
-    pole = find_pole(SYMMETRIC, sol.x21_zero, z1.value, params)
+@pytest.mark.parametrize("lam", [0.05, 0.1, 0.15])
+@pytest.mark.parametrize("sector, n", [("s", 3), ("a", 4)])
+def test_zero_decay_pole_cross_check(sector, n, lam):
+    params = ModelParams(lam=lam)
+    sol = zero_decay_solve(sector, n, params)
+    pole = find_pole(sector, sol.x21_zero, one_atom_pole(params).value, params)
     assert pole.gamma < 1e-8
+
+
+def test_zero_decay_solve_builds_few_evaluators(params, monkeypatch):
+    """The secant finishes in a handful of eta evaluations, one evaluator
+    each (plus the residual's); a damped iteration needs about 29."""
+    builds = []
+    init = sweep.EtaEvaluator.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sweep.EtaEvaluator, "__init__", counting)
+    zero_decay_solve(SYMMETRIC, 3, params)
+    assert 0 < len(builds) <= 6
 
 
 def test_zero_decay_dips_match_sweep(params, sweep_records):
