@@ -17,7 +17,8 @@ with poles of order 2 n_ff at +-i omegaM):
 K_0 = i pi - log z and K_c = e^{izc} [E_1(izc) + 2 pi i [c > 0]], on the
 retarded (+) branch throughout the evaluation region Re z > 0,
 |Im z| < 0.7 Re z (all of the physics: poles sit just below the positive
-real axis). The e^{i z x21} term carries the e^{gamma x21} growth that
+real axis; `poles_in_box` counts them by the argument principle, and
+`solve_poles` polishes them from seeds). The e^{i z x21} term carries the e^{gamma x21} growth that
 drives the collective physics; it overflows double precision at
 gamma*x21 > 650 and is guarded, not saturated.
 """
@@ -52,6 +53,7 @@ __all__ = [
     "find_pole",
     "one_atom_pole",
     "pole_scan",
+    "poles_in_box",
     "weak_coupling_estimate",
     "continuum_weight",
     "continuum_weight_grid",
@@ -68,6 +70,9 @@ _WEAK_COUPLING_MAX_ITER = 3000
 _FAST_REGION_SLOPE = 0.7   # fast path requires |Im z| < slope * Re z
 OVERFLOW_EXPONENT = 650.0
 _FLANK_RATIO = 1.02        # continuum_weight_grid: growth of the pole-window flank steps
+_CENSUS_TOP = 0.05         # census boxes close this far above the real axis
+_CENSUS_CUTS = 60          # census: cuts before a polygon that will not settle fails
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 class ConvergenceError(SolverError):
@@ -403,11 +408,90 @@ def solve_poles(ev: EtaEvaluator, seeds, rows=None) -> list:
     return result
 
 
+def _clip(v, d, keep: float):
+    """The part of convex polygon v where keep*d >= 0, d linear in z (its values at v)."""
+    piece = []
+    for a, b, da, db in zip(v, np.roll(v, -1), d, np.roll(d, -1)):
+        if keep * da >= 0:
+            piece.append(a)
+        if da * db < 0:
+            piece.append(a + (b - a) * da / (da - db))
+    return np.array(piece)
+
+
+def poles_in_box(ev: EtaEvaluator, lo: complex, hi: complex) -> list:
+    """Certified roots of eta^+ on the one row of ev, sorted by Re z, in the box
+    from corner lo to corner hi clipped at Im z = -0.69 Re z, by the argument
+    principle: the count s_0 and moments s_1..s_4 of u = (z - c)/r (c, 2r:
+    centre and longer side of the bounding box) on 16-point Gauss-Legendre
+    panels no longer than min(0.05, 1/x21, r/2). Newton's identities turn an
+    integral count n <= 4 into seeds for `newton`; otherwise, or unless they
+    polish to n distinct roots inside, the box is cut across its longer side,
+    up to _CENSUS_CUTS times before SolverError."""
+    box = np.array([lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)])
+    pending, found = [(_clip(box, box.imag + 0.69 * box.real, 1.0), 0)], []
+    panel = 1.0 / ev.x21[0] if ev.two_atom else np.inf
+    while pending:
+        v, cuts = pending.pop()
+        lo, hi = complex(v.real.min(), v.imag.min()), complex(v.real.max(), v.imag.max())
+        c, r = 0.5 * (lo + hi), 0.5 * max(hi.real - lo.real, hi.imag - lo.imag)
+        sides = np.roll(v, -1) - v
+        m = np.maximum(1, np.ceil(np.abs(sides) / min(0.05, panel, 0.5 * r))).astype(int)
+        step = np.repeat(sides / m, m)[:, None]     # m[i] panels along side i, round the polygon
+        z = v[0] + np.cumsum(step, axis=0) - step + 0.5 * step * (_GL_NODES + 1.0)
+        z, dz = z.ravel(), (0.5 * step * _GL_WEIGHTS).ravel()
+        eta, deta = ev.values(z, derivative=True)
+        s = [np.sum(((z - c) / r) ** p * deta / eta * dz) / (2j * np.pi) for p in range(5)]
+        n, roots = int(round(s[0].real)), None
+        if abs(s[0] - n) < 1e-3 and 0 <= n <= 4:
+            coeffs = [1.0]      # Newton's identities: k a_k = -sum_i a_(k-i) s_i
+            for k in range(1, n + 1):
+                coeffs.append(-sum(coeffs[k - i] * s[i] for i in range(1, k + 1)) / k)
+            try:
+                polished = [newton(partial(ev.values, derivative=True), c + r * u, ROOT_TOL,
+                                   _MAX_NEWTON, "census root Newton") for u in np.roots(coeffs)]
+                roots = [ComplexEnergy.from_root(q, _SECTORS[ev.sigma[0]], 0, 1 / df) for q, df in polished]
+            except SolverError:
+                pass
+        if roots is not None and all(
+                np.all((np.conj(sides) * (q.value - v)).imag >= 0)
+                and all(abs(q.value - p.value) >= 1e-6 * ev.params.omega1 for p in roots[:i])
+                for i, q in enumerate(roots)):
+            found += roots
+            continue
+        if cuts == _CENSUS_CUTS:
+            raise SolverError(f"pole census did not settle in {lo} to {hi} (count {s[0]:.6g})")
+        d = ((v - c) * (1.0 if hi.real - lo.real >= hi.imag - lo.imag else -1j)).real
+        pending += [(_clip(v, d, keep), cuts + 1) for keep in (-1.0, 1.0)]
+    return sorted(found, key=lambda rec: rec.omega_tilde)
+
+
+def _census(ev: EtaEvaluator, re_lo: float, re_hi: float, depth: float = np.inf) -> list:
+    """`poles_in_box` on boxes at most 0.5 wide over Re z in [re_lo, re_hi] (from
+    0.05*omega1 up) and Im z from -min(depth, 600/x21), inside the overflow
+    guard, to _CENSUS_TOP: zero-decay poles sit on the axis, none above it."""
+    re_lo = max(re_lo, 0.05 * ev.params.omega1)
+    edges = np.linspace(re_lo, re_hi, max(1, math.ceil((re_hi - re_lo) / 0.5) + 1))
+    bottom = -min(depth, 600.0 / ev.x21[0] if ev.two_atom else np.inf)
+    return [rec for a, b in zip(edges, edges[1:])
+            for rec in poles_in_box(ev, complex(a, bottom), complex(b, _CENSUS_TOP))]
+
+
 def find_pole(sector, x21, seed, params: ModelParams, lattice_index: int = 0) -> ComplexEnergy:
     """Root of eta^+ from one seed: a one-row `solve_poles` on the cached
-    evaluator of (sector, x21). Raises the row's SolverError; returns a
-    certified record with normalization N = 1/eta^+'(z)."""
-    root = solve_poles(eta_evaluator(sector, x21, params), [seed])[0]
+    evaluator of (sector, x21). Raises its SolverError, or returns a certified
+    record with normalization N = 1/eta^+'(z). A two-atom solve that fails to
+    converge from a seed in the region, or lands more than pi/x21 away in Re,
+    takes instead the root of a census of Re z within pi/x21 of the seed that
+    is nearest the seed with sigma*(Re z - Re seed) >= 0, if there is one."""
+    ev, seed = eta_evaluator(sector, x21, params), complex(seed)
+    root = solve_poles(ev, [seed])[0]
+    stray = (abs(root.omega_tilde - seed.real) * ev.x21[0] > np.pi if isinstance(root, ComplexEnergy)
+             else isinstance(root, ConvergenceError) and not ev.off_domain(np.array([seed]), 0.0)[0][0])
+    if stray and ev.two_atom:
+        side = [r for r in _census(ev, seed.real - np.pi / ev.x21[0], seed.real + np.pi / ev.x21[0])
+                if ev.sigma[0] * (r.omega_tilde - seed.real) >= 0]
+        root = min(side, key=lambda r: abs(r.value - seed), default=root)
     if isinstance(root, SolverError):
         raise root
     return replace(root, lattice_index=lattice_index)
@@ -421,86 +505,31 @@ def one_atom_pole(params: ModelParams) -> ComplexEnergy:
 
 
 def pole_scan(sector, x21, n_range, params: ModelParams):
-    """Lattice poles z_{j,n} for n in n_range, seeded by the weak-coupling
-    offsets (2n pi/x21 for sigma*n > 0, (2n+sigma) pi/x21 for sigma*n < 0)
-    with a small ladder of imaginary-part seeds walked outward from z_j.
-
-    Returns (records sorted by Re z, missing_n). Missed indices are reported,
-    not fatal; duplicates within 1e-6*omega1 collapse onto one record.
-
-    The rung seeds go to `newton` directly, without find_pole's damped
-    phase: the damped map is a global contraction toward the principal
-    pole, which is exactly wrong when hunting lattice poles z_{j,n!=0} from
-    their local seeds.
-    """
+    """Lattice poles z_{j,n} for n in n_range: n = 0 is `find_pole` from z1,
+    and in order of |n| each other n labels, from one census of the band of
+    targets Re z_j + 2n pi/x21 (sigma*n > 0) or + (2n+sigma) pi/x21, the root
+    nearest its target in Re within 0.35 * 2pi/x21 that is not within
+    1e-6*omega1 of one already labelled. Returns (records sorted by Re z,
+    missing_n): targets at or below 0.05*omega1, or with no root, are missing."""
     sector = as_sector(sector)
     if sector is None:
         raise ConfigError("pole_scan needs a two-atom sector")
-    x21 = float(x21)
-    z1 = one_atom_pole(params)
-    if x21 > 1.0 / z1.gamma:
-        import warnings
-
-        warnings.warn(f"x21={x21} beyond 1/gamma_1={1.0 / z1.gamma:.1f}; Eq-lattice seeding degrades",
-                      stacklevel=2)
-    ev = eta_evaluator(sector, x21, params)
-    try:
-        principal = find_pole(sector, x21, z1.value, params, lattice_index=0)
-    except ConvergenceError:
-        # in narrow distance windows z1 sits between the principal pole and
-        # its n = -sigma neighbour, pi/x21 to the -sigma side, and the damped
-        # map stalls between them: seed pi/(2 x21) to the sigma side of z1,
-        # then to the other side
-        quarter = 0.5 * np.pi / x21 * sector.sigma
-        roots = [r for r in solve_poles(ev, [z1.value + quarter, z1.value - quarter], [0, 0])
-                 if not isinstance(r, SolverError)]
-        if not roots:
-            raise
-        principal = roots[0]
-    fdf = partial(ev.values, derivative=True)
-    sigma = sector.sigma
-    spacing = 2.0 * np.pi / x21
-    dedup = 1e-6 * params.omega1
-    records = {0: principal}
-    missing = []
-    for n in sorted((m for m in n_range if m != 0), key=abs):
-        target = principal.omega_tilde + (2 * n * np.pi / x21 if sigma * n > 0
-                                          else (2 * n + sigma) * np.pi / x21)
-        if target <= 0.05 * params.omega1:
-            missing.append(n)
-            continue
-        neighbor = records.get(n - int(np.sign(n)), principal)
-        g0 = max(neighbor.gamma, 0.004)
-        # depth estimate: the pole sits where the e^{gamma x21} amplification
-        # of the coupling term reaches the offset from the dressed level,
-        # gamma_n ~ ln(|off| / 2 pi lam^2 v^2) / x21
-        g_wc = 2.0 * np.pi * params.lam**2 * abs(form_factor_sq(target, params))
-        off = abs(target - principal.omega_tilde)
-        g_star = np.log(max(off, spacing / 4) / g_wc) / x21 if off > g_wc else g0
-        rungs = sorted({round(g, 6) for g in
-                        (g0, 1.7 * g0, 3.0 * g0,
-                         0.7 * g_star, 0.9 * g_star, 1.1 * g_star, 1.35 * g_star)
-                        if g > 0})
-        best = None
-        for rung in rungs:
-            seed = complex(target, -rung - 0.004)
-            try:
-                z, df = newton(fdf, seed, ROOT_TOL, _MAX_NEWTON, f"lattice pole n={n} Newton")
-                cand = ComplexEnergy.from_root(z, sector, n, 1.0 / df)
-            except SolverError:
-                continue
-            if abs(cand.omega_tilde - target) > 0.35 * spacing:
-                continue
-            if any(abs(cand.value - r.value) < dedup for r in records.values()):
-                continue
-            if best is None or abs(cand.omega_tilde - target) < abs(best.omega_tilde - target):
-                best = cand
-        if best is None:
-            missing.append(n)
+    principal = find_pole(sector, x21, one_atom_pole(params).value, params)
+    sigma, window, floor = sector.sigma, 0.35 * 2.0 * np.pi / x21, 0.05 * params.omega1
+    targets = {n: principal.omega_tilde + (2 * n if sigma * n > 0 else 2 * n + sigma) * np.pi / x21
+               for n in sorted(n_range, key=abs) if n != 0}
+    reach = [t for t in targets.values() if t > floor]
+    roots = _census(eta_evaluator(sector, x21, params), min(reach) - window,
+                    max(reach) + window) if reach else []
+    records, missing = {0: principal}, []
+    for n, target in targets.items():
+        near = [r for r in roots if target > floor and abs(r.omega_tilde - target) <= window
+                and all(abs(r.value - s.value) >= 1e-6 * params.omega1 for s in records.values())]
+        if near:
+            records[n] = replace(min(near, key=lambda r: abs(r.omega_tilde - target)), lattice_index=n)
         else:
-            records[n] = best
-    ordered = sorted(records.values(), key=lambda r: r.omega_tilde)
-    return ordered, missing
+            missing.append(n)
+    return sorted(records.values(), key=lambda r: r.omega_tilde), missing
 
 
 class EstimateDivergence(SolverError):
@@ -567,8 +596,8 @@ def continuum_weight_grid(sector, x21, params: ModelParams, quad=None,
 
     The base grid resolves the cos(k x21) modulation and, when a Fourier
     transform up to t_max is requested, keeps panel phases t*h bounded.
-    Each pole of 1/eta^+ (from pole_scan) narrower than 20 base steps gets a
-    601-point window over +-12 w, w = max(gamma, 1e-8), and a graded flank
+    Each pole of 1/eta^+ narrower than 20 base steps (a census of that strip)
+    gets a 601-point window over +-12 w, w = max(gamma, 1e-8), and a graded flank
     on either side: from 12 w outward the steps grow by _FLANK_RATIO from
     the window's spacing until they reach the base step, so the
     1/(k - omega)^2 tails are resolved and the sum rule int rho = 1 holds
@@ -597,17 +626,8 @@ def continuum_weight_grid(sector, x21, params: ModelParams, quad=None,
                 f"oscillatory budget exceeded: t_max={t_max} needs {k_max / base_step:.0f} grid points"
             )
     pieces = [np.linspace(1e-9, k_max, int(np.ceil(k_max / base_step)) + 1)]
-    if sector is None:
-        poles = [one_atom_pole(params)]
-    else:
-        n_side = int(np.ceil(3.0 * params.omega1 * x21 / (2.0 * np.pi))) + 1
-        poles, _ = pole_scan(sector, x21, range(-n_side, n_side + 1), params)
-    for rec in poles:
-        if not (0 < rec.omega_tilde < k_max):
-            continue
+    for rec in _census(eta_evaluator(sector, x21, params), 0.0, k_max, 20.0 * base_step):
         width = max(rec.gamma, 1e-8)
-        if width > 20.0 * base_step:
-            continue
         lo = max(1e-9, rec.omega_tilde - 12.0 * width)
         hi = min(k_max, rec.omega_tilde + 12.0 * width)
         pieces.append(np.linspace(lo, hi, 601))

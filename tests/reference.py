@@ -18,6 +18,10 @@
   (one damped loop and one ``newton`` per seed) and the point-by-point
   distance sweep; the oracles of the batched ``solve_poles`` and of the
   blocked Jacobi passes in ``collective1d.sweep``.
+* ``rung_scan``: lattice poles hunted by one ``newton`` per seed on a
+  ladder of imaginary parts below each index's target, the package's
+  ``pole_scan`` before its argument-principle census; the oracle of the
+  census labels.
 * ``phase_integral`` and ``collective_field_intensity``: the continued phase
   integrals of the collective field from one ``RayKernel`` each, summed point
   by point; the oracle of the closed-form phase integrals of
@@ -320,6 +324,44 @@ def sweep_poles(x21_grid, params: ModelParams) -> list[SweepRecord]:
                 seeds.append(prev[sector.sigma].value)
             rec[sector.sigma] = prev[sector.sigma] = solve_point(sector, x, params, seeds)
         records.append(SweepRecord(float(x), rec[1], rec[-1]))
+    return records
+
+
+def rung_scan(sector, x21: float, n_range, params: ModelParams) -> dict:
+    """{n: pole} for the principal pole (n = 0, `find_pole` from z1) and each
+    lattice index n it finds: Newton from target - i(rung + 0.004) on rungs
+    set by the neighbour's width g0 and the depth estimate
+    g* = ln(|offset| / 2 pi lam^2 v^2) / x21, keeping the root nearest the
+    target in Re within 0.35 * 2pi/x21 not already labelled."""
+    sector = as_sector(sector)
+    principal = find_pole(sector, x21, one_atom_pole(params).value, params)
+    ev = eta_evaluator(sector, x21, params)
+    spacing = 2.0 * np.pi / x21
+    records = {0: principal}
+    for n in sorted((m for m in n_range if m != 0), key=abs):
+        target = principal.omega_tilde + (2 * n * np.pi / x21 if sector.sigma * n > 0
+                                          else (2 * n + sector.sigma) * np.pi / x21)
+        if target <= 0.05 * params.omega1:
+            continue
+        g0 = max(records.get(n - int(np.sign(n)), principal).gamma, 0.004)
+        g_wc = 2.0 * np.pi * params.lam**2 * abs(form_factor_sq(target, params))
+        off = abs(target - principal.omega_tilde)
+        g_star = np.log(max(off, spacing / 4) / g_wc) / x21 if off > g_wc else g0
+        best = None
+        for rung in sorted({round(g, 6) for g in (g0, 1.7 * g0, 3.0 * g0, 0.7 * g_star,
+                                                  0.9 * g_star, 1.1 * g_star, 1.35 * g_star) if g > 0}):
+            try:
+                z, df = newton(lambda w: ev.values(w, derivative=True), complex(target, -rung - 0.004),
+                               ROOT_TOL, _MAX_NEWTON, "rung Newton")
+                cand = ComplexEnergy.from_root(z, sector, n, 1.0 / df)
+            except SolverError:
+                continue
+            if (abs(cand.omega_tilde - target) <= 0.35 * spacing
+                    and all(abs(cand.value - r.value) >= 1e-6 * params.omega1 for r in records.values())
+                    and (best is None or abs(cand.omega_tilde - target) < abs(best.omega_tilde - target))):
+                best = cand
+        if best is not None:
+            records[n] = best
     return records
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -174,10 +175,48 @@ def test_config_file_unknown_block(tmp_path):
 def test_solver_failure_is_exit_2(tmp_path, capsys, monkeypatch):
     from collective1d import greens
 
-    # no Newton step allowed: the principal pole solve fails
+    def unsettled(ev, lo, hi):
+        raise greens.SolverError(f"pole census did not settle in {lo} to {hi}")
+
+    # no Newton step allowed, so the principal pole solve fails, and the
+    # census that find_pole falls back to does not settle
     monkeypatch.setattr(greens, "_MAX_NEWTON", 0)
+    monkeypatch.setattr(greens, "poles_in_box", unsettled)
     assert run(tmp_path, "poles") == 2
     assert "solver error" in capsys.readouterr().err
+
+
+SMALL_EVOLVE = ("lattice.L=80.0", "lattice.n_modes=201", "evolve.n_t=5", "evolve.t_max_factor=0.5")
+
+
+def test_poles_where_the_solve_from_z1_lands_far(tmp_path, capsys):
+    """At x21 = 19.05 the solve from z1 lands on 2.710625 - 0.176348i
+    (gamma = 7.5 gamma_1), 0.73 > pi/x21 from z1: find_pole takes the census
+    root nearest z1 on the sigma side, n = -1 is the root the sweep follows
+    there, and no index is missing."""
+    assert run(tmp_path, "poles", "poles.x21=19.05") == 0
+    with open(tmp_path / "poles_s.csv") as fh:
+        by_n = {int(r["n"]): complex(float(r["re"]), float(r["im"])) for r in csv.DictReader(fh)}
+    assert sorted(by_n) == list(range(-3, 4))
+    assert abs(by_n[0] - (2.039552 - 0.048652j)) < 1e-6
+    assert abs(by_n[-1] - (1.924516 - 0.057591j)) < 1e-6
+    assert "missed" not in capsys.readouterr().err
+
+
+def test_evolve_overlay_where_the_solve_from_z1_lands_far(tmp_path):
+    """The single-pole overlay P1(0) = |N|^2/2 at x21 = 19.05 comes from the
+    principal pole, 0.383, not 0.0026 from the far root."""
+    assert run(tmp_path, "evolve", "evolve.x21=19.05", *SMALL_EVOLVE) == 0
+    with open(tmp_path / "p1_s_collective.csv") as fh:
+        first = next(csv.DictReader(fh))
+    assert float(first["value"]) == pytest.approx(0.383, abs=5e-4)
+
+
+def test_evolve_in_a_stall_window_exits_0(tmp_path):
+    """From z1 the pole solve stalls at (a, 26.9375); the census gives the
+    principal pole, so the run completes."""
+    assert run(tmp_path, "evolve", "evolve.x21=26.9375", "evolve.initial=a", *SMALL_EVOLVE) == 0
+    assert (tmp_path / "p1_a_collective.csv").exists()
 
 
 def test_colliding_profile_file_names_are_config_error(tmp_path, capsys):

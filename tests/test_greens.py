@@ -15,6 +15,7 @@ from collective1d import (
     OverflowGuardError,
     SolverError,
     WrongBranchError,
+    amplitude_quadrature,
     continuum_weight,
     continuum_weight_grid,
     contour_map,
@@ -35,10 +36,11 @@ from collective1d.greens import (
     form_factor_sq_derivative,
     newton,
     pole_records_to_csv,
+    poles_in_box,
     solve_poles,
 )
 from collective1d.quadrature import QuadratureSpec
-from reference import continued_halfline_integral, ray_eta_plus
+from reference import continued_halfline_integral, ray_eta_plus, rung_scan
 
 X21 = 29.025
 
@@ -327,18 +329,37 @@ def test_solve_poles_rows_fail_alone(params, z1):
 def test_find_pole_raises_the_row_error(params):
     with pytest.raises(ConvergenceError, match="outside the evaluation region"):
         find_pole(SYMMETRIC, 8.0, -1.0 + 0j, params)
+    # outside the region, with the lattice pole 0.3976 - 0.1877i within
+    # pi/x21 on the sigma side: a seed outside never falls back to the census
+    with pytest.raises(ConvergenceError, match="outside the evaluation region"):
+        find_pole(SYMMETRIC, X21, 0.3 - 0.25j, params)
     with pytest.raises(OverflowGuardError):
         find_pole(SYMMETRIC, X21, 40.0 - 25.0j, params)
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="the solve from z1 stalls in narrow distance windows")
 @pytest.mark.parametrize("sector, x21", [(ANTISYMMETRIC, 26.9375), (SYMMETRIC, 25.33)])
 def test_find_pole_from_z1_in_a_stall_window(params, z1, sector, x21):
-    """Known fault: from the one-atom seed the damped phase stalls and Newton
-    fails on 19 of 7 400 distances per sector in [3, 40) (step 0.005), e.g.
-    [26.88, 26.95] (a) and [25.295, 25.375] (s); pole_scan seeds off z1 there."""
-    find_pole(sector, x21, z1.value, params)
+    """From the one-atom seed the damped phase stalls and Newton fails on 19
+    of 7 400 distances per sector in [3, 40) (step 0.005), e.g.
+    [26.88, 26.95] (a) and [25.295, 25.375] (s). z1 sits there between the
+    principal pole and its n = -sigma neighbour, and find_pole's census
+    takes the root nearest z1 on the sigma side."""
+    want = {26.9375: 1.930631640981 - 0.032066947066j, 25.33: 2.039730181886 - 0.033581091781j}
+    pole = find_pole(sector, x21, z1.value, params)
+    assert abs(pole.value - want[x21]) < 1e-11
+    assert sector.sigma * (pole.omega_tilde - z1.omega_tilde) >= 0
+
+
+@pytest.mark.parametrize("sector, x21, want", [
+    (SYMMETRIC, 19.05, 2.039552 - 0.048652j),     # the solve from z1 lands on 2.710625 - 0.176348i
+    (ANTISYMMETRIC, 33.25, 1.936442 - 0.022179j),  # ... and on 2.595038 - 0.095603i
+])
+def test_find_pole_from_z1_that_lands_far(params, z1, sector, x21, want):
+    """A solve from z1 that converges more than pi/x21 away in Re falls back
+    to the census as a stall does: the root nearest z1 on the sigma side."""
+    pole = find_pole(sector, x21, z1.value, params)
+    assert abs(pole.value - want) < 1e-6
+    assert abs(eta_plus(pole.value, sector, x21, params)) < ROOT_TOL * max(1.0, abs(pole.value))
 
 
 @pytest.mark.parametrize("sector, x21", [(ANTISYMMETRIC, 26.9375), (SYMMETRIC, 25.33),
@@ -476,6 +497,96 @@ def test_pole_scan_free_limit():
     assert g_weak_1 > g_strong_1
 
 
+# ------------------------------------------------------------- pole census
+
+@pytest.mark.parametrize("sector, x21, count", [(SYMMETRIC, X21, 38), (ANTISYMMETRIC, 12.7, 17)])
+def test_census_labels_every_pole_of_the_rung_hunt(params, sector, x21, count):
+    """At both spectral cases, every pole the rung hunt (reference.rung_scan,
+    pole_scan before the census) finds over the lattice range the spectral
+    grid used to scan comes back from pole_scan with the same index, within
+    1e-10."""
+    n_side = int(np.ceil(3.0 * params.omega1 * x21 / (2.0 * np.pi))) + 1
+    n_range = range(-n_side, n_side + 1)
+    want = rung_scan(sector, x21, n_range, params)
+    got = {r.lattice_index: r for r in pole_scan(sector, x21, n_range, params)[0]}
+    assert len(want) == count
+    for n, rec in want.items():
+        assert abs(got[n].value - rec.value) < 1e-10, n
+
+
+@pytest.mark.parametrize("sector, x21", [(SYMMETRIC, 14.5), (SYMMETRIC, 34.0),
+                                         (ANTISYMMETRIC, 30.0), (ANTISYMMETRIC, 31.0)])
+def test_pole_scan_settles_with_roots_near_box_edges(params, sector, x21):
+    """Four distances at which a census with panels fixed at 0.05 (uniform
+    boxes, one panel rule for all sizes) is reported not to settle, a root
+    lying near a box edge: pole_scan settles and certifies every root."""
+    records, _ = pole_scan(sector, x21, range(-3, 4), params)
+    for rec in records:
+        assert abs(eta_plus(rec.value, sector, x21, params)) < ROOT_TOL * max(1.0, abs(rec.value))
+
+
+@settings(max_examples=8, deadline=None)
+@given(x21=st.floats(3.0, 40.0), sector=st.sampled_from([SYMMETRIC, ANTISYMMETRIC]))
+def test_poles_in_box_is_the_union_of_its_halves(params, x21, sector):
+    """A box returns the roots of its two halves; every root is certified,
+    |eta^+| < ROOT_TOL max(1, |z|), with N eta^+' = 1."""
+    ev = EtaEvaluator(params, sector.sigma, x21)
+    lo, hi = 1.4 - 0.4j, 2.6 + 0.05j
+    whole = poles_in_box(ev, lo, hi)
+    halves = poles_in_box(ev, lo, 2.0 + 0.05j) + poles_in_box(ev, 2.0 - 0.4j, hi)
+    assert len(whole) == len(halves) > 0
+    for a, b in zip(whole, sorted(halves, key=lambda r: r.omega_tilde)):
+        assert abs(a.value - b.value) < 1e-9
+    for rec in whole:
+        eta, deta = eta_plus_derivative(rec.value, sector, x21, params)
+        assert abs(eta) < ROOT_TOL * max(1.0, abs(rec.value))
+        assert abs(rec.normalization * deta - 1.0) < 1e-13
+
+
+def test_poles_in_box_counts_a_root_near_its_edge(params, zs29, monkeypatch):
+    """Panels shrink with the box: a root 1e-4 inside an edge of a 4e-3 box
+    counts 1 - 6e-7 without a cut, whichever edge it is near (one panel per
+    side, 1/x21 long, counts 0.839)."""
+    from collective1d import greens
+
+    monkeypatch.setattr(greens, "_CENSUS_CUTS", 0)
+    ev = EtaEvaluator(params, 1, X21)
+    for inset in (1e-4 + 2e-3j, 3.9e-3 + 2e-3j, 2e-3 + 1e-4j, 2e-3 + 3.9e-3j):
+        lo = zs29.value - inset
+        got = poles_in_box(ev, lo, lo + 4e-3 + 4e-3j)
+        assert len(got) == 1 and abs(got[0].value - zs29.value) < 1e-12
+
+
+def test_poles_in_box_never_accepts_a_repeated_or_outside_root(params, zs29, monkeypatch):
+    """Seeds that polish onto a root already found, or onto one outside the
+    box, make the census cut; when no cut helps it raises SolverError rather
+    than report a root twice or miss one."""
+    from collective1d import greens
+
+    deta = eta_plus_derivative(zs29.value, SYMMETRIC, X21, params)[1]
+    monkeypatch.setattr(greens, "newton", lambda *args: (zs29.value, deta))
+    ev = EtaEvaluator(params, 1, X21)
+    with pytest.raises(SolverError, match="did not settle"):
+        poles_in_box(ev, 1.95 - 0.1j, 2.3 + 0.05j)     # z_s and z_{s,1} = 2.2114 - 0.0775i
+
+
+@pytest.mark.parametrize("sector, x21", [(SYMMETRIC, X21), (ANTISYMMETRIC, 12.7)])
+def test_spectral_grid_needs_no_pole_scan(params, monkeypatch, sector, x21):
+    """continuum_weight_grid takes its narrow poles from a census of the
+    strip it windows, and amplitude_quadrature builds on it: both run with
+    pole_scan patched to raise."""
+    from collective1d import greens
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectral grid ran pole_scan")
+
+    monkeypatch.setattr(greens, "pole_scan", refuse)
+    k, rho = continuum_weight_grid(sector, x21, params, t_max=5.0 * x21)
+    assert abs(np.trapezoid(rho, k) - 1.0) < 2e-5
+    amps = amplitude_quadrature(np.array([0.0, x21]), sector, x21, params)
+    assert abs(amps[0] - 1.0) < 2e-5
+
+
 # ------------------------------------------------- weak-coupling estimate
 
 def test_weak_estimate_one_atom_reduction(params, z1):
@@ -545,6 +656,17 @@ def test_continuum_weight_lorentzian_shape(params, zs29, rho_grid_s29):
     above = kw[rw > half]
     hwhm = 0.5 * (above[-1] - above[0])
     assert hwhm == pytest.approx(zs29.gamma, rel=0.25)
+
+
+@pytest.mark.parametrize("sector, x21, pole", [
+    (SYMMETRIC, 34.0, 2.074271 - 0.039145j),
+    (ANTISYMMETRIC, 37.5, 1.889492 - 0.038333j),
+    (ANTISYMMETRIC, 37.5, 2.132160 - 0.048495j)])
+def test_grid_windows_narrow_poles_beyond_the_rung_hunt(params, sector, x21, pole):
+    """Narrow poles the rung hunt never labelled get their 601-point window
+    over +-12 gamma on the grid of a transform up to 5 x21."""
+    k, _ = continuum_weight_grid(sector, x21, params, t_max=5.0 * x21)
+    assert np.count_nonzero(np.abs(k - pole.real) <= 12.0 * -pole.imag) >= 601
 
 
 # ----------------------------------------------------------------- contour map
