@@ -17,10 +17,9 @@ with poles of order 2 n_ff at +-i omegaM):
 K_0 = i pi - log z and K_c = e^{izc} [E_1(izc) + 2 pi i [c > 0]], on the
 retarded (+) branch throughout the evaluation region Re z > 0,
 |Im z| < 0.7 Re z (all of the physics: poles sit just below the positive
-real axis; `poles_in_box` counts them by the argument principle, and
-`solve_poles` polishes them from seeds). The e^{i z x21} term carries the e^{gamma x21} growth that
-drives the collective physics; it overflows double precision at
-gamma*x21 > 650 and is guarded, not saturated.
+real axis, where `poles_in_box` counts them). The e^{i z x21} term carries
+the e^{gamma x21} growth that drives the collective physics; it overflows
+double precision at gamma*x21 > 650 and is guarded, not saturated.
 """
 from __future__ import annotations
 
@@ -70,7 +69,7 @@ _WEAK_COUPLING_MAX_ITER = 3000
 _FAST_REGION_SLOPE = 0.7   # fast path requires |Im z| < slope * Re z
 OVERFLOW_EXPONENT = 650.0
 _FLANK_RATIO = 1.02        # continuum_weight_grid: growth of the pole-window flank steps
-_CENSUS_TOP = 0.05         # census boxes close this far above the real axis
+_CENSUS_SLOPE = _FAST_REGION_SLOPE - 0.01   # census polygons keep |Im z| <= slope * Re z
 _CENSUS_CUTS = 60          # census: cuts before a polygon that will not settle fails
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -408,11 +407,11 @@ def solve_poles(ev: EtaEvaluator, seeds, rows=None) -> list:
     return result
 
 
-def _clip(v, d, keep: float):
-    """The part of convex polygon v where keep*d >= 0, d linear in z (its values at v)."""
-    piece = []
+def _clip(v, w: complex, c: complex = 0.0):
+    """The part of convex polygon v (its vertices) where Re(w (z - c)) >= 0."""
+    piece, d = [], (w * (v - c)).real
     for a, b, da, db in zip(v, np.roll(v, -1), d, np.roll(d, -1)):
-        if keep * da >= 0:
+        if da >= 0:
             piece.append(a)
         if da * db < 0:
             piece.append(a + (b - a) * da / (da - db))
@@ -421,7 +420,7 @@ def _clip(v, d, keep: float):
 
 def poles_in_box(ev: EtaEvaluator, lo: complex, hi: complex) -> list:
     """Certified roots of eta^+ on the one row of ev, sorted by Re z, in the box
-    from corner lo to corner hi clipped at Im z = -0.69 Re z, by the argument
+    from corner lo to corner hi clipped to |Im z| <= 0.69 Re z, by the argument
     principle: the count s_0 and moments s_1..s_4 of u = (z - c)/r (c, 2r:
     centre and longer side of the bounding box) on 16-point Gauss-Legendre
     panels no longer than min(0.05, 1/x21, r/2). Newton's identities turn an
@@ -429,7 +428,7 @@ def poles_in_box(ev: EtaEvaluator, lo: complex, hi: complex) -> list:
     polish to n distinct roots inside, the box is cut across its longer side,
     up to _CENSUS_CUTS times before SolverError."""
     box = np.array([lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)])
-    pending, found = [(_clip(box, box.imag + 0.69 * box.real, 1.0), 0)], []
+    pending, found = [(_clip(_clip(box, _CENSUS_SLOPE - 1j), _CENSUS_SLOPE + 1j), 0)], []
     panel = 1.0 / ev.x21[0] if ev.two_atom else np.inf
     while pending:
         v, cuts = pending.pop()
@@ -461,20 +460,20 @@ def poles_in_box(ev: EtaEvaluator, lo: complex, hi: complex) -> list:
             continue
         if cuts == _CENSUS_CUTS:
             raise SolverError(f"pole census did not settle in {lo} to {hi} (count {s[0]:.6g})")
-        d = ((v - c) * (1.0 if hi.real - lo.real >= hi.imag - lo.imag else -1j)).real
-        pending += [(_clip(v, d, keep), cuts + 1) for keep in (-1.0, 1.0)]
+        rot = 1.0 if hi.real - lo.real >= hi.imag - lo.imag else -1j
+        pending += [(_clip(v, keep * rot, c), cuts + 1) for keep in (-1.0, 1.0)]
     return sorted(found, key=lambda rec: rec.omega_tilde)
 
 
 def _census(ev: EtaEvaluator, re_lo: float, re_hi: float, depth: float = np.inf) -> list:
     """`poles_in_box` on boxes at most 0.5 wide over Re z in [re_lo, re_hi] (from
     0.05*omega1 up) and Im z from -min(depth, 600/x21), inside the overflow
-    guard, to _CENSUS_TOP: zero-decay poles sit on the axis, none above it."""
+    guard, to Im z = 0.05: zero-decay poles sit on the axis, none above it."""
     re_lo = max(re_lo, 0.05 * ev.params.omega1)
     edges = np.linspace(re_lo, re_hi, max(1, math.ceil((re_hi - re_lo) / 0.5) + 1))
     bottom = -min(depth, 600.0 / ev.x21[0] if ev.two_atom else np.inf)
     return [rec for a, b in zip(edges, edges[1:])
-            for rec in poles_in_box(ev, complex(a, bottom), complex(b, _CENSUS_TOP))]
+            for rec in poles_in_box(ev, complex(a, bottom), complex(b, 0.05))]
 
 
 def find_pole(sector, x21, seed, params: ModelParams, lattice_index: int = 0) -> ComplexEnergy:

@@ -203,6 +203,19 @@ def test_poles_where_the_solve_from_z1_lands_far(tmp_path, capsys):
     assert "missed" not in capsys.readouterr().err
 
 
+def test_poles_at_small_omega1_reach_the_floor(tmp_path, capsys):
+    """At omega1 = 1, x21 = 5 the lattice band reaches Re z = 0.05*omega1,
+    where the census boxes are clipped to the evaluation region at the top:
+    the run exits 0 with the principal poles, and the lattice indices beyond
+    the floor or the band are reported missing."""
+    assert run(tmp_path, "poles", "model.omega1=1.0", "poles.x21=5") == 0
+    for tag, z in (("s", 0.961871 - 0.015381j), ("a", 0.992337 - 0.010856j)):
+        with open(tmp_path / f"poles_{tag}.csv") as fh:
+            by_n = {int(r["n"]): complex(float(r["re"]), float(r["im"])) for r in csv.DictReader(fh)}
+        assert abs(by_n[0] - z) < 1e-6
+    assert "outside the evaluation region" not in capsys.readouterr().err
+
+
 def test_evolve_overlay_where_the_solve_from_z1_lands_far(tmp_path):
     """The single-pole overlay P1(0) = |N|^2/2 at x21 = 19.05 comes from the
     principal pole, 0.383, not 0.0026 from the far root."""

@@ -570,17 +570,21 @@ def test_poles_in_box_never_accepts_a_repeated_or_outside_root(params, zs29, mon
         poles_in_box(ev, 1.95 - 0.1j, 2.3 + 0.05j)     # z_s and z_{s,1} = 2.2114 - 0.0775i
 
 
+@pytest.mark.parametrize("omega1", [2.0, 1.0])
 @pytest.mark.parametrize("sector, x21", [(SYMMETRIC, X21), (ANTISYMMETRIC, 12.7)])
-def test_spectral_grid_needs_no_pole_scan(params, monkeypatch, sector, x21):
+def test_spectral_grid_needs_no_pole_scan(monkeypatch, sector, x21, omega1):
     """continuum_weight_grid takes its narrow poles from a census of the
     strip it windows, and amplitude_quadrature builds on it: both run with
-    pole_scan patched to raise."""
+    pole_scan patched to raise. At omega1 = 1 the strip starts at Re z =
+    0.05, where a box closing at Im z = 0.05 would reach outside
+    |Im z| < 0.7 Re z: census boxes are clipped there at the top too."""
     from collective1d import greens
 
     def refuse(*args, **kwargs):
         raise AssertionError("the spectral grid ran pole_scan")
 
     monkeypatch.setattr(greens, "pole_scan", refuse)
+    params = ModelParams(omega1=omega1)
     k, rho = continuum_weight_grid(sector, x21, params, t_max=5.0 * x21)
     assert abs(np.trapezoid(rho, k) - 1.0) < 2e-5
     amps = amplitude_quadrature(np.array([0.0, x21]), sector, x21, params)
