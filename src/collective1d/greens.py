@@ -132,21 +132,27 @@ def _beyond_range(q, power: int):
 def form_factor_sq(z, params: ModelParams):
     """v(z)^2 = z / (1 + (z/omegaM)^2)^(2 n_ff): the single-valued rational
     continuation of the squared form factor (never via a square root). Where
-    the power overflows, v^2 takes its limit 0."""
+    the power overflows, v^2 takes its limit 0. Raises FormFactorPoleError
+    within 1e-9 omegaM of the poles at +-i omegaM."""
     z_arr = np.asarray(z, dtype=complex)
     om = params.omegaM
     near = np.minimum(np.abs(z_arr - 1j * om), np.abs(z_arr + 1j * om))
     if np.any(near < 1e-9 * om):
         raise FormFactorPoleError("z within tolerance of the form-factor poles at +-i*omegaM")
-    q = 1.0 + (z_arr / om) ** 2
+    out = _form_factor_sq(z_arr, params)
+    return out if np.ndim(z) else complex(out)
+
+
+def _form_factor_sq(z, params: ModelParams):
+    """v(z)^2 on a complex array, unguarded: for points known to lie off
+    +-i omegaM, as all of the evaluation region |Im z| < 0.7 Re z does."""
+    q = 1.0 + (z / params.omegaM) ** 2
     far = _beyond_range(q, 2 * params.n_ff + 1)
     overflow = far.any()
     if overflow:
         q = np.where(far, 1.0, q)       # placeholder; the limit 0 goes in below
-    out = z_arr / q ** (2 * params.n_ff)
-    if overflow:
-        out = np.where(far, 0.0, out)
-    return out if np.ndim(z) else complex(out)
+    out = z / q ** (2 * params.n_ff)
+    return np.where(far, 0.0, out) if overflow else out
 
 
 def form_factor_sq_derivative(z, params: ModelParams):
@@ -244,7 +250,7 @@ class EtaEvaluator:
         """eta^+ (and eta^+') at points z on rows row, from the module formula."""
         params = self.params
         lam2 = params.lam**2
-        v2 = form_factor_sq(z, params)
+        v2 = _form_factor_sq(z, params)
         bracket = 2.0 * lam2 * (1j * np.pi - np.log(z))         # 2 lam^2 K_0
         if self.two_atom:
             x21 = self.x21[row]

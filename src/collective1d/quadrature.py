@@ -39,6 +39,7 @@ __all__ = [
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _BLOCK = 1024            # points per block of exponential-integral and eta^+ work arrays
+_SERIES_CELLS = 1 << 14  # complex elements per power-series work array (points x terms)
 _SIDES = np.array([1.0, -1.0])     # the form-factor poles p = s*i*omegaM
 # Filon panels off the uniform lattice: (time, panel) pairs per block
 _DIRECT_PAIRS = 10_000
@@ -280,11 +281,16 @@ class Jet:
 
 
 
-def _en_series(w, m):
-    """e^w E_m(w) by its power series (A&S 5.1.12), summed until
-    (-w)^k / k! falls below 1e-17 e^|w|."""
+def _series_terms(w, m) -> int:
+    """Terms of the power series of e^w E_m(w) over a block: until
+    (-w)^k / k! falls below 1e-17 e^|w| at its largest |w|."""
     reach = float(np.abs(w).max())
-    k = np.arange(max(int(reach + 10.0 * math.sqrt(reach)) + 25, int(m.max()) + 1))
+    return max(int(reach + 10.0 * math.sqrt(reach)) + 25, int(m.max()) + 1)
+
+
+def _en_series(w, m, n_terms: int):
+    """e^w E_m(w) by its power series (A&S 5.1.12), summed over k < n_terms."""
+    k = np.arange(n_terms)
     terms = np.ones((w.size, k.size), dtype=complex)
     terms[:, 1:] = -w[:, None] / k[1:]
     np.cumprod(terms, axis=1, out=terms)                # (-w)^k / k!
@@ -334,8 +340,9 @@ def _scaled_en(w, m=1):
     e^-x E_1(-x - 0j) = -e^-x Ei(x) + i pi e^-x. Work per point is bounded,
     in blocks of at most _BLOCK points: the continued fraction where
     |w| + Re w > 3 (at most 68 levels for m = 1), else the power series
-    (losing at most ~e^3 ulp), or near the negative axis, where
-    |w| >= min(4m + 80, 600), the asymptotic series."""
+    (losing at most ~e^3 ulp; points x terms <= _SERIES_CELLS per slice), or
+    near the negative axis, where |w| >= min(4m + 80, 600), the asymptotic
+    series."""
     w = np.asarray(w, dtype=complex)
     flat = w.ravel()
     reach = np.abs(flat)
@@ -349,7 +356,14 @@ def _scaled_en(w, m=1):
         idx = np.flatnonzero(mask)
         for start in range(0, idx.size, _BLOCK):
             at = idx[start:start + _BLOCK]
-            out[at] = method(flat[at], order[at])
+            if method is not _en_series:
+                out[at] = method(flat[at], order[at])
+                continue
+            # one term count per block, so each row's bits ignore the slicing
+            n_terms = _series_terms(flat[at], order[at])
+            step = max(1, _SERIES_CELLS // n_terms)
+            for part in np.split(at, np.arange(step, at.size, step)):
+                out[part] = _en_series(flat[part], order[part], n_terms)
     return out.reshape(w.shape)
 
 

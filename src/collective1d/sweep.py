@@ -55,51 +55,9 @@ class SweepRecord:
         return self.z_a is not None
 
 
-_BLOCK = 64     # distances per batched solve: bounds the evaluator rows and the Jacobi passes
-
-
 def _better(a: ComplexEnergy | None, b: ComplexEnergy | None) -> ComplexEnergy | None:
     """The root closer to the real axis; a wins ties."""
     return b if b is not None and (a is None or b.gamma < a.gamma) else a
-
-
-def _seed_bits(rec: ComplexEnergy | None):
-    return None if rec is None else np.complex128(rec.value).tobytes()
-
-
-def _sweep_block(xs: np.ndarray, z1: ComplexEnergy, carry: list, params: ModelParams) -> list:
-    """Sequential-rule roots on one block of distances, both sectors at once.
-
-    Rows 0..d-1 are symmetric and rows d..2d-1 antisymmetric; carry holds the
-    previous block's last choice per sector (None before the first block).
-    Pass 0 solves every row from z1. Each later pass seeds every row from the
-    previous pass's choice at its left neighbour (carry for the first row of
-    a sector) and re-solves only the rows whose seed changed bitwise. Once no
-    seed changes, every choice is the better of its z1 root and the root from
-    its left neighbour's choice: the sequential rule, whose solution is
-    unique from left to right.
-    """
-    d = xs.size
-    ev = EtaEvaluator(params, np.repeat([SYMMETRIC.sigma, ANTISYMMETRIC.sigma], d),
-                      np.tile(xs, 2))
-    from_z1 = [r if isinstance(r, ComplexEnergy) else None
-               for r in solve_poles(ev, np.full(2 * d, z1.value))]
-    chosen = list(from_z1)
-    seeds = [None] * (2 * d)
-    from_left = [None] * (2 * d)
-    while True:
-        new = [carry[i // d] if i % d == 0 else chosen[i - 1] for i in range(2 * d)]
-        changed = [i for i in range(2 * d) if _seed_bits(new[i]) != _seed_bits(seeds[i])]
-        if not changed:
-            return chosen
-        todo = [i for i in changed if new[i] is not None]
-        roots = solve_poles(ev, [new[i].value for i in todo], todo)
-        for i in changed:
-            from_left[i] = None
-        for i, root in zip(todo, roots):
-            from_left[i] = root if isinstance(root, ComplexEnergy) else None
-        seeds = new
-        chosen = [_better(a, b) for a, b in zip(from_z1, from_left)]
 
 
 def sweep_poles(x21_grid, params: ModelParams) -> list[SweepRecord]:
@@ -111,7 +69,10 @@ def sweep_poles(x21_grid, params: ModelParams) -> list[SweepRecord]:
     the one-atom pole at every point (the paper's recipe) is what keeps the
     tracked root on the collective branch z_{j,0}: pure continuation locks
     onto diving lattice branches past each superradiant maximum. The grid
-    is solved left to right in blocks of _BLOCK distances (see _sweep_block).
+    is one batch of 2d rows (d symmetric, then d antisymmetric): pass 0
+    solves every row from z1, and each Jacobi pass re-solves only the rows
+    whose left neighbour's choice changed bitwise, until none does. That
+    fixpoint is the sequential rule, whose solution is unique from the left.
     """
     validate(params)
     xs = np.asarray(x21_grid, dtype=float)
@@ -125,15 +86,29 @@ def sweep_poles(x21_grid, params: ModelParams) -> list[SweepRecord]:
             f"sweep extends beyond 1/gamma_1 = {1.0 / z1.gamma:.1f}; "
             "collective decay rates scale like 1/x21 there and seeding degrades",
             stacklevel=2)
-    records = []
-    carry = [None, None]
-    for start in range(0, xs.size, _BLOCK):
-        block = xs[start:start + _BLOCK]
-        chosen = _sweep_block(block, z1, carry, params)
-        carry = [chosen[block.size - 1], chosen[-1]]
-        records += [SweepRecord(float(x), zs, za)
-                    for x, zs, za in zip(block, chosen[:block.size], chosen[block.size:])]
-    return records
+    d = xs.size
+    ev = EtaEvaluator(params, np.repeat([SYMMETRIC.sigma, ANTISYMMETRIC.sigma], d),
+                      np.tile(xs, 2))
+    from_z1 = [r if isinstance(r, ComplexEnergy) else None
+               for r in solve_poles(ev, np.full(2 * d, z1.value))]
+    chosen = list(from_z1)
+    value = np.array([0j if r is None else r.value for r in chosen])    # 0j: no root
+    first = np.arange(2 * d) % d == 0               # no left neighbour
+    seed = np.zeros(2 * d, dtype=complex)
+    while True:
+        new = np.where(first, 0j, np.roll(value, 1))
+        moved = (new.view(np.int64) != seed.view(np.int64)).reshape(-1, 2).any(axis=1)
+        changed = np.flatnonzero(moved)
+        if not changed.size:
+            break
+        todo = changed[new[changed] != 0]
+        from_left = {i: r for i, r in zip(todo.tolist(), solve_poles(ev, new[todo], todo))
+                     if isinstance(r, ComplexEnergy)}
+        for i in changed.tolist():
+            chosen[i] = _better(from_z1[i], from_left.get(i))
+            value[i] = 0j if chosen[i] is None else chosen[i].value
+        seed = new
+    return [SweepRecord(float(x), zs, za) for x, zs, za in zip(xs, chosen[:d], chosen[d:])]
 
 
 def force_indicator(records: list[SweepRecord]) -> dict[str, tuple[np.ndarray, np.ndarray]]:

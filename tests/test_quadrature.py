@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from collective1d import (
     fourier_halfline,
     halfline_integral,
 )
-from collective1d.quadrature import RayKernel, _scaled_en, adaptive_integral
+from collective1d import quadrature
+from collective1d.quadrature import (RayKernel, _en_series, _scaled_en, _series_terms,
+                                      adaptive_integral)
 from reference import continued_halfline_integral, ray_scale
 from reference import fourier_halfline as fourier_halfline_oracle
 
@@ -258,3 +261,25 @@ def test_scaled_en_on_the_real_axis(log_x, order, side):
     if side != 1.0 and order == 1 and x < 700:
         sign = -1.0 if math.copysign(1.0, side) < 0 else 1.0
         assert abs(got - np.exp(-x) * (-expi(x) - sign * 1j * np.pi)) <= 5e-14 * abs(got)
+
+
+def test_power_series_slices_are_bounded_and_keep_their_bits():
+    """_scaled_en hands the power series at most _SERIES_CELLS work-array
+    elements (points x terms) at a time, and the sliced call returns the
+    bits of one unsliced call: 900 points on the cut, where |w| < 84 needs
+    about 200 terms, and 100 near the origin, orders 1 and 2."""
+    rng = np.random.default_rng(7)
+    w = np.concatenate([-rng.uniform(3.5, 83.0, 900) - 0j,
+                        rng.uniform(0.01, 1.5, 100) * np.exp(1j * rng.uniform(-2.0, 2.0, 100))])
+    m = rng.integers(1, 3, w.size)
+    cells = []
+
+    def spy(w, m, n_terms):
+        cells.append(w.size * n_terms)
+        return _en_series(w, m, n_terms)
+
+    with mock.patch.object(quadrature, "_en_series", spy):
+        got = _scaled_en(w, m)
+    assert len(cells) > 1
+    assert max(cells) <= quadrature._SERIES_CELLS
+    assert got.tobytes() == _en_series(w, m, _series_terms(w, m)).tobytes()

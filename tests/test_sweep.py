@@ -21,7 +21,7 @@ from collective1d import (
     zero_decay_solve,
 )
 from collective1d import sweep
-from collective1d.greens import _evaluator
+from collective1d.greens import _evaluator, solve_poles
 from collective1d.sweep import sweep_to_csv, zero_decay_to_json
 
 import reference
@@ -49,15 +49,13 @@ def test_sweep_rejects_non_finite_or_non_positive_grid(params, grid):
 
 
 @settings(max_examples=10, deadline=None)
-@given(origin=st.floats(5.0, 39.0), step=st.floats(0.01, 1.5), n=st.integers(1, 40),
-       block=st.sampled_from([1, 3, 7, 64]))
-def test_blocked_sweep_equals_sequential_sweep(params, origin, step, n, block):
-    """The Jacobi passes reach the point-by-point rule: the same convergence
-    flags and the same roots to 1e-12, for any block size."""
+@given(origin=st.floats(5.0, 39.0), step=st.floats(0.01, 1.5), n=st.integers(1, 40))
+def test_sweep_equals_sequential_sweep(params, origin, step, n):
+    """The Jacobi passes over the whole grid reach the point-by-point rule:
+    the same convergence flags and the same roots to 1e-12."""
     grid = origin + step * np.arange(n)
     grid = grid[grid <= 40.0]
-    with mock.patch.object(sweep, "_BLOCK", block):
-        got = sweep_poles(grid, params)
+    got = sweep_poles(grid, params)
     want = reference.sweep_poles(grid, params)
     for g, w in zip(got, want, strict=True):
         assert g.x21 == w.x21
@@ -66,6 +64,23 @@ def test_blocked_sweep_equals_sequential_sweep(params, origin, step, n, block):
             if zg is not None:
                 assert abs(zg.value - zw.value) <= 1e-12
                 assert abs(zg.normalization - zw.normalization) <= 1e-10
+
+
+def test_sweep_solves_the_whole_grid_in_few_batches(params):
+    """The default 701-point grid takes one solve_poles call for the z1
+    seeds of both sectors and one per Jacobi pass: at most 10 calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return solve_poles(*args, **kwargs)
+
+    grid = np.arange(5.0, 40.0 + 1e-12, 0.05)
+    with mock.patch.object(sweep, "solve_poles", counted):
+        records = sweep_poles(grid, params)
+    assert len(records) == 701
+    assert calls[0] == 2 * 701
+    assert len(calls) <= 10
 
 
 def test_sweep_and_zero_decay_leave_the_evaluator_cache_alone(params):
