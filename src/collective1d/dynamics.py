@@ -12,6 +12,16 @@ Hamiltonian is an arrowhead matrix (|j> against the diagonal modes). Its
 eigenvalues are the roots of its secular equation, solved in blocks of rows
 with no dense eigensolve, and its eigenvectors follow in closed form, so
 neither the matrix nor its eigenvector matrix is ever formed.
+
+A block's roots all lie in one interval I of their interlacing brackets.
+The secular sum over the modes within |I| of I (the near window) is taken
+term by term at every iteration; the modes beyond it are at least |I| from
+every root of the block, so their sum and its slope are smooth on I and
+come from Chebyshev interpolants built once per block, exact to rounding.
+An iteration then costs O(rows x (window + _CHEB)) instead of
+O(rows x modes). The survival amplitude sums e^{-iEt} from a factored phase
+table: heads at every Q-th time of an arithmetic run times tails over the
+Q steps between them.
 """
 from __future__ import annotations
 
@@ -30,7 +40,7 @@ from .greens import (
     one_atom_pole,
 )
 from .io import write_csv
-from .quadrature import _exp_pole_terms, _pole_coefficients, _pole_sum
+from .quadrature import _arithmetic_runs, _exp_pole_terms, _pole_coefficients, _pole_sum
 
 __all__ = [
     "LatticeModel",
@@ -46,9 +56,13 @@ __all__ = [
     "profile_to_csv",
 ]
 
-_MAX_DIM = 20000         # each secular iteration costs O(dim^2) time
-_BLOCK = 256             # eigenvalue (or time) rows per (rows, modes) work array
+_MAX_DIM = 20000         # the far tables, O(_CHEB dim^2 / _BLOCK), and evolve's (E, mode) sum
+_BLOCK = 128             # eigenvalue (or time) rows per (rows, modes) work array
 _MAX_ITER = 40           # secular-equation evaluations per eigenvalue
+_CHEB = 28               # far-field interpolation points: (3 + sqrt 8)^-28 ~ 4e-22
+_CHEB_NODES = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))     # second kind, on [-1, 1]
+_CHEB_WEIGHTS = np.resize([1.0, -1.0], _CHEB)                    # barycentric, halved at the ends
+_CHEB_WEIGHTS[[0, -1]] *= 0.5
 _EPS = np.finfo(float).eps
 
 
@@ -128,8 +142,9 @@ def build_lattice(params: ModelParams, box_length: float, n_modes: int,
                            "so both light cones fit")
     n_half = (n_modes - 1) // 2
     if n_half + 2 > _MAX_DIM:
-        raise ConfigError(f"dimension {n_half + 2} beyond {_MAX_DIM}: the secular solve "
-                           "takes O(dim^2) time per iteration")
+        raise ConfigError(f"dimension {n_half + 2} beyond {_MAX_DIM}: the secular solve's "
+                           "far-field tables and the evolution's (eigenvalue, mode) sum "
+                           "take O(dim^2) time")
     k = 2.0 * np.pi * np.arange(1, n_half + 1) / box_length
     vk = np.sqrt(k / (1 + (k / params.omegaM) ** 2) ** (2 * params.n_ff))
     big_v = np.sqrt(2.0 * np.pi / box_length) * vk
@@ -165,20 +180,25 @@ def _arrowhead_spectrum(omega1: float, d: np.ndarray, g: np.ndarray):
     root i lies in (d_{i-1}, d_i); the lowest root lies within ||g|| below
     min(omega1, d_0) and the highest within ||g|| above max(omega1, d_{m-1})
     (Weyl). The sign of f at each gap's midpoint picks the nearer pole as the
-    origin, and the root is solved in tau from there, where _gaps gives
-    E - d to full relative accuracy. Each step takes the root of a rational
-    model with one pole at the origin and one at the gap's other end (the
-    linear term rides with the far side), matched to f and f' at the iterate:
-    the "middle way" of R.-C. Li, LAPACK Working Note 89 (1993), behind
-    LAPACK's dlaed4; Bunch, Nielsen & Sorensen, Numer. Math. 31 (1978) 31. A
-    step that leaves the bracket bisects it. All rows of a block advance
-    together, one O(rows x m) pass per step, and converged rows drop out. A
-    root is accepted once |f| is within the rounding of its evaluation or its
-    step stalls, after one last Newton step; that gives tau to full relative
-    accuracy, which the weights of weakly coupled modes (w ~ tau^2 / g_n^2)
-    and the eigenvectors <d|E> = g / (E - d) <j|E> need (Gu & Eisenstat,
-    SIAM J. Matrix Anal. Appl. 16 (1995) 172). A root still open after
-    _MAX_ITER evaluations raises ConvergenceError.
+    origin, and the root is solved in tau from there, where E - d keeps full
+    relative accuracy. Each step takes the root of a rational model with one
+    pole at the origin and one at the gap's other end (the linear term rides
+    with the far side), matched to f and f' at the iterate: the "middle way"
+    of R.-C. Li, LAPACK Working Note 89 (1993), behind LAPACK's dlaed4;
+    Bunch, Nielsen & Sorensen, Numer. Math. 31 (1978) 31. A step that leaves
+    the bracket bisects it. A root is accepted once |f| is within the
+    rounding of its evaluation or its step stalls, after one last Newton
+    step; that gives tau to full relative accuracy, which the weights of
+    weakly coupled modes (w ~ tau^2 / g_n^2) and the eigenvectors
+    <d|E> = g / (E - d) <j|E> need (Gu & Eisenstat, SIAM J. Matrix Anal.
+    Appl. 16 (1995) 172). A root still open after _MAX_ITER evaluations
+    raises ConvergenceError.
+
+    The roots go in blocks of _BLOCK consecutive rows, whose E all lie in
+    one interval I of the interlacing brackets. Each block sums f and f'
+    through _block_secular: the poles within |I| of I exactly, the rest
+    (the far field) from Chebyshev interpolants on I built once per block.
+    All rows of a block advance together, and converged rows drop out.
     """
     m = d.size
     if m == 0:
@@ -198,7 +218,11 @@ def _arrowhead_spectrum(omega1: float, d: np.ndarray, g: np.ndarray):
         ref = 0.5 * (d[hi] - d[lo])
         ref[outer_lo] = min(omega1 - d[0], 0.0) - span
         ref[outer_hi] = max(omega1 - d[-1], 0.0) + span
-        f_ref = _secular(d, g2, omega1, n, ref)[0]
+        # every E of the block lies between the ends of its first and last brackets
+        bottom = d[0] + ref[0] if outer_lo[0] else d[lo[0]]
+        top = d[-1] + ref[-1] if outer_hi[-1] else d[hi[-1]]
+        secular = _block_secular(d, g2, omega1, bottom, top)
+        f_ref = secular(n, ref)[0]
         # a root left of the midpoint is solved from d_lo, otherwise from d_hi
         outer = outer_lo | outer_hi
         from_hi = ~outer & ~(f_ref > 0)
@@ -214,29 +238,75 @@ def _arrowhead_spectrum(omega1: float, d: np.ndarray, g: np.ndarray):
         # f held at its reference value
         w = 1.0 / far
         tau = _step(ref, f_ref, g2[n] / ref ** 2, 1.0 + g2_far / (far - ref) ** 2, w, lower, upper)
-        offsets[rows], weights[rows] = _solve_rows(d, g2, omega1, n, tau, w, lower, upper)
+        offsets[rows], weights[rows] = _solve_rows(secular, n, tau, w, lower, upper)
         nearest[rows] = n
     return d[nearest] + offsets, weights, nearest, offsets
 
 
-def _secular(d, g2, omega1, n, tau):
-    """f(E) at E = d_n + tau for a block of rows, the parts of f'(E) from the
-    poles on the near side of E (that of d_n) and from the far side plus the
-    linear term, and a bound on the rounding error of f."""
-    gaps = _gaps(d, n, tau)
-    near = np.signbit(gaps) == np.signbit(tau)[:, None]
-    terms = g2 / gaps
-    total = terms.sum(axis=1)
-    near_sum = terms.sum(axis=1, where=near)
-    linear = (d[n] - omega1) + tau
-    f = linear - total
-    np.divide(terms, gaps, out=terms)           # g^2 / (E - d)^2
-    del gaps
-    slope_near = terms.sum(axis=1, where=near)
-    slope_far = 1.0 + terms.sum(axis=1, where=~near)
-    noise = (np.abs(linear) + np.abs(near_sum) + np.abs(total - near_sum)
-             + np.abs(tau) * (slope_near + slope_far))
-    return f, slope_near, slope_far, noise
+def _block_secular(d, g2, omega1, bottom, top):
+    """The secular function of a block of roots whose E all lie in
+    I = [bottom, top], as secular(n, tau) -> (f, near slope, far slope,
+    rounding bound) at E = d_n + tau: f(E), the parts of f'(E) from the poles
+    on the near side of E (that of d_n) and from the far side plus the
+    linear term, and a bound on the rounding error of f.
+
+    The poles within |I| of I (the window, which holds every d_n) are summed
+    term by term at each call. The others lie at least |I| from I: with I
+    mapped onto x in [-1, 1] they sit at |x| >= 3, so their sums
+    g^2 / (E - d) and g^2 / (E - d)^2, below and above the window, are
+    analytic inside the Bernstein ellipse rho = 3 + sqrt 8, and their
+    Chebyshev interpolants on _CHEB points are exact to rho^-_CHEB relative,
+    far below rounding. They are tabulated once here and evaluated in
+    barycentric form at O(_CHEB) cost per row and call. Every far term of
+    one side has one sign, so the tables lose nothing to cancellation, and
+    x is formed from (d_n - centre) + tau so that it keeps the accuracy of
+    tau however narrow I is."""
+    width = top - bottom
+    lo, hi = np.searchsorted(d, bottom - width), np.searchsorted(d, top + width, side="right")
+    d_near, g2_near = d[lo:hi], g2[lo:hi]
+    centre, half = 0.5 * (bottom + top), 0.5 * width
+    sums = []           # all zero where the window covers every pole
+    for far in (slice(0, lo), slice(hi, None)):
+        gaps = (centre - d[far]) + half * _CHEB_NODES[:, None]     # E_j - d
+        terms = g2[far] / gaps
+        sums += [terms.sum(axis=1), (terms / gaps).sum(axis=1)]
+    table = np.stack(sums, axis=1)
+
+    def secular(n, tau):
+        gaps = (d[n, None] - d_near) + tau[:, None]
+        near = np.signbit(gaps) == np.signbit(tau)[:, None]
+        terms = g2_near / gaps
+        total = terms.sum(axis=1)
+        near_sum = terms.sum(axis=1, where=near)
+        linear = (d[n] - omega1) + tau
+        np.divide(terms, gaps, out=terms)           # g^2 / (E - d)^2
+        del gaps
+        slope_near = terms.sum(axis=1, where=near)
+        slope_far = 1.0 + terms.sum(axis=1, where=~near)
+        below, slope_below, above, slope_above = _chebyshev(table, ((d[n] - centre) + tau) / half)
+        up = ~np.signbit(tau)           # E above d_n: the poles below E are on its near side
+        total += below + above
+        near_sum += np.where(up, below, above)
+        slope_near += np.where(up, slope_below, slope_above)
+        slope_far += np.where(up, slope_above, slope_below)
+        f = linear - total
+        noise = (np.abs(linear) + np.abs(near_sum) + np.abs(total - near_sum)
+                 + np.abs(tau) * (slope_near + slope_far))
+        return f, slope_near, slope_far, noise
+
+    return secular
+
+
+def _chebyshev(table, x):
+    """The interpolants of the columns of table, sampled at _CHEB_NODES, at
+    the points x (rows of the result), by the second barycentric formula."""
+    diff = x[:, None] - _CHEB_NODES
+    hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        q = _CHEB_WEIGHTS / diff
+    on_node = hit.any(axis=1)
+    q[on_node] = hit[on_node]
+    return ((q @ table) / q.sum(axis=1)[:, None]).T
 
 
 def _step(tau, f, slope_near, slope_far, w, lower, upper):
@@ -263,14 +333,14 @@ def _step(tau, f, slope_near, slope_far, w, lower, upper):
     return x
 
 
-def _solve_rows(d, g2, omega1, n, tau, w, lower, upper):
+def _solve_rows(secular, n, tau, w, lower, upper):
     """Iterate _step on the rows until |f| is within 4 eps of its rounding
     bound, the step stalls or the bracket has closed to the last bits, and
     return each row's tau and 1/f'(E). Converged rows leave the work arrays."""
     offsets, weights = np.empty(tau.size), np.empty(tau.size)
     live = np.arange(tau.size)
     for _ in range(_MAX_ITER):
-        f, slope_near, slope_far, noise = _secular(d, g2, omega1, n[live], tau[live])
+        f, slope_near, slope_far, noise = secular(n[live], tau[live])
         t = tau[live]
         lower[live] = np.where(f < 0, t, lower[live])
         upper[live] = np.where(f > 0, t, upper[live])
@@ -333,10 +403,30 @@ def survival_probability(model: LatticeModel, initial, times) -> TimeSeries:
     _check_initial(model, initial)
     times = np.asarray(times, dtype=float)
     _check_horizon(model, float(times.max()))
-    amp = np.empty(times.size, dtype=complex)
-    for rows in _blocks(times.size):      # bounds the (times, eigenvalues) phases
-        amp[rows] = np.exp(-1j * np.outer(times[rows], model.evals)) @ model.weights
+    amp = _survival_amplitude(model.evals, model.weights, times)
     return TimeSeries(times, 0.5 * np.abs(amp) ** 2, label=f"P1 initial={initial}")
+
+
+def _survival_amplitude(evals, weights, times):
+    """sum_E w_E e^{-iEt} at every time, from a factored phase table on each
+    maximal arithmetic run of the times (a lone time is a run of one). With
+    j = b Q + q in a run, t_j = t_{bQ} + q step, so the run's sums are the
+    product of the heads w_E e^{-iE t_{bQ}} and the tails e^{-iE q step}:
+    one complex matrix product from (len / Q + Q) x nE exponentials instead
+    of len x nE. Q = ceil(sqrt(len)), at most _BLOCK, and the heads go in
+    blocks of _BLOCK rows, so no array holds more than _BLOCK x nE phases."""
+    amp = np.empty(times.size, dtype=complex)
+    for start, stop in _arithmetic_runs(times):
+        t = times[start:stop]
+        q = min(int(np.ceil(np.sqrt(t.size))), _BLOCK)
+        step = (t[-1] - t[0]) / (t.size - 1) if t.size > 1 else 0.0
+        tails = np.exp(-1j * np.outer(evals, step * np.arange(q)))
+        heads = t[::q]
+        sums = np.empty((heads.size, q), dtype=complex)
+        for rows in _blocks(heads.size):
+            sums[rows] = (weights * np.exp(-1j * np.outer(heads[rows], evals))) @ tails
+        amp[start:stop] = sums.ravel()[:t.size]
+    return amp
 
 
 def collective_survival(params: ModelParams, sector, x21, times,

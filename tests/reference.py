@@ -14,6 +14,12 @@
 * ``arrowhead_spectrum``: its eigenvalues from ``numpy.linalg.eigvalsh``,
   polished by Newton steps on the secular equation; the oracle of the
   secular solve in ``collective1d.dynamics``.
+* ``secular``: the secular function, its near- and far-side slopes and its
+  rounding bound summed over every pole, the package's evaluation before
+  the far-field interpolants; the oracle of ``dynamics._block_secular``.
+* ``survival_amplitude``: sum_E w_E e^{-iEt}, one exponential per
+  (time, eigenvalue); the oracle of the factored phase table of
+  ``collective1d.dynamics.survival_probability``.
 * ``find_pole``, ``solve_point`` and ``sweep_poles``: the scalar pole solver
   (one damped loop and one ``newton`` per seed) and the point-by-point
   distance sweep; the oracles of the batched ``solve_poles`` and of the
@@ -209,6 +215,31 @@ def arrowhead_spectrum(omega1: float, d: np.ndarray, g: np.ndarray, newton_steps
     gaps = (d[nearest, None] - d) + tau[:, None]
     weights = 1.0 / (1.0 + np.sum(g2 / gaps ** 2, axis=1))
     return d[nearest] + tau, weights, nearest, tau
+
+
+def secular(d, g2, omega1, n, tau):
+    """f(E) at E = d_n + tau for a block of rows, the parts of f'(E) from the
+    poles on the near side of E (that of d_n) and from the far side plus the
+    linear term, and a bound on the rounding error of f, each summed over
+    every pole."""
+    gaps = (d[n, None] - d) + tau[:, None]
+    near = np.signbit(gaps) == np.signbit(tau)[:, None]
+    terms = g2 / gaps
+    total = terms.sum(axis=1)
+    near_sum = terms.sum(axis=1, where=near)
+    linear = (d[n] - omega1) + tau
+    f = linear - total
+    slopes = terms / gaps                          # g^2 / (E - d)^2
+    slope_near = slopes.sum(axis=1, where=near)
+    slope_far = 1.0 + slopes.sum(axis=1, where=~near)
+    noise = (np.abs(linear) + np.abs(near_sum) + np.abs(total - near_sum)
+             + np.abs(tau) * (slope_near + slope_far))
+    return f, slope_near, slope_far, noise
+
+
+def survival_amplitude(evals: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
+    """A(t) = sum_E w_E e^{-iEt}, one exponential per (time, eigenvalue)."""
+    return np.exp(-1j * np.outer(np.asarray(times, dtype=float), evals)) @ weights
 
 
 class FullBox:

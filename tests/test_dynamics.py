@@ -25,7 +25,14 @@ from collective1d.dynamics import (
     profile_to_csv,
     timeseries_to_csv,
 )
-from reference import FullBox, arrowhead_spectrum, collective_field_intensity, reduced_hamiltonian
+from reference import (
+    FullBox,
+    arrowhead_spectrum,
+    collective_field_intensity,
+    reduced_hamiltonian,
+    secular,
+    survival_amplitude,
+)
 
 _EPS = np.finfo(float).eps
 
@@ -131,18 +138,29 @@ def test_eigensystem_invariants(small_reduced):
 
 
 @st.composite
-def _arrowheads(draw):
+def _arrowheads(draw, large=False):
     """(omega1, d, g) with up to 200 poles: gaps down to 1e-9 (clusters),
     couplings down to just above the deflation threshold, and omega1 inside
-    the pole range, on a pole, below it or above it."""
-    m = draw(st.one_of(st.just(1), st.just(2), st.integers(1, 200)))
-    exponents = np.array(draw(st.lists(st.floats(-9.0, 0.0), min_size=m, max_size=m)))
+    the pole range, on a pole, below it or above it. With large, 400 to
+    1 500 poles whose gaps and couplings a seeded generator draws from the
+    same ranges, since hypothesis lists that long make too large an
+    example."""
+    if large:
+        m = draw(st.integers(400, 1500))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        exponents = rng.uniform(-9.0, 0.0, m)
+    else:
+        m = draw(st.one_of(st.just(1), st.just(2), st.integers(1, 200)))
+        exponents = np.array(draw(st.lists(st.floats(-9.0, 0.0), min_size=m, max_size=m)))
     d = draw(st.floats(0.01, 3.0)) + np.cumsum(10.0 ** exponents) - 10.0 ** exponents[0]
     where, u = draw(st.sampled_from(["inside", "pole", "below", "above"])), draw(st.floats(0.0, 1.0))
     omega1 = {"inside": d[0] + u * (d[-1] - d[0]), "pole": d[int(u * (m - 1))],
               "below": d[0] - 5.0 * u, "above": d[-1] + 5.0 * u}[where]
     threshold = 8.0 * _EPS * max(abs(omega1), d[-1])     # build_lattice deflates below it
-    pairs = draw(st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)), min_size=m, max_size=m))
+    if large:
+        pairs = zip(rng.random(m) < 0.5, rng.random(m))
+    else:
+        pairs = draw(st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)), min_size=m, max_size=m))
     g = np.array([threshold * (1.0 + v) if tiny else 10.0 ** (-3.0 * v) for tiny, v in pairs])
     return omega1, d, g
 
@@ -161,7 +179,18 @@ def test_secular_solve_matches_dense_oracle(case):
     more loosely (condition number kappa: rounding of f over |tau| f'), as
     for a root of the strongly coupled modes that lands on a weakly coupled
     pole, tau is held to 64 eps kappa and w to twice that, relative."""
-    omega1, d, g = case
+    _check_against_dense_oracle(*case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_arrowheads(large=True))
+def test_secular_solve_with_far_field_matches_dense_oracle(case):
+    """The same oracle and bounds with 400 to 1 500 poles, where the interior
+    blocks have far-field poles on both sides of their window."""
+    _check_against_dense_oracle(*case)
+
+
+def _check_against_dense_oracle(omega1, d, g):
     evals, weights, nearest, offsets = dyn._arrowhead_spectrum(omega1, d, g)
     e_ref, w_ref, n_ref, tau_ref = arrowhead_spectrum(omega1, d, g, newton_steps=8)
     norm = np.max(np.abs(e_ref))
@@ -190,6 +219,45 @@ def test_figure_box_matches_dense_route(model_s29):
     assert np.max(np.abs(model_s29.evals - e_ref)) <= 1e-13
     assert np.max(np.abs(model_s29.offsets - tau_ref) / np.abs(tau_ref)) <= 1e-13
     assert np.max(np.abs(model_s29.weights - w_ref)) <= 1e-13
+
+
+def _far_field_cases():
+    """(omega1, d, g) of a 2 001-mode box at the figure distance and of a
+    clustered draw of 1 500 poles with gaps from 1e-9 to 1 and a few
+    couplings of 3."""
+    p = ModelParams().with_x21(29.025)
+    box = build_lattice(p, 500.0, 2001, "s")
+    yield p.omega1, box.k[box.coupled], box.couplings[box.coupled]
+    rng = np.random.default_rng(7)
+    gaps = 10.0 ** rng.uniform(-9.0, 0.0, 1500)
+    g = 10.0 ** rng.uniform(-3.0, 0.0, 1500)
+    g[rng.choice(1500, 4, replace=False)] = 3.0
+    yield 40.0, 0.5 + np.cumsum(gaps), g
+
+
+@pytest.mark.parametrize("case", list(_far_field_cases()), ids=["box", "clustered"])
+def test_far_field_secular_matches_direct_sum(case):
+    """On blocks of _BLOCK roots, the interpolated far field gives f within
+    4 eps of its rounding bound of the direct sum over every pole, and both
+    slopes to 1e-14 relative, at offsets from 1e-12 to half a gap on either
+    side of each pole of the block."""
+    omega1, d, g = case
+    g2 = g * g
+    rng = np.random.default_rng(11)
+    for a in rng.choice(np.arange(1, d.size - dyn._BLOCK), 6, replace=False):
+        b = a + dyn._BLOCK                       # roots a .. b-1 lie in (d_{a-1}, d_{b-1})
+        evaluate = dyn._block_secular(d, g2, omega1, d[a - 1], d[b - 1])
+        n = rng.integers(a - 1, b, 400)
+        room = np.where(rng.random(400) < 0.5,
+                        -(d[n] - d[np.maximum(n - 1, a - 1)]), d[np.minimum(n + 1, b - 1)] - d[n])
+        tau = room * 0.5 * 10.0 ** rng.uniform(-12.0, 0.0, 400)
+        keep = tau != 0.0                        # the block's end poles have room on one side
+        n, tau = n[keep], tau[keep]
+        f, near, far, _ = evaluate(n, tau)
+        f_ref, near_ref, far_ref, noise_ref = secular(d, g2, omega1, n, tau)
+        assert np.all(np.abs(f - f_ref) <= 4.0 * _EPS * noise_ref)
+        assert np.all(np.abs(near - near_ref) <= 1e-14 * near_ref)
+        assert np.all(np.abs(far - far_ref) <= 1e-14 * far_ref)
 
 
 def test_no_dense_eigensolve(monkeypatch, small_params):
@@ -288,6 +356,39 @@ def test_spectral_moments(box, tag):
     assert np.sum(w * e) == pytest.approx(p.omega1, abs=1e-12)
     want = p.omega1 ** 2 + np.sum(model.couplings ** 2)
     assert np.sum(w * e ** 2) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n_modes=st.integers(500, 7500).map(lambda h: 2 * h + 1),     # odd n_modes <= 15 001
+       x21=st.floats(0.5, 40.0), stretch=st.floats(1.01, 8.0), tag=st.sampled_from(["s", "a"]))
+def test_spectral_moments_of_large_boxes(n_modes, x21, stretch, tag):
+    """The same three moments to 1e-13 relative on boxes of dimension up to
+    7 502, where every interior block of the secular solve sums a far
+    field."""
+    p = ModelParams().with_x21(x21)
+    model = build_lattice(p, 2.0 * x21 * stretch, n_modes, tag)
+    w, e = model.weights, model.evals
+    assert np.sum(w) == pytest.approx(1.0, rel=1e-13)
+    assert np.sum(w * e) == pytest.approx(p.omega1, rel=1e-13)
+    assert np.sum(w * e ** 2) == pytest.approx(p.omega1 ** 2 + np.sum(model.couplings ** 2),
+                                               rel=1e-13)
+
+
+@pytest.mark.parametrize("grid", ["arithmetic", "shifted", "scattered", "single", "long"])
+def test_survival_amplitude_matches_direct_phase_sum(model_s29, small_reduced, grid):
+    """The factored phase table gives A(t) = sum_E w_E e^{-iEt} within 1e-13
+    of one exponential per (time, eigenvalue): on a np.linspace grid, the
+    same grid shifted, sorted random times (runs of two), one time, and a
+    grid long enough that the heads go in several blocks."""
+    model = small_reduced if grid == "long" else model_s29
+    t_max = 0.95 * model.box_length / 2.0
+    times = {"arithmetic": np.linspace(0.0, 5.0 * 29.025, 600),
+             "shifted": np.linspace(0.0, 5.0 * 29.025, 600) + 0.37 * 5.0 * 29.025 / 599,
+             "scattered": np.sort(np.random.default_rng(5).uniform(0.0, t_max, 200)),
+             "single": np.array([73.3]),
+             "long": np.linspace(0.0, t_max, 3 * dyn._BLOCK ** 2 + 5)}[grid]
+    got = dyn._survival_amplitude(model.evals, model.weights, times)
+    assert np.max(np.abs(got - survival_amplitude(model.evals, model.weights, times))) <= 1e-13
 
 
 @settings(max_examples=25, deadline=None)
