@@ -71,6 +71,7 @@ OVERFLOW_EXPONENT = 650.0
 _FLANK_RATIO = 1.02        # continuum_weight_grid: growth of the pole-window flank steps
 _CENSUS_SLOPE = _FAST_REGION_SLOPE - 0.01   # census polygons keep |Im z| <= slope * Re z
 _CENSUS_CUTS = 60          # census: cuts before a polygon that will not settle fails
+_CENSUS_NODES = 8 * _BLOCK  # census: contour nodes per batched eta^+ call
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -415,7 +416,10 @@ def solve_poles(ev: EtaEvaluator, seeds, rows=None) -> list:
 
 def _clip(v, w: complex, c: complex = 0.0):
     """The part of convex polygon v (its vertices) where Re(w (z - c)) >= 0."""
-    piece, d = [], (w * (v - c)).real
+    d = (w * (v - c)).real
+    if np.all(d >= 0):
+        return v
+    piece = []
     for a, b, da, db in zip(v, np.roll(v, -1), d, np.roll(d, -1)):
         if da >= 0:
             piece.append(a)
@@ -424,62 +428,102 @@ def _clip(v, w: complex, c: complex = 0.0):
     return np.array(piece)
 
 
+def _contour(v, panel: float):
+    """The census contour of convex polygon v (its vertices, anticlockwise):
+    nodes z and weights dz of 16-point Gauss-Legendre panels no longer than
+    min(0.05, panel, r/2) along every side, with the centre c and half the
+    longer side r of its bounding box."""
+    lo, hi = complex(v.real.min(), v.imag.min()), complex(v.real.max(), v.imag.max())
+    c, r = 0.5 * (lo + hi), 0.5 * max(hi.real - lo.real, hi.imag - lo.imag)
+    sides = np.roll(v, -1) - v
+    m = np.maximum(1, np.ceil(np.abs(sides) / min(0.05, panel, 0.5 * r))).astype(int)
+    step = np.repeat(sides / m, m)[:, None]     # m[i] panels along side i, round the polygon
+    z = v[0] + np.cumsum(step, axis=0) - step + 0.5 * step * (_GL_NODES + 1.0)
+    return z.ravel(), (0.5 * step * _GL_WEIGHTS).ravel(), c, r
+
+
+def _census_boxes(ev: EtaEvaluator, boxes) -> list:
+    """Certified roots of eta^+ on the one row of ev in each box (lo, hi) of
+    boxes, clipped to |Im z| <= 0.69 Re z: per box a list sorted by Re z.
+
+    Every polygon follows one rule, by the argument principle: the count s_0
+    and moments s_1..s_4 of u = (z - c)/r on its `_contour`. Newton's
+    identities turn an integral count n <= 4 (within 1e-3) into seeds for
+    `newton`; otherwise, or unless they polish to n distinct roots inside,
+    the polygon is cut across the longer side of its bounding box, up to
+    _CENSUS_CUTS times before SolverError. Each round takes pending polygons
+    until their nodes reach _CENSUS_NODES, evaluates all their contours in
+    one `ev.values` call and takes each polygon's moments as segment sums of
+    it; the cuts of a round are pending in the next."""
+    panel = 1.0 / ev.x21[0] if ev.two_atom else np.inf
+    pending = [(_clip(_clip(np.array([lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]),
+                            _CENSUS_SLOPE - 1j), _CENSUS_SLOPE + 1j), 0, box)
+               for box, (lo, hi) in enumerate(boxes)]
+    found = [[] for _ in boxes]
+    while pending:
+        batch, nodes, weights = [], [], []
+        while pending and sum(map(len, nodes)) < _CENSUS_NODES:
+            v, cuts, box = pending.pop()
+            z, dz, c, r = _contour(v, panel)
+            batch.append((v, cuts, box, c, r))
+            nodes.append(z)
+            weights.append(dz)
+        sizes = [len(z) for z in nodes]
+        z = np.concatenate(nodes)
+        eta, deta = ev.values(z, derivative=True)
+        term = deta / eta * np.concatenate(weights) / (2j * np.pi)
+        u = (z - np.repeat([item[3] for item in batch], sizes)) / np.repeat([item[4] for item in batch], sizes)
+        starts = np.cumsum([0] + sizes[:-1])
+        moments = np.empty((len(batch), 5), dtype=complex)
+        for p in range(5):
+            moments[:, p] = np.add.reduceat(term, starts)
+            term *= u
+        for (v, cuts, box, c, r), s in zip(batch, moments):
+            n, roots = int(round(s[0].real)), None
+            if abs(s[0] - n) < 1e-3 and 0 <= n <= 4:
+                coeffs = [1.0]      # Newton's identities: k a_k = -sum_i a_(k-i) s_i
+                for k in range(1, n + 1):
+                    coeffs.append(-sum(coeffs[k - i] * s[i] for i in range(1, k + 1)) / k)
+                try:
+                    polished = [newton(partial(ev.values, derivative=True), c + r * w, ROOT_TOL,
+                                       _MAX_NEWTON, "census root Newton") for w in np.roots(coeffs)]
+                    roots = [ComplexEnergy.from_root(q, _SECTORS[ev.sigma[0]], 0, 1 / df)
+                             for q, df in polished]
+                except SolverError:
+                    pass
+            if roots is not None and all(
+                    np.all((np.conj(np.roll(v, -1) - v) * (q.value - v)).imag >= 0)
+                    and all(abs(q.value - p.value) >= 1e-6 * ev.params.omega1 for p in roots[:i])
+                    for i, q in enumerate(roots)):
+                found[box] += roots
+                continue
+            lo, hi = complex(v.real.min(), v.imag.min()), complex(v.real.max(), v.imag.max())
+            if cuts == _CENSUS_CUTS:
+                raise SolverError(f"pole census did not settle in {lo} to {hi} (count {s[0]:.6g})")
+            rot = 1.0 if hi.real - lo.real >= hi.imag - lo.imag else -1j
+            pending += [(_clip(v, keep * rot, c), cuts + 1, box) for keep in (-1.0, 1.0)]
+    return [sorted(recs, key=lambda rec: rec.omega_tilde) for recs in found]
+
+
 def poles_in_box(ev: EtaEvaluator, lo: complex, hi: complex) -> list:
     """Certified roots of eta^+ on the one row of ev, sorted by Re z, in the box
-    from corner lo to corner hi clipped to |Im z| <= 0.69 Re z, by the argument
-    principle: the count s_0 and moments s_1..s_4 of u = (z - c)/r (c, 2r:
-    centre and longer side of the bounding box) on 16-point Gauss-Legendre
-    panels no longer than min(0.05, 1/x21, r/2). Newton's identities turn an
-    integral count n <= 4 into seeds for `newton`; otherwise, or unless they
-    polish to n distinct roots inside, the box is cut across its longer side,
-    up to _CENSUS_CUTS times before SolverError."""
-    box = np.array([lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)])
-    pending, found = [(_clip(_clip(box, _CENSUS_SLOPE - 1j), _CENSUS_SLOPE + 1j), 0)], []
-    panel = 1.0 / ev.x21[0] if ev.two_atom else np.inf
-    while pending:
-        v, cuts = pending.pop()
-        lo, hi = complex(v.real.min(), v.imag.min()), complex(v.real.max(), v.imag.max())
-        c, r = 0.5 * (lo + hi), 0.5 * max(hi.real - lo.real, hi.imag - lo.imag)
-        sides = np.roll(v, -1) - v
-        m = np.maximum(1, np.ceil(np.abs(sides) / min(0.05, panel, 0.5 * r))).astype(int)
-        step = np.repeat(sides / m, m)[:, None]     # m[i] panels along side i, round the polygon
-        z = v[0] + np.cumsum(step, axis=0) - step + 0.5 * step * (_GL_NODES + 1.0)
-        z, dz = z.ravel(), (0.5 * step * _GL_WEIGHTS).ravel()
-        eta, deta = ev.values(z, derivative=True)
-        s = [np.sum(((z - c) / r) ** p * deta / eta * dz) / (2j * np.pi) for p in range(5)]
-        n, roots = int(round(s[0].real)), None
-        if abs(s[0] - n) < 1e-3 and 0 <= n <= 4:
-            coeffs = [1.0]      # Newton's identities: k a_k = -sum_i a_(k-i) s_i
-            for k in range(1, n + 1):
-                coeffs.append(-sum(coeffs[k - i] * s[i] for i in range(1, k + 1)) / k)
-            try:
-                polished = [newton(partial(ev.values, derivative=True), c + r * u, ROOT_TOL,
-                                   _MAX_NEWTON, "census root Newton") for u in np.roots(coeffs)]
-                roots = [ComplexEnergy.from_root(q, _SECTORS[ev.sigma[0]], 0, 1 / df) for q, df in polished]
-            except SolverError:
-                pass
-        if roots is not None and all(
-                np.all((np.conj(sides) * (q.value - v)).imag >= 0)
-                and all(abs(q.value - p.value) >= 1e-6 * ev.params.omega1 for p in roots[:i])
-                for i, q in enumerate(roots)):
-            found += roots
-            continue
-        if cuts == _CENSUS_CUTS:
-            raise SolverError(f"pole census did not settle in {lo} to {hi} (count {s[0]:.6g})")
-        rot = 1.0 if hi.real - lo.real >= hi.imag - lo.imag else -1j
-        pending += [(_clip(v, keep * rot, c), cuts + 1) for keep in (-1.0, 1.0)]
-    return sorted(found, key=lambda rec: rec.omega_tilde)
+    from corner lo to corner hi clipped to |Im z| <= 0.69 Re z: the census
+    loop `_census_boxes` on that one box. Its contour panels are no longer
+    than min(0.05, 1/x21, r/2), r half the longer side of the bounding box;
+    a box that does not settle in _CENSUS_CUTS cuts raises SolverError."""
+    return _census_boxes(ev, [(lo, hi)])[0]
 
 
 def _census(ev: EtaEvaluator, re_lo: float, re_hi: float, depth: float = np.inf) -> list:
-    """`poles_in_box` on boxes at most 0.5 wide over Re z in [re_lo, re_hi] (from
+    """The roots of boxes at most 0.5 wide over Re z in [re_lo, re_hi] (from
     0.05*omega1 up) and Im z from -min(depth, 600/x21), inside the overflow
-    guard, to Im z = 0.05: zero-decay poles sit on the axis, none above it."""
+    guard, to Im z = 0.05 (zero-decay poles sit on the axis, none above it),
+    box by box in order of Re z: one `_census_boxes` loop over all columns."""
     re_lo = max(re_lo, 0.05 * ev.params.omega1)
     edges = np.linspace(re_lo, re_hi, max(1, math.ceil((re_hi - re_lo) / 0.5) + 1))
     bottom = -min(depth, 600.0 / ev.x21[0] if ev.two_atom else np.inf)
-    return [rec for a, b in zip(edges, edges[1:])
-            for rec in poles_in_box(ev, complex(a, bottom), complex(b, 0.05))]
+    boxes = [(complex(a, bottom), complex(b, 0.05)) for a, b in zip(edges, edges[1:])]
+    return [rec for recs in _census_boxes(ev, boxes) for rec in recs]
 
 
 def find_pole(sector, x21, seed, params: ModelParams, lattice_index: int = 0) -> ComplexEnergy:

@@ -490,7 +490,9 @@ def _chirp_z(rows, start: float, step: float, n_out: int) -> list:
     kernel = np.fft.fft(kernel)
     out = []
     for x in rows:
-        y = np.fft.fft(x * pre, size)
+        y = np.zeros(size, dtype=complex)       # padded here, not by a copy inside fft
+        np.multiply(x, pre, out=y[:m_in])
+        y = np.fft.fft(y)
         y *= kernel
         out.append(np.fft.ifft(y)[:n_out] * chirp[:n_out])
     return out
@@ -513,6 +515,83 @@ def _arithmetic_runs(ts: np.ndarray):
         start = stop
 
 
+def _phase_sums(t, k, coeffs):
+    """S[j, n] = sum_p e^{-i t_j k_p} coeffs[p, n] over one arithmetic run t,
+    from a factored phase table: with j = b Q + q, t_j = t_{bQ} + q step, so
+    each phase is a head e^{-i t_{bQ} k_p} times a tail e^{-i q step k_p}.
+    Q = ceil(sqrt(len)), panels go _DIRECT_PAIRS // Q at a time and heads so
+    many at a time that no block of the table holds more than _DIRECT_PAIRS
+    phases."""
+    sums = np.zeros((t.size, coeffs.shape[1]), dtype=complex)
+    step = (t[-1] - t[0]) / (t.size - 1) if t.size > 1 else 0.0
+    q = min(math.ceil(math.sqrt(t.size)), _DIRECT_PAIRS)
+    heads = t[::q]
+    for p0 in range(0, k.size, _DIRECT_PAIRS // q):
+        kb, cb = k[p0:p0 + _DIRECT_PAIRS // q], coeffs[p0:p0 + _DIRECT_PAIRS // q]
+        tails = np.exp(-1j * np.outer(step * np.arange(q), kb))
+        per = max(1, _DIRECT_PAIRS // (q * kb.size))
+        for b0 in range(0, heads.size, per):
+            table = np.exp(-1j * np.outer(heads[b0:b0 + per], kb))[:, None, :] * tails
+            rows = slice(b0 * q, min((b0 + per) * q, t.size))
+            sums[rows] += (table.reshape(-1, kb.size) @ cb)[:rows.stop - rows.start]
+    return sums
+
+
+def _taylor_terms(theta: float) -> int:
+    """The number n of terms of the Filon weights' Taylor series to sum at
+    |t h| <= theta: the first term left out, (n + 1) theta^n / (n + 2)! of
+    w1, is below 1e-18 (18 terms at pi/4, 12 at 0.2)."""
+    n = 1
+    while theta**n * (n + 1) / math.factorial(n + 2) >= 1e-18:
+        n += 1
+    return n
+
+
+def _filon_panels(k_left, width, f0, f1, ts, runs, out) -> None:
+    """Add to out[start:stop], for each run, the panels' Filon sums
+    sum_p width_p e^{-i t k_p} (f0_p w0(t width_p) + f1_p w1(t width_p)).
+
+    Panels with t_top width <= pi/4 (t_top = max |t| over the runs) take the
+    weights' Taylor series, w0 = sum (-i theta)^n/(n+2)! and
+    w1 = sum (n+1)(-i theta)^n/(n+2)!: with u = t/t_top the sum is
+    sum_n (-i u)^n S_n(t), where S_n sums the phase table e^{-i t k_p}
+    (`_phase_sums`) against the P x terms Taylor table
+    width_p (t_top width_p)^n (f0_p + (n+1) f1_p)/(n+2)!, and Horner's rule
+    in -iu sums the terms. The other panels take `_filon_weights` per
+    (time, panel) pair, vectorized over blocks of at most _DIRECT_PAIRS."""
+    t_top = max(float(np.abs(ts[start:stop]).max()) for start, stop in runs)
+    scale = t_top or 1.0
+    near = np.abs(width) * t_top <= 0.25 * np.pi
+    if near.any():
+        x = scale * width[near]
+        n = np.arange(_taylor_terms(t_top * float(np.abs(width[near]).max())))
+        fact = np.array([math.factorial(m + 2) for m in n], dtype=float)
+        table = (width[near, None] * x[:, None] ** n / fact
+                 * (f0[near, None] + (n + 1) * f1[near, None]))
+        for start, stop in runs:
+            t = ts[start:stop]
+            sums = _phase_sums(t, k_left[near], table)
+            step = -1j * t / scale
+            acc = sums[:, -1]
+            for col in sums.T[-2::-1]:
+                acc = acc * step + col
+            out[start:stop] += acc
+    far = np.flatnonzero(~near)
+    if far.size:
+        width, k_left, f0, f1 = width[far], k_left[far], f0[far], f1[far]
+        at = np.concatenate([np.arange(start, stop) for start, stop in runs])
+        p_step = min(far.size, _DIRECT_PAIRS)
+        t_step = max(1, _DIRECT_PAIRS // p_step)
+        for p0 in range(0, far.size, p_step):
+            ps = slice(p0, p0 + p_step)
+            for t0 in range(0, at.size, t_step):
+                rows = at[t0:t0 + t_step]
+                t = ts[rows, None]
+                w0, w1 = _filon_weights(t * width[ps])
+                out[rows] += (width[ps] * np.exp(-1j * t * k_left[ps])
+                              * (f0[ps] * w0 + f1[ps] * w1)).sum(axis=1)
+
+
 def fourier_halfline(kgrid: np.ndarray, fvals: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """int f(k) e^{-i k t} dk on a fixed grid, exact for the piecewise-linear
     interpolant of f (Filon-type: the oscillation is integrated analytically,
@@ -523,10 +602,13 @@ def fourier_halfline(kgrid: np.ndarray, fvals: np.ndarray, ts: np.ndarray) -> np
     end within 1e-9*h0) contribute
     h0 e^{-i t k_0} [w0(t h0) S0(t) + w1(t h0) S1(t)], where S0 and S1 sum
     the panels' left and right values against e^{-i t h0 j}. Over each
-    maximal arithmetic run of ts these two sums are one chirp-z transform
-    (Bluestein's FFT convolution); a lone time is a run of one. The other
-    panels (pole windows and their flanks) take the per-panel formula,
-    vectorized over blocks of at most _DIRECT_PAIRS (time, panel) pairs.
+    maximal arithmetic run of two or more times these two sums are one
+    chirp-z transform (Bluestein's FFT convolution). The other panels (pole
+    windows and their flanks), and every panel at a time that is a run of
+    one, take `_filon_panels`: a phase table times a Taylor table of the
+    Filon weights where t_max h <= pi/4, which covers every panel of a
+    `continuum_weight_grid` grid, and the weights per (time, panel) pair
+    beyond it.
     """
     kgrid = np.asarray(kgrid, dtype=float)
     fvals = np.asarray(fvals)
@@ -537,10 +619,13 @@ def fourier_halfline(kgrid: np.ndarray, fvals: np.ndarray, ts: np.ndarray) -> np
     if kgrid.size < 2:
         return out
     h = np.diff(kgrid)
+    runs = list(_arithmetic_runs(ts))
+    chirp = [(start, stop) for start, stop in runs if stop - start > 1]
+    lone = [(start, stop) for start, stop in runs if stop - start == 1]
     span, med = kgrid[-1] - kgrid[0], np.median(h)
     n_steps = int(round(span / med)) if med > 0 else 0
     lattice = np.zeros(h.shape, dtype=bool)
-    if 1 <= n_steps <= h.size:     # with more steps than panels the lattice is mostly empty
+    if chirp and 1 <= n_steps <= h.size:     # with more steps than panels the lattice is mostly empty
         h0 = span / n_steps
         j = np.rint((kgrid[:-1] - kgrid[0]) / h0)
         lattice = ((np.abs(h - h0) <= 1e-9 * h0)
@@ -549,23 +634,13 @@ def fourier_halfline(kgrid: np.ndarray, fvals: np.ndarray, ts: np.ndarray) -> np
         at = j[lattice].astype(np.int64)
         left, right = np.zeros((2, n_steps), dtype=fvals.dtype)
         left[at], right[at] = fvals[:-1][lattice], fvals[1:][lattice]
-        for start, stop in _arithmetic_runs(ts):
+        for start, stop in chirp:
             t = ts[start:stop]
-            step = (t[-1] - t[0]) / (t.size - 1) if t.size > 1 else 0.0
+            step = (t[-1] - t[0]) / (t.size - 1)
             s0, s1 = _chirp_z((left, right), t[0] * h0, step * h0, t.size)
             w0, w1 = _filon_weights(t * h0)
             out[start:stop] = h0 * np.exp(-1j * t * kgrid[0]) * (w0 * s0 + w1 * s1)
-    rest = np.flatnonzero(~lattice)
-    if rest.size:
-        width, k_left = h[rest], kgrid[rest]
-        f0, f1 = fvals[rest], fvals[rest + 1]
-        p_step = min(rest.size, _DIRECT_PAIRS)
-        t_step = max(1, _DIRECT_PAIRS // p_step)
-        for p0 in range(0, rest.size, p_step):
-            ps = slice(p0, p0 + p_step)
-            for t0 in range(0, ts.size, t_step):
-                t = ts[t0:t0 + t_step, None]
-                w0, w1 = _filon_weights(t * width[ps])
-                out[t0:t0 + t_step] += (width[ps] * np.exp(-1j * t * k_left[ps])
-                                        * (f0[ps] * w0 + f1[ps] * w1)).sum(axis=1)
+    for panels, group in ((np.flatnonzero(~lattice), chirp), (np.arange(h.size), lone)):
+        if panels.size and group:
+            _filon_panels(kgrid[panels], h[panels], fvals[panels], fvals[panels + 1], ts, group, out)
     return out

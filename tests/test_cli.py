@@ -175,13 +175,14 @@ def test_config_file_unknown_block(tmp_path):
 def test_solver_failure_is_exit_2(tmp_path, capsys, monkeypatch):
     from collective1d import greens
 
-    def unsettled(ev, lo, hi):
+    def unsettled(ev, boxes):
+        lo, hi = boxes[0]
         raise greens.SolverError(f"pole census did not settle in {lo} to {hi}")
 
     # no Newton step allowed, so the principal pole solve fails, and the
-    # census that find_pole falls back to does not settle
+    # census loop that find_pole falls back to does not settle
     monkeypatch.setattr(greens, "_MAX_NEWTON", 0)
-    monkeypatch.setattr(greens, "poles_in_box", unsettled)
+    monkeypatch.setattr(greens, "_census_boxes", unsettled)
     assert run(tmp_path, "poles") == 2
     assert "solver error" in capsys.readouterr().err
 

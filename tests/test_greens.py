@@ -570,6 +570,43 @@ def test_poles_in_box_never_accepts_a_repeated_or_outside_root(params, zs29, mon
         poles_in_box(ev, 1.95 - 0.1j, 2.3 + 0.05j)     # z_s and z_{s,1} = 2.2114 - 0.0775i
 
 
+@pytest.mark.parametrize("sector, x21", [(SYMMETRIC, X21), (ANTISYMMETRIC, 12.7), (SYMMETRIC, 19.0)])
+def test_batched_census_is_the_union_of_its_boxes(params, sector, x21):
+    """The census loop over a tiling, its polygons evaluated together, finds
+    what poles_in_box finds box by box: the same count, roots within 1e-12
+    and N within 1e-10."""
+    from collective1d import greens
+
+    ev = EtaEvaluator(params, sector.sigma, x21)
+    edges = np.linspace(0.5, 6.0, 12)
+    boxes = [(complex(a, -0.4), complex(b, 0.05)) for a, b in zip(edges, edges[1:])]
+    batched = [rec for recs in greens._census_boxes(ev, boxes) for rec in recs]
+    single = [rec for lo, hi in boxes for rec in poles_in_box(ev, lo, hi)]
+    assert len(batched) == len(single) > 0
+    for a, b in zip(batched, single):
+        assert abs(a.value - b.value) < 1e-12
+        assert abs(a.normalization - b.normalization) < 1e-10
+
+
+def test_strip_census_memory(params):
+    """The strip census of the (s, 29.025) spectral grid evaluates its
+    contours about 8 * _BLOCK nodes at a time, not all 92 k at once: its
+    traced peak stays under 3 MB (2.7 MB measured; 1.6 MB box by box)."""
+    import tracemalloc
+
+    from collective1d import greens
+
+    ev = EtaEvaluator(params, 1, X21)
+    greens._census(ev, 0.0, 16.0 * params.omegaM, 0.05)
+    tracemalloc.start()
+    try:
+        greens._census(ev, 0.0, 16.0 * params.omegaM, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0e6
+
+
 @pytest.mark.parametrize("omega1", [2.0, 1.0])
 @pytest.mark.parametrize("sector, x21", [(SYMMETRIC, X21), (ANTISYMMETRIC, 12.7)])
 def test_spectral_grid_needs_no_pole_scan(monkeypatch, sector, x21, omega1):

@@ -70,3 +70,34 @@ def test_csv_float_cells_round_trip_exactly(tmp_path, write):
     assert len(rows) == len(expected)
     for row, values in zip(rows, expected):
         assert [float(cell) for cell in row[columns]] == [float(v) for v in values]
+
+
+def test_write_csv_bytes_are_those_of_csv_writer(tmp_path):
+    """One % pass gives the bytes csv.writer gave: FLOAT_FORMAT for float
+    cells (numpy floats included), str() for every other cell, "," between
+    cells and "\\r\\n" after every row."""
+    from collective1d.io import FLOAT_FORMAT, write_csv
+
+    rows = [["s", 3, np.int64(-2), 0.1, np.float64(1e-300), float("nan"), -float("inf"), np.float32(0.5)],
+            ["a", True, 0, -0.0, *(_floats(4).tolist())],
+            [], ["only"], ["", "x"]]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["h1", "h 2"], rows)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["h1", "h 2"])
+        writer.writerows([FLOAT_FORMAT % cell if isinstance(cell, float) else cell for cell in row]
+                         for row in rows)
+    assert path.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r", ("x", "y")])
+def test_write_csv_refuses_cells_csv_would_quote(tmp_path, cell):
+    from collective1d import ConfigError
+    from collective1d.io import write_csv
+
+    with pytest.raises(ConfigError, match="quoting"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, cell]])
+    with pytest.raises(ConfigError, match="quoting"):
+        write_csv(tmp_path / "t.csv", ["a"], [[""]])

@@ -216,6 +216,62 @@ def test_fourier_halfline_matches_per_time_oracle(case):
     assert np.max(np.abs(got - want)) <= 1e-12 * top
 
 
+def _flanked_case(seed):
+    """A lattice of step 0.01 with two narrow Lorentzians, each windowed by
+    601 points over +-12 w and flanked by steps growing by 1.02 up to the
+    lattice step, then 60 panels whose widths straddle the Taylor cut
+    t_max h = pi/4; times of two arithmetic runs, scattered times and a lone
+    t_max."""
+    rng = np.random.default_rng(seed)
+    h0, t_max = 0.01, 110.0
+    pieces, lines = [h0 * np.arange(1001)], []
+    for centre, width in ((2.0 + rng.uniform(), 1e-4), (6.0 + rng.uniform(), 3e-6)):
+        spacing = 24.0 * width / 600
+        offsets = 12.0 * width + np.cumsum(
+            spacing * 1.02 ** np.arange(1, np.log(h0 / spacing) / np.log(1.02)))
+        pieces += [np.linspace(centre - 12.0 * width, centre + 12.0 * width, 601),
+                   centre - offsets, centre + offsets]
+        lines.append((centre, width))
+    pieces.append(10.0 + np.cumsum(np.pi / (4.0 * t_max) * rng.uniform(0.5, 1.5, 60)))
+    k = np.unique(np.concatenate(pieces))
+    k = k[k >= 0.0]
+    rho = np.exp(-k) + sum(w / ((k - c) ** 2 + w**2) for c, w in lines)
+    ts = np.concatenate([np.linspace(0.0, 40.0, 97), 41.3 + 0.37 * np.arange(150),
+                         np.sort(rng.uniform(0.0, t_max, 25)), [t_max]])
+    return k, rho, ts
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fourier_halfline_taylor_table_on_flanked_grids(seed):
+    """Off-lattice panels on either side of the Taylor cut, summed by the
+    phase-table route or per pair, and every panel at a lone time, match the
+    panel-by-panel transform to 1e-12 of I(0)."""
+    k, rho, ts = _flanked_case(seed)
+    top = fourier_halfline_oracle(k, rho, [0.0])[0].real
+    theta = np.diff(k) * ts.max()
+    assert np.any((theta > 0.7) & (theta <= np.pi / 4)) and np.any((theta > np.pi / 4) & (theta < 0.9))
+    got = fourier_halfline(k, rho, ts)
+    assert np.max(np.abs(got - fourier_halfline_oracle(k, rho, ts))) <= 1e-12 * top
+
+
+def test_fourier_halfline_memory(rho_grid_s29):
+    """The 600-time transform of the (s, 29.025) spectral grid keeps its
+    traced peak under 4.8 MB (4.3 MB measured). The chirp-z transform of the
+    lattice sets it; it took 4.8 MB while fft padded a copy of its input."""
+    import tracemalloc
+
+    k, rho = rho_grid_s29
+    ts = np.linspace(0.0, 5.0 * 29.025, 600)
+    fourier_halfline(k, rho, ts)
+    tracemalloc.start()
+    try:
+        fourier_halfline(k, rho, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.8e6
+
+
 def _scaled_en_reference(w: complex, m: int) -> complex:
     """e^w E_m(w) at 30 digits; a real negative w carries the side of the
     cut in the sign of its zero imaginary part."""
