@@ -72,6 +72,7 @@ _FLANK_RATIO = 1.02        # continuum_weight_grid: growth of the pole-window fl
 _CENSUS_SLOPE = _FAST_REGION_SLOPE - 0.01   # census polygons keep |Im z| <= slope * Re z
 _CENSUS_CUTS = 60          # census: cuts before a polygon that will not settle fails
 _CENSUS_NODES = 8 * _BLOCK  # census: contour nodes per batched eta^+ call
+_EXCLUSION_GRID = (9, 3)    # census exclusion: samples per box along Re z and Im z
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -514,15 +515,68 @@ def poles_in_box(ev: EtaEvaluator, lo: complex, hi: complex) -> list:
     return _census_boxes(ev, [(lo, hi)])[0]
 
 
-def _census(ev: EtaEvaluator, re_lo: float, re_hi: float, depth: float = np.inf) -> list:
-    """The roots of boxes at most 0.5 wide over Re z in [re_lo, re_hi] (from
-    0.05*omega1 up) and Im z from -min(depth, 600/x21), inside the overflow
-    guard, to Im z = 0.05 (zero-decay poles sit on the axis, none above it),
-    box by box in order of Re z: one `_census_boxes` loop over all columns."""
+def _census_tiling(ev: EtaEvaluator, re_lo: float, re_hi: float, depth: float) -> list:
+    """The census boxes (lo, hi), at most 0.5 wide, over Re z in [re_lo,
+    re_hi] (from 0.05*omega1 up) and Im z from -min(depth, 600/x21), inside
+    the overflow guard, to Im z = 0.05 (zero-decay poles sit on the axis,
+    none above it), in order of Re z."""
     re_lo = max(re_lo, 0.05 * ev.params.omega1)
     edges = np.linspace(re_lo, re_hi, max(1, math.ceil((re_hi - re_lo) / 0.5) + 1))
     bottom = -min(depth, 600.0 / ev.x21[0] if ev.two_atom else np.inf)
-    boxes = [(complex(a, bottom), complex(b, 0.05)) for a, b in zip(edges, edges[1:])]
+    return [(complex(a, bottom), complex(b, 0.05)) for a, b in zip(edges, edges[1:])]
+
+
+def _excluded(ev: EtaEvaluator, boxes) -> np.ndarray:
+    """Mask of the boxes (lo, hi) that hold no root of eta^+ on the one row
+    of ev, by the exclusion eta^+ = A + c e^{izx21}, c = 2 pi i sigma lam^2 v^2:
+    no root lies where |A| > |c| e^{-x21 Im z}. Each box inside |Im z| <=
+    0.69 Re z is sampled on a _EXCLUSION_GRID of points, corners included;
+    g = |A| - |c| e^{-x21 Im z} is bounded below over the box by its
+    smallest sample minus rho L, rho the half-diagonal of a grid cell and L
+    twice the largest sample of |A'| + (|c'| + x21 |c|) e^{-x21 Im z}, which
+    bounds |grad g|. A box whose bound is positive is excluded. A and A' are
+    eta^+ and eta^+' less the e^{izx21} term, from one `ev.values` call per
+    slice of at most _CENSUS_NODES samples; boxes clipped by the 0.69 fence
+    are never excluded."""
+    params, x21 = ev.params, ev.x21[0]
+    nx, ny = _EXCLUSION_GRID
+    lo = np.array([box[0] for box in boxes])
+    span = np.array([box[1] for box in boxes]) - lo
+    inside = _CENSUS_SLOPE * lo.real >= np.maximum(-lo.imag, lo.imag + span.imag)
+    lo, span = lo[inside], span[inside]
+    samples = (lo[:, None, None] + span.real[:, None, None] * np.linspace(0.0, 1.0, nx)[:, None]
+               + 1j * span.imag[:, None, None] * np.linspace(0.0, 1.0, ny))
+    rho = 0.5 * np.hypot(span.real / (nx - 1), span.imag / (ny - 1))
+    lower = np.empty(lo.size)
+    step = _CENSUS_NODES // (nx * ny)
+    for start in range(0, lo.size, step):
+        part = slice(start, start + step)
+        z = samples[part]
+        eta, deta = ev.values(z, derivative=True)
+        v2 = _form_factor_sq(z, params)
+        dv2 = v2 * (1.0 / z - 4.0 * params.n_ff * z / (params.omegaM**2 + z * z))   # as in _block
+        c, dc = 2j * np.pi * ev._sigma_lam2[0] * np.array([v2, dv2])
+        phase = np.exp(1j * x21 * z)
+        a, da = eta - c * phase, deta - (dc + 1j * x21 * c) * phase
+        decay = np.abs(phase)                  # e^{-x21 Im z}
+        g = np.abs(a) - np.abs(c) * decay
+        slope = np.abs(da) + (np.abs(dc) + x21 * np.abs(c)) * decay
+        lower[part] = g.min(axis=(1, 2)) - rho[part] * 2.0 * slope.max(axis=(1, 2))
+    out = np.zeros(len(boxes), dtype=bool)
+    out[inside] = lower > 0
+    return out
+
+
+def _census(ev: EtaEvaluator, re_lo: float, re_hi: float, depth: float = np.inf) -> list:
+    """The roots of the `_census_tiling` boxes over Re z in [re_lo, re_hi]
+    down to depth, box by box in order of Re z: one `_census_boxes` loop over
+    all columns. A finite depth (the strip of `continuum_weight_grid`) first
+    drops the boxes that `_excluded` shows to hold no root, which are most
+    of the strip; the deep censuses of `pole_scan` and `find_pole` count
+    every box."""
+    boxes = _census_tiling(ev, re_lo, re_hi, depth)
+    if np.isfinite(depth):
+        boxes = [box for box, empty in zip(boxes, _excluded(ev, boxes)) if not empty]
     return [rec for recs in _census_boxes(ev, boxes) for rec in recs]
 
 
@@ -645,12 +699,17 @@ def continuum_weight_grid(sector, x21, params: ModelParams, quad=None,
 
     The base grid resolves the cos(k x21) modulation and, when a Fourier
     transform up to t_max is requested, keeps panel phases t*h bounded.
-    Each pole of 1/eta^+ narrower than 20 base steps (a census of that strip)
-    gets a 601-point window over +-12 w, w = max(gamma, 1e-8), and a graded flank
+    Each pole of 1/eta^+ narrower than 20 base steps gets a 601-point window
+    over +-12 w, w = max(gamma, 1e-8), and a graded flank
     on either side: from 12 w outward the steps grow by _FLANK_RATIO from
     the window's spacing until they reach the base step, so the
     1/(k - omega)^2 tails are resolved and the sum rule int rho = 1 holds
     for widths down to 1e-8. Needed by the survival-amplitude quadrature.
+    The poles come from a census of that strip, Re z in [0.05 omega1, k_max],
+    which first excludes every box inside |Im z| <= 0.69 Re z where
+    |A| > |c e^{izx21}| (eta^+ = A + c e^{izx21}, `_excluded`): such a box
+    holds no root, and at the defaults that is all but two or three of the
+    160 boxes.
 
     k_max and base_step must be positive and t_max >= 0, all finite; None
     takes the default. quad is ignored: eta^+ is in closed form. The slot

@@ -377,6 +377,16 @@ def test_sum_rule_on_pole_refined_grid(params, sector, x21):
     assert abs(val - 1.0) < 2e-5
 
 
+@settings(max_examples=10, deadline=None)
+@given(sector=st.sampled_from(["s", "a"]), x21=st.floats(3.0, 40.0, exclude_max=True))
+def test_sum_rule_at_random_distances(params, sector, x21):
+    """int rho = 1 and A(0) = 1 to the bound of the seven hand-picked cases
+    above, on the grid of a transform up to 5 x21 at any distance."""
+    k, rho = continuum_weight_grid(sector, x21, params, t_max=5.0 * x21)
+    assert abs(np.trapezoid(rho, k) - 1.0) < 2e-5
+    assert abs(amplitude_quadrature(0.0, sector, x21, params, grid=(k, rho)) - 1.0) < 2e-5
+
+
 def test_amplitude_matches_lattice(params, model_s29, rho_grid_s29):
     times = np.linspace(0.0, 4 * X21, 120)
     lattice = survival_probability(model_s29, "s", times)

@@ -607,6 +607,122 @@ def test_strip_census_memory(params):
     assert peak < 3.0e6
 
 
+def test_census_loop_memory_on_the_full_strip(params):
+    """The census loop alone over all 160 boxes of the (s, 29.025) strip,
+    none excluded, keeps the 3 MB bound of the strip census (2.6 MB
+    measured; the census with its exclusion peaks at 1.6 MB)."""
+    import tracemalloc
+
+    from collective1d import greens
+
+    ev = EtaEvaluator(params, 1, X21)
+    boxes = greens._census_tiling(ev, 0.0, 16.0 * params.omegaM, 0.05)
+    greens._census_boxes(ev, boxes)
+    tracemalloc.start()
+    try:
+        greens._census_boxes(ev, boxes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(boxes) == 160 and peak < 3.0e6
+
+
+def _strip_depth(x21):
+    """The census depth of continuum_weight_grid at t_max = 5 x21: 20 base steps."""
+    return 20.0 * min(2.5e-3, 2.0 * np.pi / x21 / 24.0, np.pi / (20.0 * x21))
+
+
+@settings(max_examples=12, deadline=None)
+@given(x21=st.floats(3.0, 40.0, exclude_max=True), sector=st.sampled_from([SYMMETRIC, ANTISYMMETRIC]),
+       omega1=st.sampled_from([1.0, 2.0]))
+def test_exclusion_never_changes_a_census(x21, sector, omega1):
+    """At the strip depth of continuum_weight_grid, the census that drops
+    the boxes the exclusion clears finds what the census loop finds on the
+    full tiling: the same count, roots within 1e-12 and N within 1e-10."""
+    from collective1d import greens
+
+    params = ModelParams(omega1=omega1)
+    ev = EtaEvaluator(params, sector.sigma, x21)
+    re_hi, depth = 16.0 * params.omegaM, _strip_depth(x21)
+    kept = greens._census(ev, 0.0, re_hi, depth)
+    full = [rec for recs in greens._census_boxes(ev, greens._census_tiling(ev, 0.0, re_hi, depth))
+            for rec in recs]
+    assert len(kept) == len(full)
+    for a, b in zip(kept, full):
+        assert abs(a.value - b.value) < 1e-12
+        assert abs(a.normalization - b.normalization) < 1e-10
+
+
+@pytest.mark.parametrize("sector, x21", [(SYMMETRIC, X21), (ANTISYMMETRIC, 12.7)])
+def test_exclusion_keeps_the_spectral_bits(params, monkeypatch, sector, x21):
+    """At both spectral cases k, rho and A(t) on 600 times are bitwise those
+    of the census that counts every box of the strip."""
+    from collective1d import greens
+
+    times = np.linspace(0.0, 5.0 * x21, 600)
+
+    def spectral():
+        k, rho = continuum_weight_grid(sector, x21, params, t_max=5.0 * x21)
+        return k, rho, amplitude_quadrature(times, sector, x21, params, grid=(k, rho))
+
+    excluded = spectral()
+    monkeypatch.setattr(greens, "_excluded", lambda ev, boxes: np.zeros(len(boxes), dtype=bool))
+    for a, b in zip(excluded, spectral()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _cleared_boxes_hold(params, sector, x21):
+    """Check |A| > |c e^{izx21}|, c = 2 pi i sigma lam^2 v^2 and A = eta^+ -
+    c e^{izx21}, on a grid of spacing 1/(8 x21) over every box the exclusion
+    clears at the strip depth, and on the box's own census contour nodes;
+    return the number of cleared boxes and of boxes."""
+    from collective1d import greens
+
+    ev = EtaEvaluator(params, sector.sigma, x21)
+    boxes = greens._census_tiling(ev, 0.0, 16.0 * params.omegaM, _strip_depth(x21))
+    cleared = [box for box, empty in zip(boxes, greens._excluded(ev, boxes)) if empty]
+    for lo, hi in cleared:
+        re, im = (np.linspace(a, b, int(np.ceil(8.0 * x21 * (b - a))) + 1)
+                  for a, b in ((lo.real, hi.real), (lo.imag, hi.imag)))
+        rect = np.array([lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)])
+        z = np.concatenate([(re[:, None] + 1j * im).ravel(), greens._contour(rect, 1.0 / x21)[0]])
+        ce = 2j * np.pi * sector.sigma * params.lam**2 * form_factor_sq(z, params) * np.exp(1j * x21 * z)
+        a = eta_plus(z, sector, x21, params) - ce
+        assert np.all(np.abs(a) > np.abs(ce)), (lo, hi)
+    return len(cleared), len(boxes)
+
+
+@pytest.mark.parametrize("sector, x21", [(SYMMETRIC, X21), (ANTISYMMETRIC, 12.7)])
+def test_exclusion_certificate_holds_at_the_spectral_cases(params, sector, x21):
+    """Every box the exclusion clears at both spectral cases holds
+    |A| > |c e^{izx21}| densely, and the exclusion clears all but a few of
+    the 160 boxes (158 measured)."""
+    cleared, boxes = _cleared_boxes_hold(params, sector, x21)
+    assert boxes == 160 and cleared >= 150
+
+
+@settings(max_examples=3, deadline=None)
+@given(x21=st.floats(3.0, 40.0, exclude_max=True), sector=st.sampled_from([SYMMETRIC, ANTISYMMETRIC]))
+def test_exclusion_certificate_holds_at_random_distances(params, x21, sector):
+    """Every box the exclusion clears at a random distance holds
+    |A| > |c e^{izx21}| densely."""
+    _cleared_boxes_hold(params, sector, x21)
+
+
+@pytest.mark.parametrize("sector, x21", [(SYMMETRIC, X21), (ANTISYMMETRIC, 12.7), (SYMMETRIC, 34.0)])
+def test_exclusion_never_clears_a_box_round_a_root(params, sector, x21):
+    """Boxes from 2e-3 to 0.2 wide, each holding a census root off centre,
+    are never cleared: where the sample grid is fine, only the |c e^{izx21}|
+    term of the bound keeps them."""
+    from collective1d import greens
+
+    ev = EtaEvaluator(params, sector.sigma, x21)
+    roots = [rec.value for rec in poles_in_box(ev, 1.0 - 0.4j, 3.0 + 0.05j)]
+    boxes = [(z - half * (1.0 + 0.6j) * shift, z + half * (1.0 + 0.6j) * (2.0 - shift))
+             for z in roots for half in (1e-3, 1e-2, 0.1) for shift in (0.3, 1.0, 1.7)]
+    assert len(roots) >= 3 and not greens._excluded(ev, boxes).any()
+
+
 @pytest.mark.parametrize("omega1", [2.0, 1.0])
 @pytest.mark.parametrize("sector, x21", [(SYMMETRIC, X21), (ANTISYMMETRIC, 12.7)])
 def test_spectral_grid_needs_no_pole_scan(monkeypatch, sector, x21, omega1):
