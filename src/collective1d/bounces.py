@@ -284,6 +284,8 @@ def amplitude_quadrature(t, sector, x21: float, params: ModelParams, quad=None,
     it positionally, and the next benchmark change removes it."""
     sector = as_sector(sector)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1 or ts.size == 0:
+        raise ConfigError("amplitude_quadrature needs a 1-D grid of at least one time")
     if np.any(ts < 0):
         raise ConfigError("amplitude_quadrature needs t >= 0")
     if grid is None:

@@ -19,9 +19,9 @@ term by term at every iteration; the modes beyond it are at least |I| from
 every root of the block, so their sum and its slope are smooth on I and
 come from Chebyshev interpolants built once per block, exact to rounding.
 An iteration then costs O(rows x (window + _CHEB)) instead of
-O(rows x modes). The survival amplitude sums e^{-iEt} from a factored phase
-table: heads at every Q-th time of an arithmetic run times tails over the
-Q steps between them.
+O(rows x modes). The survival amplitude sum_E w_E e^{-iEt} is the
+package's one phase sum, `quadrature._phase_sums`, which the off-lattice
+Filon panels share.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from .greens import (
     one_atom_pole,
 )
 from .io import write_csv
-from .quadrature import _arithmetic_runs, _exp_pole_terms, _pole_coefficients, _pole_sum
+from .quadrature import _exp_pole_terms, _phase_sums, _pole_coefficients, _pole_sum
 
 __all__ = [
     "LatticeModel",
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 _MAX_DIM = 20000         # the far tables, O(_CHEB dim^2 / _BLOCK), and evolve's (E, mode) sum
-_BLOCK = 128             # eigenvalue (or time) rows per (rows, modes) work array
+_BLOCK = 128             # eigenvalue rows per (rows, modes) work array
 _MAX_ITER = 40           # secular-equation evaluations per eigenvalue
 _CHEB = 28               # far-field interpolation points: (3 + sqrt 8)^-28 ~ 4e-22
 _CHEB_NODES = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))     # second kind, on [-1, 1]
@@ -399,34 +399,15 @@ def evolve(model: LatticeModel, initial, t: float) -> np.ndarray:
 
 def survival_probability(model: LatticeModel, initial, times) -> TimeSeries:
     """P_1(t) = |<1| e^{-iHt} |j>|^2 on the provided grid. With <1|j> = 1/sqrt(2)
-    and the survival amplitude A_j(t) = sum_E w_E e^{-iEt}, P_1 = |A_j|^2 / 2."""
+    and the survival amplitude A_j(t) = sum_E w_E e^{-iEt}, P_1 = |A_j|^2 / 2;
+    A_j is one phase sum (`quadrature._phase_sums`) over the eigenvalues."""
     _check_initial(model, initial)
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ConfigError("survival_probability needs a 1-D grid of at least one time")
     _check_horizon(model, float(times.max()))
-    amp = _survival_amplitude(model.evals, model.weights, times)
+    amp = _phase_sums(times, model.evals, model.weights[:, None])[:, 0]
     return TimeSeries(times, 0.5 * np.abs(amp) ** 2, label=f"P1 initial={initial}")
-
-
-def _survival_amplitude(evals, weights, times):
-    """sum_E w_E e^{-iEt} at every time, from a factored phase table on each
-    maximal arithmetic run of the times (a lone time is a run of one). With
-    j = b Q + q in a run, t_j = t_{bQ} + q step, so the run's sums are the
-    product of the heads w_E e^{-iE t_{bQ}} and the tails e^{-iE q step}:
-    one complex matrix product from (len / Q + Q) x nE exponentials instead
-    of len x nE. Q = ceil(sqrt(len)), at most _BLOCK, and the heads go in
-    blocks of _BLOCK rows, so no array holds more than _BLOCK x nE phases."""
-    amp = np.empty(times.size, dtype=complex)
-    for start, stop in _arithmetic_runs(times):
-        t = times[start:stop]
-        q = min(int(np.ceil(np.sqrt(t.size))), _BLOCK)
-        step = (t[-1] - t[0]) / (t.size - 1) if t.size > 1 else 0.0
-        tails = np.exp(-1j * np.outer(evals, step * np.arange(q)))
-        heads = t[::q]
-        sums = np.empty((heads.size, q), dtype=complex)
-        for rows in _blocks(heads.size):
-            sums[rows] = (weights * np.exp(-1j * np.outer(heads[rows], evals))) @ tails
-        amp[start:stop] = sums.ravel()[:t.size]
-    return amp
 
 
 def collective_survival(params: ModelParams, sector, x21, times,

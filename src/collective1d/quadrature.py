@@ -41,8 +41,7 @@ _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _BLOCK = 1024            # points per block of exponential-integral and eta^+ work arrays
 _SERIES_CELLS = 1 << 14  # complex elements per power-series work array (points x terms)
 _SIDES = np.array([1.0, -1.0])     # the form-factor poles p = s*i*omegaM
-# Filon panels off the uniform lattice: (time, panel) pairs per block
-_DIRECT_PAIRS = 10_000
+_PHASE_BUDGET = 10_000   # complex phases per work array of a phase sum or of direct Filon pairs
 # Taylor coefficients of the Filon weights in s = theta^2, highest power
 # first, one column per real polynomial: w0 = p0(s) - i theta p1(s) and
 # w1 = p2(s) - i theta p3(s)
@@ -500,40 +499,52 @@ def _chirp_z(rows, start: float, step: float, n_out: int) -> list:
 
 def _arithmetic_runs(ts: np.ndarray):
     """Maximal runs [start, stop) of ts that are arithmetic to within 8 ulp
-    of their values (a shifted np.linspace is one run)."""
-    eps = np.finfo(float).eps
+    of their values (a shifted np.linspace is one run). t_stop extends a run
+    when t_start + (stop - start) step, step = (t_{stop-1} - t_start) /
+    (stop - 1 - start), is within 8 ulp of it: tested at once for every
+    run's first candidate, then in windows that double."""
+    def off(start, at):
+        step = (ts[at - 1] - ts[start]) / (at - 1 - start)
+        tol = 8.0 * np.finfo(float).eps * np.maximum(np.abs(ts[start]), np.abs(ts[at]))
+        return np.abs(ts[start] + (at - start) * step - ts[at]) > tol
+    first_off = off(np.arange(ts.size - 2), np.arange(2, ts.size))
     start = 0
     while start < ts.size:
-        stop = start + min(2, ts.size - start)
-        while stop < ts.size:
-            step = (ts[stop - 1] - ts[start]) / (stop - 1 - start)
-            tol = 8.0 * eps * max(abs(ts[start]), abs(ts[stop]))
-            if abs(ts[start] + (stop - start) * step - ts[stop]) > tol:
+        stop, width = min(start + 2, ts.size), 16
+        while stop < ts.size and not (stop == start + 2 and first_off[start]):
+            at = np.arange(stop, min(stop + width, ts.size))
+            bad = np.flatnonzero(off(start, at))
+            stop, width = int(at[bad[0]] if bad.size else at[-1] + 1), 2 * width
+            if bad.size:
                 break
-            stop += 1
         yield start, stop
         start = stop
 
 
-def _phase_sums(t, k, coeffs):
-    """S[j, n] = sum_p e^{-i t_j k_p} coeffs[p, n] over one arithmetic run t,
-    from a factored phase table: with j = b Q + q, t_j = t_{bQ} + q step, so
-    each phase is a head e^{-i t_{bQ} k_p} times a tail e^{-i q step k_p}.
-    Q = ceil(sqrt(len)), panels go _DIRECT_PAIRS // Q at a time and heads so
-    many at a time that no block of the table holds more than _DIRECT_PAIRS
-    phases."""
-    sums = np.zeros((t.size, coeffs.shape[1]), dtype=complex)
-    step = (t[-1] - t[0]) / (t.size - 1) if t.size > 1 else 0.0
-    q = min(math.ceil(math.sqrt(t.size)), _DIRECT_PAIRS)
-    heads = t[::q]
-    for p0 in range(0, k.size, _DIRECT_PAIRS // q):
-        kb, cb = k[p0:p0 + _DIRECT_PAIRS // q], coeffs[p0:p0 + _DIRECT_PAIRS // q]
-        tails = np.exp(-1j * np.outer(step * np.arange(q), kb))
-        per = max(1, _DIRECT_PAIRS // (q * kb.size))
-        for b0 in range(0, heads.size, per):
-            table = np.exp(-1j * np.outer(heads[b0:b0 + per], kb))[:, None, :] * tails
-            rows = slice(b0 * q, min((b0 + per) * q, t.size))
-            sums[rows] += (table.reshape(-1, kb.size) @ cb)[:rows.stop - rows.start]
+def _phase_sums(ts, k, coeffs):
+    """S[j, n] = sum_p e^{-i t_j k_p} coeffs[p, n] at any times ts, from a
+    factored phase table on each maximal arithmetic run of them (a lone time
+    is a run of one). With j = b Q + q in a run, Q = ceil(sqrt(len)) and
+    t_j = t_{bQ} + q step, so
+    S[bQ + q, n] = sum_p (e^{-i t_{bQ} k_p} coeffs[p, n]) e^{-i q step k_p}:
+    the (heads x columns, P) block of weighted heads times the (P, Q) tails,
+    one matrix product per chunk of k from (len / Q + Q) P exponentials
+    instead of len P. A chunk takes _PHASE_BUDGET // max(heads x columns, Q)
+    values of k, so no work array holds more than _PHASE_BUDGET phases."""
+    cols = coeffs.shape[1]
+    sums = np.empty((ts.size, cols), dtype=complex)
+    for start, stop in _arithmetic_runs(ts):
+        t = ts[start:stop]
+        q = math.ceil(math.sqrt(t.size))
+        lags = (t[-1] - t[0]) / (t.size - 1) * np.arange(q) if t.size > 1 else np.zeros(1)
+        heads = t[::q]
+        run = np.zeros((heads.size * cols, q), dtype=complex)
+        chunk = max(1, _PHASE_BUDGET // max(run.shape))
+        for p0 in range(0, k.size, chunk):
+            kb = k[p0:p0 + chunk]
+            weighted = np.exp(-1j * np.outer(heads, kb))[:, None, :] * coeffs[p0:p0 + chunk].T
+            run += weighted.reshape(run.shape[0], -1) @ np.exp(-1j * np.outer(kb, lags))
+        sums[start:stop] = run.reshape(heads.size, cols, q).swapaxes(1, 2).reshape(-1, cols)[:t.size]
     return sums
 
 
@@ -547,20 +558,22 @@ def _taylor_terms(theta: float) -> int:
     return n
 
 
-def _filon_panels(k_left, width, f0, f1, ts, runs, out) -> None:
-    """Add to out[start:stop], for each run, the panels' Filon sums
-    sum_p width_p e^{-i t k_p} (f0_p w0(t width_p) + f1_p w1(t width_p)).
+def _filon_panels(k_left, width, f0, f1, ts):
+    """The panels' Filon sums
+    sum_p width_p e^{-i t k_p} (f0_p w0(t width_p) + f1_p w1(t width_p)) at
+    every time of ts.
 
-    Panels with t_top width <= pi/4 (t_top = max |t| over the runs) take the
-    weights' Taylor series, w0 = sum (-i theta)^n/(n+2)! and
+    Panels with t_top width <= pi/4 (t_top = max |t|) take the weights'
+    Taylor series, w0 = sum (-i theta)^n/(n+2)! and
     w1 = sum (n+1)(-i theta)^n/(n+2)!: with u = t/t_top the sum is
-    sum_n (-i u)^n S_n(t), where S_n sums the phase table e^{-i t k_p}
+    sum_n (-i u)^n S_n(t), where S_n sums the phases e^{-i t k_p}
     (`_phase_sums`) against the P x terms Taylor table
     width_p (t_top width_p)^n (f0_p + (n+1) f1_p)/(n+2)!, and Horner's rule
     in -iu sums the terms. The other panels take `_filon_weights` per
-    (time, panel) pair, vectorized over blocks of at most _DIRECT_PAIRS."""
-    t_top = max(float(np.abs(ts[start:stop]).max()) for start, stop in runs)
+    (time, panel) pair, vectorized over blocks of at most _PHASE_BUDGET."""
+    t_top = float(np.abs(ts).max())
     scale = t_top or 1.0
+    out = np.zeros(ts.shape, dtype=complex)
     near = np.abs(width) * t_top <= 0.25 * np.pi
     if near.any():
         x = scale * width[near]
@@ -568,28 +581,25 @@ def _filon_panels(k_left, width, f0, f1, ts, runs, out) -> None:
         fact = np.array([math.factorial(m + 2) for m in n], dtype=float)
         table = (width[near, None] * x[:, None] ** n / fact
                  * (f0[near, None] + (n + 1) * f1[near, None]))
-        for start, stop in runs:
-            t = ts[start:stop]
-            sums = _phase_sums(t, k_left[near], table)
-            step = -1j * t / scale
-            acc = sums[:, -1]
-            for col in sums.T[-2::-1]:
-                acc = acc * step + col
-            out[start:stop] += acc
+        sums = _phase_sums(ts, k_left[near], table)
+        step = -1j * ts / scale
+        out += sums[:, -1]
+        for col in sums.T[-2::-1]:
+            out *= step
+            out += col
     far = np.flatnonzero(~near)
     if far.size:
         width, k_left, f0, f1 = width[far], k_left[far], f0[far], f1[far]
-        at = np.concatenate([np.arange(start, stop) for start, stop in runs])
-        p_step = min(far.size, _DIRECT_PAIRS)
-        t_step = max(1, _DIRECT_PAIRS // p_step)
+        p_step = min(far.size, _PHASE_BUDGET)
+        t_step = max(1, _PHASE_BUDGET // p_step)
         for p0 in range(0, far.size, p_step):
             ps = slice(p0, p0 + p_step)
-            for t0 in range(0, at.size, t_step):
-                rows = at[t0:t0 + t_step]
-                t = ts[rows, None]
+            for t0 in range(0, ts.size, t_step):
+                t = ts[t0:t0 + t_step, None]
                 w0, w1 = _filon_weights(t * width[ps])
-                out[rows] += (width[ps] * np.exp(-1j * t * k_left[ps])
-                              * (f0[ps] * w0 + f1[ps] * w1)).sum(axis=1)
+                out[t0:t0 + t_step] += (width[ps] * np.exp(-1j * t * k_left[ps])
+                                        * (f0[ps] * w0 + f1[ps] * w1)).sum(axis=1)
+    return out
 
 
 def fourier_halfline(kgrid: np.ndarray, fvals: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -605,25 +615,30 @@ def fourier_halfline(kgrid: np.ndarray, fvals: np.ndarray, ts: np.ndarray) -> np
     maximal arithmetic run of two or more times these two sums are one
     chirp-z transform (Bluestein's FFT convolution). The other panels (pole
     windows and their flanks), and every panel at a time that is a run of
-    one, take `_filon_panels`: a phase table times a Taylor table of the
-    Filon weights where t_max h <= pi/4, which covers every panel of a
-    `continuum_weight_grid` grid, and the weights per (time, panel) pair
-    beyond it.
+    one, take `_filon_panels`: the phase sums of `_phase_sums` against a
+    Taylor table of the Filon weights where t_max h <= pi/4, which covers
+    every panel of a `continuum_weight_grid` grid, and the weights per
+    (time, panel) pair beyond it. kgrid is 1-D, finite and strictly
+    increasing, with one value of fvals per node.
     """
     kgrid = np.asarray(kgrid, dtype=float)
     fvals = np.asarray(fvals)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if not np.all(np.isfinite(ts)):
         raise ConfigError("fourier_halfline needs finite times")
+    if kgrid.ndim != 1 or not np.all(np.isfinite(kgrid)) or np.any(np.diff(kgrid) <= 0):
+        raise ConfigError("fourier_halfline needs a 1-D, finite, strictly increasing k grid")
+    if fvals.shape != kgrid.shape:
+        raise ConfigError(f"fourier_halfline needs one value per k node, not {fvals.shape}")
     out = np.zeros(ts.shape, dtype=complex)
     if kgrid.size < 2:
         return out
     h = np.diff(kgrid)
     runs = list(_arithmetic_runs(ts))
     chirp = [(start, stop) for start, stop in runs if stop - start > 1]
-    lone = [(start, stop) for start, stop in runs if stop - start == 1]
+    lone = np.isin(np.arange(ts.size), [start for start, stop in runs if stop - start == 1])
     span, med = kgrid[-1] - kgrid[0], np.median(h)
-    n_steps = int(round(span / med)) if med > 0 else 0
+    n_steps = int(round(span / med))
     lattice = np.zeros(h.shape, dtype=bool)
     if chirp and 1 <= n_steps <= h.size:     # with more steps than panels the lattice is mostly empty
         h0 = span / n_steps
@@ -640,7 +655,8 @@ def fourier_halfline(kgrid: np.ndarray, fvals: np.ndarray, ts: np.ndarray) -> np
             s0, s1 = _chirp_z((left, right), t[0] * h0, step * h0, t.size)
             w0, w1 = _filon_weights(t * h0)
             out[start:stop] = h0 * np.exp(-1j * t * kgrid[0]) * (w0 * s0 + w1 * s1)
-    for panels, group in ((np.flatnonzero(~lattice), chirp), (np.arange(h.size), lone)):
-        if panels.size and group:
-            _filon_panels(kgrid[panels], h[panels], fvals[panels], fvals[panels + 1], ts, group, out)
+    for panels, rows in ((np.flatnonzero(~lattice), ~lone), (np.arange(h.size), lone)):
+        if panels.size and rows.any():
+            out[rows] += _filon_panels(kgrid[panels], h[panels], fvals[panels], fvals[panels + 1],
+                                       ts[rows])
     return out

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from math import comb
 
 from collective1d import (
+    ConfigError,
     ModelParams,
     ResummationError,
     SYMMETRIC,
@@ -407,3 +408,6 @@ def test_antisymmetric_plateau(params):
 def test_amplitude_negative_time_rejected(params):
     with pytest.raises(ValueError):
         amplitude_quadrature(-1.0, SYMMETRIC, X21, params)
+    for bad in ([], [[1.0, 2.0]]):
+        with pytest.raises(ConfigError, match="1-D grid of at least one time"):
+            amplitude_quadrature(bad, SYMMETRIC, X21, params)

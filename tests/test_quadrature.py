@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collective1d import (
+    ConfigError,
     ContinuationDomainError,
     QuadratureError,
     QuadratureSpec,
@@ -270,6 +271,60 @@ def test_fourier_halfline_memory(rho_grid_s29):
     finally:
         tracemalloc.stop()
     assert peak < 4.8e6
+
+
+@pytest.mark.parametrize("kgrid, fvals, message", [
+    ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0], "finite, strictly increasing"),
+    ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "finite, strictly increasing"),
+    ([0.0, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0], "finite, strictly increasing"),
+    ([[0.0, 1.0, 2.0]], [[1.0, 1.0, 1.0]], "1-D"),
+    ([0.0, 1.0, 2.0], [1.0, 1.0], "one value per k node"),
+], ids=["nan", "decreasing", "repeated", "2d", "short"])
+def test_fourier_halfline_rejects_bad_grids(kgrid, fvals, message):
+    """A k grid that is not 1-D, finite and strictly increasing, or fvals
+    without one value per node, is bad input, not a silent number."""
+    with pytest.raises(ConfigError, match=message):
+        fourier_halfline(np.array(kgrid), np.array(fvals), np.linspace(0.0, 10.0, 5))
+
+
+@st.composite
+def _phase_sum_case(draw):
+    """Times of one kind (an arithmetic run of 1-3 000, sorted scattered
+    times, or one run split round scattered times, in no order), 1-18
+    columns, and values of k for two to four chunks of the phase budget at
+    the longest run. |t k| stays below 900: there the phase itself rounds
+    by eps |t k|, in the kernel and the direct sum alike, which costs each
+    at most about 5e-14 of sum |c| (measured over 300 draws; 3e-13 at
+    |t k| = 6 000)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t_top = draw(st.floats(0.1, 150.0))
+    t0 = draw(st.floats(0.0, 0.5)) * t_top
+    run = np.linspace(t0, t0 + 0.5 * t_top, draw(st.integers(1, 3000)))
+    scattered = np.sort(rng.uniform(0.0, t_top, draw(st.integers(1, 100))))
+    half = run.size // 2
+    ts = {"run": run, "scattered": scattered,
+          "mixed": np.concatenate([run[:half], scattered, run[half:]])}[
+              draw(st.sampled_from(["run", "scattered", "mixed"]))]
+    cols = draw(st.integers(1, 18))
+    longest = max(stop - start for start, stop in quadrature._arithmetic_runs(ts))
+    q = math.ceil(math.sqrt(longest))
+    chunk = max(1, quadrature._PHASE_BUDGET // max(-(-longest // q) * cols, q))
+    k = rng.uniform(0.0, 6.0, draw(st.integers(2 * chunk + 1, 4 * chunk)))
+    coeffs = rng.normal(size=(k.size, cols)) + 1j * rng.normal(size=(k.size, cols))
+    return ts, k, coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_phase_sum_case())
+def test_phase_sums_match_one_exponential_per_pair(case):
+    """The one phase-sum kernel, heads times tails on each arithmetic run
+    and k in chunks, gives sum_p e^{-i t k_p} c[p, n] within
+    1e-13 sum_p |c[p, n]| of one exponential per (time, k) pair."""
+    ts, k, coeffs = case
+    got = quadrature._phase_sums(ts, k, coeffs)
+    blocks = np.array_split(np.arange(ts.size), -(-ts.size * k.size // 2**18))
+    want = np.concatenate([np.exp(-1j * np.outer(ts[b], k)) @ coeffs for b in blocks])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(coeffs).sum(axis=0))
 
 
 def _scaled_en_reference(w: complex, m: int) -> complex:
