@@ -34,7 +34,7 @@ print(f"\ncollective poles at x21 = {x21}:")
 for tag in ("s", "a"):
     est = weak_coupling_estimate(tag, x21, params)
     pole = find_pole(tag, x21, z1.value, params)
-    print(f"  sector {tag}: z = {pole.value:.6f}   (weak-coupling seed was {est.value:.6f})")
+    print(f"  sector {tag}: z = {pole.value:.6f}   (weak-coupling estimate {est.value:.6f})")
 
 print("\npole lattice (symmetric sector): spacing ~ 2 pi / x21 =",
       f"{2 * np.pi / x21:.4f}")

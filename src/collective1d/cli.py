@@ -229,11 +229,11 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
                 solutions.append(sol)
     checks = {}
     if solutions:
-        # gamma at every zero-decay distance, seeded at z1, as one batched solve
+        # gamma at every zero-decay distance: find_pole's rule from z1, as one batch
         ev = gr.EtaEvaluator(params, [as_sector(sol.sector).sigma for sol in solutions],
                              [sol.x21_zero for sol in solutions])
         z1 = gr.one_atom_pole(params).value
-        for sol, pole in zip(solutions, gr.solve_poles(ev, [z1] * len(solutions))):
+        for sol, pole in zip(solutions, gr._find_poles(ev, [z1] * len(solutions))):
             if isinstance(pole, SolverError):
                 raise pole
             checks[(sol.sector, sol.n)] = pole.gamma

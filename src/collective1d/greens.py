@@ -572,7 +572,7 @@ def _census(ev: EtaEvaluator, re_lo: float, re_hi: float, depth: float = np.inf)
     down to depth, box by box in order of Re z: one `_census_boxes` loop over
     all columns. A finite depth (the strip of `continuum_weight_grid`) first
     drops the boxes that `_excluded` shows to hold no root, which are most
-    of the strip; the deep censuses of `pole_scan` and `find_pole` count
+    of the strip; the deep censuses of `pole_scan` and `_find_poles` count
     every box."""
     boxes = _census_tiling(ev, re_lo, re_hi, depth)
     if np.isfinite(depth):
@@ -580,21 +580,42 @@ def _census(ev: EtaEvaluator, re_lo: float, re_hi: float, depth: float = np.inf)
     return [rec for recs in _census_boxes(ev, boxes) for rec in recs]
 
 
+def _find_poles(ev: EtaEvaluator, seeds) -> list:
+    """Roots of eta^+ on every row i of ev from seeds[i], by one rule: one
+    `solve_poles` call over all rows, after which each two-atom row that
+    failed to converge from a seed in the region, or landed more than
+    pi/x21 away in Re, takes instead the root of a census of Re z within
+    pi/x21 of its seed that is nearest the seed with
+    sigma*(Re z - Re seed) >= 0, if there is one. The census runs on ev when
+    ev has one row, else on an uncached one-row evaluator of that row.
+    Returns per row a certified ComplexEnergy or the SolverError the row
+    failed with; a census that raises fails its row alone."""
+    seeds = np.asarray(seeds, dtype=complex).ravel()
+    roots = solve_poles(ev, seeds)
+    if not ev.two_atom:
+        return roots
+    outside = ev.off_domain(seeds, 0.0)[0]
+    for i, (root, seed, sigma, x21) in enumerate(zip(roots, seeds, ev.sigma, ev.x21)):
+        stray = (abs(root.omega_tilde - seed.real) * x21 > np.pi if isinstance(root, ComplexEnergy)
+                 else isinstance(root, ConvergenceError) and not outside[i])
+        if not stray:
+            continue
+        one = ev if ev.sigma.size == 1 else EtaEvaluator(ev.params, sigma, x21)
+        try:
+            side = [r for r in _census(one, seed.real - np.pi / x21, seed.real + np.pi / x21)
+                    if sigma * (r.omega_tilde - seed.real) >= 0]
+        except SolverError as exc:
+            roots[i] = exc
+            continue
+        roots[i] = min(side, key=lambda r: abs(r.value - seed), default=root)
+    return roots
+
+
 def find_pole(sector, x21, seed, params: ModelParams, lattice_index: int = 0) -> ComplexEnergy:
-    """Root of eta^+ from one seed: a one-row `solve_poles` on the cached
-    evaluator of (sector, x21). Raises its SolverError, or returns a certified
-    record with normalization N = 1/eta^+'(z). A two-atom solve that fails to
-    converge from a seed in the region, or lands more than pi/x21 away in Re,
-    takes instead the root of a census of Re z within pi/x21 of the seed that
-    is nearest the seed with sigma*(Re z - Re seed) >= 0, if there is one."""
-    ev, seed = eta_evaluator(sector, x21, params), complex(seed)
-    root = solve_poles(ev, [seed])[0]
-    stray = (abs(root.omega_tilde - seed.real) * ev.x21[0] > np.pi if isinstance(root, ComplexEnergy)
-             else isinstance(root, ConvergenceError) and not ev.off_domain(np.array([seed]), 0.0)[0][0])
-    if stray and ev.two_atom:
-        side = [r for r in _census(ev, seed.real - np.pi / ev.x21[0], seed.real + np.pi / ev.x21[0])
-                if ev.sigma[0] * (r.omega_tilde - seed.real) >= 0]
-        root = min(side, key=lambda r: abs(r.value - seed), default=root)
+    """Root of eta^+ from one seed: `_find_poles` on the cached evaluator of
+    (sector, x21). Raises the row's SolverError, or returns a certified
+    record with normalization N = 1/eta^+'(z)."""
+    root = _find_poles(eta_evaluator(sector, x21, params), [seed])[0]
     if isinstance(root, SolverError):
         raise root
     return replace(root, lattice_index=lattice_index)
@@ -640,7 +661,9 @@ class EstimateDivergence(SolverError):
 
 
 def weak_coupling_estimate(sector, x21, params: ModelParams) -> ComplexEnergy:
-    """Self-consistent weak-coupling pole estimate (seed generator, O(lam^4)).
+    """Self-consistent weak-coupling estimate of the n = 0 pole, O(lam^4):
+    an uncertified approximation that demo 01 and the tests set beside the
+    exact pole. No solver seeds from it.
 
     Iterates the pole-contribution equations for (omega_tilde, gamma),
     anchored at the one-atom pole so the one-atom level shift is not lost.

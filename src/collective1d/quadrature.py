@@ -582,7 +582,7 @@ def _filon_panels(k_left, width, f0, f1, ts):
         table = (width[near, None] * x[:, None] ** n / fact
                  * (f0[near, None] + (n + 1) * f1[near, None]))
         sums = _phase_sums(ts, k_left[near], table)
-        step = -1j * ts / scale
+        step = -1j * (ts / scale)
         out += sums[:, -1]
         for col in sums.T[-2::-1]:
             out *= step

@@ -15,9 +15,9 @@ from .greens import (
     ComplexEnergy,
     EtaEvaluator,
     _MAX_NEWTON,
+    _find_poles,
     newton,
     one_atom_pole,
-    solve_poles,
 )
 from .io import write_csv, write_json
 
@@ -55,24 +55,17 @@ class SweepRecord:
         return self.z_a is not None
 
 
-def _better(a: ComplexEnergy | None, b: ComplexEnergy | None) -> ComplexEnergy | None:
-    """The root closer to the real axis; a wins ties."""
-    return b if b is not None and (a is None or b.gamma < a.gamma) else a
-
-
 def sweep_poles(x21_grid, params: ModelParams) -> list[SweepRecord]:
     """Collective poles z_s, z_a over a distance grid.
 
-    Every point is solved from the one-atom-pole seed and from the root
-    chosen at the previous point, and the root closer to the real axis wins;
-    non-converged points are flagged, never interpolated. Restarting from
-    the one-atom pole at every point (the paper's recipe) is what keeps the
-    tracked root on the collective branch z_{j,0}: pure continuation locks
-    onto diving lattice branches past each superradiant maximum. The grid
-    is one batch of 2d rows (d symmetric, then d antisymmetric): pass 0
-    solves every row from z1, and each Jacobi pass re-solves only the rows
-    whose left neighbour's choice changed bitwise, until none does. That
-    fixpoint is the sequential rule, whose solution is unique from the left.
+    Every row is `find_pole(sector, x21, z1)`, the pole that `pole_scan`
+    labels n = 0, so a row depends on its own distance alone (DECISIONS.md,
+    "One n = 0 rule"). Restarting from the one-atom pole at every point (the
+    paper's recipe) keeps the tracked root on the collective branch z_{j,0}:
+    pure continuation locks onto diving lattice branches past each
+    superradiant maximum. The grid is one `greens._find_poles` batch of 2d
+    rows (d symmetric, then d antisymmetric); a row that fails is flagged,
+    never interpolated.
     """
     validate(params)
     xs = np.asarray(x21_grid, dtype=float)
@@ -89,26 +82,9 @@ def sweep_poles(x21_grid, params: ModelParams) -> list[SweepRecord]:
     d = xs.size
     ev = EtaEvaluator(params, np.repeat([SYMMETRIC.sigma, ANTISYMMETRIC.sigma], d),
                       np.tile(xs, 2))
-    from_z1 = [r if isinstance(r, ComplexEnergy) else None
-               for r in solve_poles(ev, np.full(2 * d, z1.value))]
-    chosen = list(from_z1)
-    value = np.array([0j if r is None else r.value for r in chosen])    # 0j: no root
-    first = np.arange(2 * d) % d == 0               # no left neighbour
-    seed = np.zeros(2 * d, dtype=complex)
-    while True:
-        new = np.where(first, 0j, np.roll(value, 1))
-        moved = (new.view(np.int64) != seed.view(np.int64)).reshape(-1, 2).any(axis=1)
-        changed = np.flatnonzero(moved)
-        if not changed.size:
-            break
-        todo = changed[new[changed] != 0]
-        from_left = {i: r for i, r in zip(todo.tolist(), solve_poles(ev, new[todo], todo))
-                     if isinstance(r, ComplexEnergy)}
-        for i in changed.tolist():
-            chosen[i] = _better(from_z1[i], from_left.get(i))
-            value[i] = 0j if chosen[i] is None else chosen[i].value
-        seed = new
-    return [SweepRecord(float(x), zs, za) for x, zs, za in zip(xs, chosen[:d], chosen[d:])]
+    roots = [r if isinstance(r, ComplexEnergy) else None
+             for r in _find_poles(ev, np.full(2 * d, z1.value))]
+    return [SweepRecord(float(x), zs, za) for x, zs, za in zip(xs, roots[:d], roots[d:])]
 
 
 def force_indicator(records: list[SweepRecord]) -> dict[str, tuple[np.ndarray, np.ndarray]]:

@@ -20,10 +20,8 @@
 * ``survival_amplitude``: sum_E w_E e^{-iEt}, one exponential per
   (time, eigenvalue); the oracle of the factored phase table of
   ``collective1d.dynamics.survival_probability``.
-* ``find_pole``, ``solve_point`` and ``sweep_poles``: the scalar pole solver
-  (one damped loop and one ``newton`` per seed) and the point-by-point
-  distance sweep; the oracles of the batched ``solve_poles`` and of the
-  blocked Jacobi passes in ``collective1d.sweep``.
+* ``find_pole``: the scalar pole solver (one damped loop and one
+  ``newton`` per seed); the oracle of the batched ``solve_poles``.
 * ``rung_scan``: lattice poles hunted by one ``newton`` per seed on a
   ladder of imaginary parts below each index's target, the package's
   ``pole_scan`` before its argument-principle census; the oracle of the
@@ -46,7 +44,7 @@ import math
 
 import numpy as np
 
-from collective1d import ANTISYMMETRIC, SYMMETRIC, ModelParams, validate
+from collective1d import ModelParams, validate
 from collective1d.core import SolverError, as_sector
 from collective1d.greens import (
     _FAST_REGION_SLOPE,
@@ -69,7 +67,6 @@ from collective1d.quadrature import (
     adaptive_integral,
     halfline_integral,
 )
-from collective1d.sweep import SweepRecord
 
 _AXIS_TOL = 1e-13
 
@@ -326,36 +323,6 @@ def find_pole(sector, x21, seed, params: ModelParams,
                 break
     z, df = newton(fdf, z, ROOT_TOL, _MAX_NEWTON, "pole Newton", f, df)
     return ComplexEnergy.from_root(z, sector, lattice_index, 1.0 / df)
-
-
-def solve_point(sector, x21, params: ModelParams, seeds):
-    """Converge from every seed, keep the root closest to the real axis."""
-    best = None
-    for seed in seeds:
-        try:
-            cand = find_pole(sector, x21, seed, params)
-        except SolverError:
-            continue
-        if best is None or cand.gamma < best.gamma:
-            best = cand
-    return best
-
-
-def sweep_poles(x21_grid, params: ModelParams) -> list[SweepRecord]:
-    """Every point solved from z1 and from the previous point's root, in grid
-    order; the smaller gamma wins."""
-    z1 = one_atom_pole(params)
-    records = []
-    prev = {1: None, -1: None}
-    for x in np.asarray(x21_grid, dtype=float):
-        rec = {}
-        for sector in (SYMMETRIC, ANTISYMMETRIC):
-            seeds = [z1.value]
-            if prev[sector.sigma] is not None:
-                seeds.append(prev[sector.sigma].value)
-            rec[sector.sigma] = prev[sector.sigma] = solve_point(sector, x, params, seeds)
-        records.append(SweepRecord(float(x), rec[1], rec[-1]))
-    return records
 
 
 def rung_scan(sector, x21: float, n_range, params: ModelParams) -> dict:

@@ -98,6 +98,24 @@ def test_sweep_command(tmp_path):
     assert all(item["gamma_check"] < 1e-6 for item in zd)
 
 
+def test_sweep_from_19_writes_the_default_rows(tmp_path, sweep_records):
+    """A sweep that starts at 19.0, next to a near-crossing of two s roots,
+    writes the default grid's roots at 19.00-19.20 to 1e-12: no empty row
+    and no far root."""
+    code = run(tmp_path, "sweep", "sweep.x21_min=19.0", "sweep.x21_max=19.2")
+    assert code == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    full = {round(rec.x21, 9): rec for rec in sweep_records}
+    for row in rows:
+        assert row["flags"] == "sa"
+        want = full[round(float(row["x21"]), 9)]
+        for z, re, gamma in ((want.z_s, "re_zs", "gamma_s"), (want.z_a, "re_za", "gamma_a")):
+            assert abs(float(row[re]) - z.omega_tilde) <= 1e-12, (row["x21"], re)
+            assert abs(float(row[gamma]) - z.gamma) <= 1e-12, (row["x21"], gamma)
+
+
 def test_no_runtime_path_builds_a_ray_kernel(tmp_path, monkeypatch):
     """eta^+, the collective-field phase integrals and the waveguide channel
     integrals are in closed form: with quadrature.RayKernel and the adaptive

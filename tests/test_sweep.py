@@ -20,11 +20,10 @@ from collective1d import (
     sweep_poles,
     zero_decay_solve,
 )
-from collective1d import sweep
-from collective1d.greens import _evaluator, solve_poles
+from collective1d import greens, sweep
+from collective1d.core import SolverError
+from collective1d.greens import ComplexEnergy, ConvergenceError, _evaluator, solve_poles
 from collective1d.sweep import sweep_to_csv, zero_decay_to_json
-
-import reference
 
 
 # ------------------------------------------------------------------- the sweep
@@ -50,37 +49,66 @@ def test_sweep_rejects_non_finite_or_non_positive_grid(params, grid):
 
 @settings(max_examples=10, deadline=None)
 @given(origin=st.floats(5.0, 39.0), step=st.floats(0.01, 1.5), n=st.integers(1, 40))
-def test_sweep_equals_sequential_sweep(params, origin, step, n):
-    """The Jacobi passes over the whole grid reach the point-by-point rule:
-    the same convergence flags and the same roots to 1e-12."""
+def test_sweep_rows_are_find_pole_from_z1(params, z1, origin, step, n):
+    """Every row of any grid is find_pole's root from z1 at its own
+    distance, the pole that pole_scan labels n = 0: the same convergence
+    flag and the same root to 1e-12."""
     grid = origin + step * np.arange(n)
     grid = grid[grid <= 40.0]
-    got = sweep_poles(grid, params)
-    want = reference.sweep_poles(grid, params)
-    for g, w in zip(got, want, strict=True):
-        assert g.x21 == w.x21
-        for zg, zw in ((g.z_s, w.z_s), (g.z_a, w.z_a)):
-            assert (zg is None) == (zw is None)
-            if zg is not None:
-                assert abs(zg.value - zw.value) <= 1e-12
-                assert abs(zg.normalization - zw.normalization) <= 1e-10
+    for rec in sweep_poles(grid, params):
+        for sector, got in ((SYMMETRIC, rec.z_s), (ANTISYMMETRIC, rec.z_a)):
+            try:
+                want = find_pole(sector, rec.x21, z1.value, params)
+            except SolverError:
+                want = None
+            assert (got is None) == (want is None), (sector.tag, rec.x21)
+            if got is not None:
+                assert abs(got.value - want.value) <= 1e-12, (sector.tag, rec.x21)
+                assert abs(got.normalization - want.normalization) <= 1e-10
+
+
+def test_subgrids_reproduce_the_default_grid(params, sweep_records):
+    """A row does not depend on where its grid starts: 5-point slices of the
+    default grid, starting at distances where a pair of roots nearly
+    crosses, give the full grid's rows to 1e-12."""
+    grid = np.array([r.x21 for r in sweep_records])
+    for start in (19.0, 23.75, 26.9, 25.35, 33.25):
+        i = int(np.argmin(np.abs(grid - start)))
+        for got, want in zip(sweep_poles(grid[i:i + 5], params), sweep_records[i:i + 5], strict=True):
+            assert got.x21 == want.x21
+            for zg, zw in ((got.z_s, want.z_s), (got.z_a, want.z_a)):
+                assert zg is not None and zw is not None, (start, got.x21)
+                assert abs(zg.value - zw.value) <= 1e-12, (start, got.x21)
 
 
 def test_sweep_solves_the_whole_grid_in_few_batches(params):
-    """The default 701-point grid takes one solve_poles call for the z1
-    seeds of both sectors and one per Jacobi pass: at most 10 calls."""
-    calls = []
+    """The default 701-point grid is one solve_poles call of both sectors'
+    2 x 701 rows from z1. Only the stray rows (a ConvergenceError from a
+    seed in the region, or a root more than pi/x21 from z1 in Re) take a
+    census, each on its own one-row evaluator: 8 of them."""
+    calls, censuses, census = [], [], greens._census
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[1]))
-        return solve_poles(*args, **kwargs)
+    def counted_solve(ev, seeds, rows=None):
+        out = solve_poles(ev, seeds, rows)
+        calls.append((len(seeds), list(out)))
+        return out
 
+    def counted_census(ev, *args, **kwargs):
+        censuses.append(ev.sigma.size)
+        return census(ev, *args, **kwargs)
+
+    z1 = one_atom_pole(params).value      # cached before the count
     grid = np.arange(5.0, 40.0 + 1e-12, 0.05)
-    with mock.patch.object(sweep, "solve_poles", counted):
+    with mock.patch.object(greens, "solve_poles", counted_solve), \
+            mock.patch.object(greens, "_census", counted_census):
         records = sweep_poles(grid, params)
     assert len(records) == 701
-    assert calls[0] == 2 * 701
-    assert len(calls) <= 10
+    assert [size for size, _ in calls] == [2 * 701]
+    xs = np.tile(grid, 2)
+    stray = [isinstance(r, ConvergenceError)
+             or isinstance(r, ComplexEnergy) and abs(r.omega_tilde - z1.real) * x > np.pi
+             for r, x in zip(calls[0][1], xs)]
+    assert censuses == [1] * sum(stray) == [1] * 8
 
 
 def test_sweep_and_zero_decay_leave_the_evaluator_cache_alone(params):
