@@ -33,7 +33,7 @@ model = build_lattice(p, 500.0, 2501, "s")
 z1 = one_atom_pole(params)
 zs = find_pole("s", x21, z1.value, params)
 zs1 = find_zs1(x21, params).pole
-dec = BounceDecomposition.build(x21, params, t_max=5 * x21)
+dec = BounceDecomposition.build(x21, params)
 
 times = np.linspace(0.0, 5 * x21, 26)
 lattice = survival_probability(model, "s", times)

@@ -20,7 +20,7 @@ from collective1d.bounces import BounceDecomposition, resummed
 params = ModelParams()
 
 for x21 in (1.0, 8.0):
-    dec = BounceDecomposition.build(x21, params, t_max=3 * x21)
+    dec = BounceDecomposition.build(x21, params)
     print(f"x21 = {x21}: z_s1 = {dec.z_s1.value:.6f}")
     t = 1.5 * x21
     print(f"  first bounce terms at t = {t}:")
@@ -34,7 +34,7 @@ for x21 in (1.0, 8.0):
           f"exact greens pole: {rep.z_s_greens:.8f}\n")
 
 x21 = 29.025
-dec = BounceDecomposition.build(x21, params, t_max=x21)
+dec = BounceDecomposition.build(x21, params)
 growth = abs(dec.delta(dec.z_s1.value)) * np.e * x21
 print(f"x21 = {x21}: term growth factor |Delta(z_s1)| e x21 = {growth:.2f} > 1")
 rep = resummed(0.5 * x21, dec, allow_divergent=True)

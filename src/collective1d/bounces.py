@@ -136,13 +136,10 @@ class BounceDecomposition:
     params: ModelParams
     x21: float
     z_s1: ComplexEnergy
-    n_max: int
 
     @classmethod
-    def build(cls, x21: float, params: ModelParams, t_max: float = 0.0) -> "BounceDecomposition":
-        res = find_zs1(x21, params)
-        n_max = int(np.floor(t_max / x21)) + 8 if t_max > 0 else 8
-        return cls(params, float(x21), res.pole, n_max)
+    def build(cls, x21: float, params: ModelParams) -> "BounceDecomposition":
+        return cls(params, float(x21), find_zs1(x21, params).pole)
 
     def delta(self, k):
         return delta_k(k, self.x21, self.params)
@@ -272,8 +269,7 @@ def resummed(t: float, dec: BounceDecomposition,
     return report
 
 
-def amplitude_quadrature(t, sector, x21: float, params: ModelParams, quad=None,
-                         grid=None, k_max: float | None = None):
+def amplitude_quadrature(t, sector, x21: float, params: ModelParams, quad=None, grid=None):
     """Survival amplitude I(t) = int_0^inf rho_j(k) e^{-ikt} dk via the
     Filon transform of the spectral density on a pole-refined grid.
     P_1(t) = |I(t)|^2 / 2 for the corresponding initial sector state.
@@ -289,7 +285,7 @@ def amplitude_quadrature(t, sector, x21: float, params: ModelParams, quad=None,
     if np.any(ts < 0):
         raise ConfigError("amplitude_quadrature needs t >= 0")
     if grid is None:
-        grid = continuum_weight_grid(sector, x21, params, k_max=k_max, t_max=float(ts.max()))
+        grid = continuum_weight_grid(sector, x21, params, t_max=float(ts.max()))
     kgrid, rho = grid
     out = fourier_halfline(kgrid, rho, ts)
     return out if np.ndim(t) else complex(np.atleast_1d(out)[0])

@@ -31,7 +31,7 @@ from .io import write_json
 DEFAULT_CONFIG = {
     "model": params_to_dict(ModelParams()),
     "lattice": {"L": 500.0, "n_modes": 2501},
-    "poles": {"x21": 29.025, "n_min": -3, "n_max": 3, "write_contour": False},
+    "poles": {"x21": 29.025, "n_min": -3, "n_max": 3},
     "contour": {"x21": 29.025, "sector": "s", "re_min": 1.3, "re_max": 2.7,
                 "im_min": -0.1, "im_max": 0.0, "nx": 141, "ny": 51},
     "evolve": {"x21": 29.025, "initial": "s", "t_max_factor": 5.0, "n_t": 600,
@@ -130,17 +130,17 @@ def cmd_poles(cfg: dict, out: Path) -> list[Path]:
     params = _resolve(cfg)
     _check_coupled(params)
     x21 = _real(cfg, "poles.x21")
-    n_range = range(_integer(cfg, "poles.n_min"), _integer(cfg, "poles.n_max") + 1)
+    n_min, n_max = _integer(cfg, "poles.n_min"), _integer(cfg, "poles.n_max")
+    if n_min > n_max:
+        raise ConfigError(f"poles.n_min must be <= poles.n_max, got {n_min} > {n_max}")
     written = []
     for tag in ("s", "a"):
-        records, missing = gr.pole_scan(tag, x21, n_range, params)
+        records, missing = gr.pole_scan(tag, x21, range(n_min, n_max + 1), params)
         path = out / f"poles_{tag}.csv"
         gr.pole_records_to_csv(records, path)
         written.append(path)
         if missing:
             print(f"poles[{tag}]: missed lattice indices {missing}", file=sys.stderr)
-    if cfg["poles"].get("write_contour"):
-        written += cmd_contour(cfg, out)
     return written
 
 
@@ -176,11 +176,15 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
         if first != i:
             raise ConfigError(f"evolve.profile_time_factors {factors[first]!r} and {fac!r} both "
                               f"name field_{initial}_t{fac:g}.csv")
-    x21 = _real(cfg, "evolve.x21")
+    x21, t_max_factor = _real(cfg, "evolve.x21"), _real(cfg, "evolve.t_max_factor")
+    if not x21 > 0:
+        raise ConfigError(f"evolve.x21 must be positive, got {x21!r}")
+    if not t_max_factor >= 0:
+        raise ConfigError(f"evolve.t_max_factor must be >= 0, got {t_max_factor!r}")
     p = params.with_x21(x21)
     model = dyn.build_lattice(p, _real(cfg, "lattice.L"),
                               _integer(cfg, "lattice.n_modes"), initial)
-    times = np.linspace(0.0, _real(cfg, "evolve.t_max_factor") * x21, n_t)
+    times = np.linspace(0.0, t_max_factor * x21, n_t)
     series = dyn.survival_probability(model, initial, times)
     pole = gr.find_pole(initial, x21, gr.one_atom_pole(p).value, p)
     overlay = dyn.collective_survival(p, initial, x21, times, pole=pole)
@@ -248,7 +252,7 @@ def cmd_bounces(cfg: dict, out: Path) -> list[Path]:
     x21 = _real(cfg, "bounces.x21")
     t_max = _real(cfg, "bounces.t_max_factor") * x21
     factors = _real(cfg, "bounces.resum_time_factors", many=True)
-    dec = bn.BounceDecomposition.build(x21, params, t_max=t_max)
+    dec = bn.BounceDecomposition.build(x21, params)
     times = np.linspace(0.0, t_max, _integer(cfg, "bounces.n_t", 1))
     amps = np.array([bn.bounce_sum(t, dec) for t in times])
     path = out / "bounce_amplitude.csv"

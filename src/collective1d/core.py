@@ -126,10 +126,10 @@ def validate(params: ModelParams, two_atom: bool = False) -> ModelParams:
     """
     for name in ("omega1", "lam", "omegaM", "x1", "x2"):
         finite_real(getattr(params, name), name)
-    if not params.lam > 0:
-        raise ConfigError("coupling must be positive")
-    if not params.omegaM > 0:
-        raise ConfigError("cutoff omegaM must be positive")
+    if not 0 < params.lam <= 1e150:     # lambda^2 and omegaM^2 must be normal doubles
+        raise ConfigError(f"coupling must be positive and at most 1e150, got lambda = {params.lam!r}")
+    if not 1e-150 <= params.omegaM <= 1e150:
+        raise ConfigError(f"cutoff omegaM must lie in [1e-150, 1e150], got {params.omegaM!r}")
     if not params.omega1 > 0:
         raise ConfigError("excited-level energy omega1 must be positive")
     finite_integer(params.n_ff, "form-factor exponent n_ff", 1)

@@ -422,8 +422,7 @@ def collective_survival(params: ModelParams, sector, x21, times,
                       label=f"P1_z{pole.sector[0]}")
 
 
-def field_intensity(model: LatticeModel, initial, xs, t: float,
-                    label: str = "") -> FieldProfile:
+def field_intensity(model: LatticeModel, initial, xs, t: float) -> FieldProfile:
     """P(x, t) = |<psi(x)| e^{-iHt} |initial>|^2 with
     <psi(x)| = sum_k (2 omega_k L)^{-1/2} e^{ikx} <k| (k=0 dropped), which on
     the reduced mode k of sector sigma is
@@ -437,8 +436,7 @@ def field_intensity(model: LatticeModel, initial, xs, t: float,
     x = xs[:, None]
     weights = ((np.cos(k * (x - p.x1)) + sigma * np.cos(k * (x - p.x2)))
                / np.sqrt(2.0 * k * model.box_length * (1.0 + sigma * np.cos(k * p.x21))))
-    return FieldProfile(xs, np.abs(weights @ mode_amp) ** 2, float(t),
-                        label=label or f"P(x,t={t:g})")
+    return FieldProfile(xs, np.abs(weights @ mode_amp) ** 2, float(t), label=f"P(x,t={t:g})")
 
 
 def _phase_integrals(z: complex, d: np.ndarray, params: ModelParams) -> np.ndarray:

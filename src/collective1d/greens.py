@@ -295,22 +295,21 @@ def eta_plus_derivative(z, sector, x21, params: ModelParams):
     return eta_evaluator(sector, x21, params).values(z, derivative=True)
 
 
-def newton(fdf, z, tol: float, max_iter: int, what: str, f=None, df=None):
+def newton(fdf, z, tol: float, max_iter: int, what: str):
     """Newton iteration z <- z - f/f' with fdf(z) = (f(z), f'(z)).
 
     Converged when |f| < tol*max(1, |z|) at the z returned; returns (z, f'(z))
-    so a residue 1/f' belongs to that root. Pass (f, df) when they are
-    already known at z. A caller with no derivative returns (f, None): the
-    step then takes the secant slope through the previous iterate, and slope
-    1 on the first step, so that step is z - f. Leaving the evaluation region
-    (ContinuationDomainError), a zero or non-finite secant slope or running
-    out of max_iter steps raises ConvergenceError naming the solve `what`.
+    so a residue 1/f' belongs to that root. A caller with no derivative
+    returns (f, None): the step then takes the secant slope through the
+    previous iterate, and slope 1 on the first step, so that step is z - f.
+    Leaving the evaluation region (ContinuationDomainError), a zero or
+    non-finite secant slope or running out of max_iter steps raises
+    ConvergenceError naming the solve `what`.
     """
     z = complex(z)
-    z_prev = f_prev = None
+    z_prev = f_prev = f = None
     try:
-        if f is None:
-            f, df = fdf(z)
+        f, df = fdf(z)
         for _ in range(max_iter):
             if abs(f) < tol * max(1.0, abs(z)):
                 return z, df
@@ -338,8 +337,8 @@ def _root_record(z, sigma, deta):
         return exc
 
 
-def solve_poles(ev: EtaEvaluator, seeds, rows=None) -> list:
-    """Roots of eta^+ on rows of ev, seeds[i] on row rows[i] (default row i).
+def solve_poles(ev: EtaEvaluator, seeds) -> list:
+    """Roots of eta^+ on the rows of ev, seeds[i] on row i.
 
     Every row runs the same two phases, masked, with one batched eta^+
     evaluation per round: a damped fixed point z <- z - alpha*eta that
@@ -353,7 +352,7 @@ def solve_poles(ev: EtaEvaluator, seeds, rows=None) -> list:
     N = 1/eta^+'(z), or the SolverError the row failed with.
     """
     z = np.array(seeds, dtype=complex).ravel()
-    rows = np.arange(z.size) if rows is None else np.asarray(rows, dtype=int)
+    rows = np.arange(z.size)
     x21 = ev.x21[rows]
     f = np.zeros(z.size, dtype=complex)
     df = np.zeros(z.size, dtype=complex)
@@ -388,7 +387,7 @@ def solve_poles(ev: EtaEvaluator, seeds, rows=None) -> list:
         done = live & newton & (abs_f < ROOT_TOL * np.maximum(1.0, np.abs(z)))
         if done.any():
             for i in np.flatnonzero(done):
-                result[i] = _root_record(z[i], ev.sigma[rows[i]], df[i])
+                result[i] = _root_record(z[i], ev.sigma[i], df[i])
             live &= ~done
         fail(live & newton & (newton_steps >= _MAX_NEWTON), lambda i: ConvergenceError(
             f"pole Newton did not converge in {_MAX_NEWTON} steps (|f|={abs(f[i]):.2e} at z={z[i]})"))
@@ -611,14 +610,14 @@ def _find_poles(ev: EtaEvaluator, seeds) -> list:
     return roots
 
 
-def find_pole(sector, x21, seed, params: ModelParams, lattice_index: int = 0) -> ComplexEnergy:
+def find_pole(sector, x21, seed, params: ModelParams) -> ComplexEnergy:
     """Root of eta^+ from one seed: `_find_poles` on the cached evaluator of
     (sector, x21). Raises the row's SolverError, or returns a certified
-    record with normalization N = 1/eta^+'(z)."""
+    record (lattice index 0) with normalization N = 1/eta^+'(z)."""
     root = _find_poles(eta_evaluator(sector, x21, params), [seed])[0]
     if isinstance(root, SolverError):
         raise root
-    return replace(root, lattice_index=lattice_index)
+    return root
 
 
 @lru_cache(maxsize=8)
@@ -715,17 +714,16 @@ def continuum_weight(k, sector, x21, params: ModelParams):
     return out if np.ndim(k) else float(out[0])
 
 
-def continuum_weight_grid(sector, x21, params: ModelParams, quad=None,
-                          k_max: float | None = None, t_max: float = 0.0,
-                          base_step: float | None = None):
+def continuum_weight_grid(sector, x21, params: ModelParams, quad=None, t_max: float = 0.0):
     """(k, rho) on a grid refined around every resolvable pole.
 
-    The base grid resolves the cos(k x21) modulation and, when a Fourier
-    transform up to t_max is requested, keeps panel phases t*h bounded.
-    Each pole of 1/eta^+ narrower than 20 base steps gets a 601-point window
-    over +-12 w, w = max(gamma, 1e-8), and a graded flank
-    on either side: from 12 w outward the steps grow by _FLANK_RATIO from
-    the window's spacing until they reach the base step, so the
+    The base grid spans (0, k_max], k_max = 16 omegaM, in steps of at most
+    2.5e-3 that resolve the cos(k x21) modulation (2pi/(24 x21)) and, when
+    a Fourier transform up to t_max is requested, keep panel phases t*h
+    bounded (pi/(4 t_max)). Each pole of 1/eta^+ narrower than 20 base steps
+    gets a 601-point window over +-12 w, w = max(gamma, 1e-8), and a graded
+    flank on either side: from 12 w outward the steps grow by _FLANK_RATIO
+    from the window's spacing until they reach the base step, so the
     1/(k - omega)^2 tails are resolved and the sum rule int rho = 1 holds
     for widths down to 1e-8. Needed by the survival-amplitude quadrature.
     The poles come from a census of that strip, Re z in [0.05 omega1, k_max],
@@ -734,22 +732,16 @@ def continuum_weight_grid(sector, x21, params: ModelParams, quad=None,
     holds no root, and at the defaults that is all but two or three of the
     160 boxes.
 
-    k_max and base_step must be positive and t_max >= 0, all finite; None
-    takes the default. quad is ignored: eta^+ is in closed form. The slot
-    stays only because the benchmark passes it positionally; the next
-    benchmark change removes it.
+    t_max must be finite and >= 0. quad is ignored: eta^+ is in closed
+    form. The slot stays only because the benchmark passes it positionally;
+    the next benchmark change removes it.
     """
     sector = as_sector(sector)
-    for name, value, zero_ok in (("k_max", k_max, False), ("base_step", base_step, False),
-                                 ("t_max", t_max, True)):
-        if value is not None and not (finite_real(value, name) > 0 or zero_ok and value == 0):
-            raise ConfigError(f"{name} must be {'>= 0' if zero_ok else 'positive'}, got {value!r}")
-    t_max = t_max or 0.0
-    k_max = 16.0 * params.omegaM if k_max is None else k_max
-    if base_step is None:
-        base_step = 2.5e-3
-        if sector is not None and x21 > 0:
-            base_step = min(base_step, (2.0 * np.pi / x21) / 24.0)
+    if not finite_real(t_max, "t_max") >= 0:
+        raise ConfigError(f"t_max must be >= 0, got {t_max!r}")
+    k_max, base_step = 16.0 * params.omegaM, 2.5e-3
+    if sector is not None and x21 > 0:
+        base_step = min(base_step, (2.0 * np.pi / x21) / 24.0)
     if t_max > 0:
         base_step = min(base_step, np.pi / (4.0 * t_max))
         if k_max / base_step > 4.0e6:

@@ -74,7 +74,7 @@ def sweep_poles(x21_grid, params: ModelParams) -> list[SweepRecord]:
     if np.any(np.diff(xs) <= 0):
         raise ConfigError("x21 grid must be strictly increasing")
     z1 = one_atom_pole(params)
-    if xs.max() > 1.0 / z1.gamma:
+    if xs.max() * z1.gamma > 1.0:
         warnings.warn(
             f"sweep extends beyond 1/gamma_1 = {1.0 / z1.gamma:.1f}; "
             "collective decay rates scale like 1/x21 there and seeding degrades",
@@ -96,48 +96,39 @@ def force_indicator(records: list[SweepRecord]) -> dict[str, tuple[np.ndarray, n
         raise ConfigError("force indicator needs at least 3 consecutive converged records")
     xs = np.array([r.x21 for r in records])
     out = {}
-    for tag, getter in (("s", lambda r: r.z_s), ("a", lambda r: r.z_a)):
-        om = np.array([getter(r).omega_tilde if getter(r) is not None else np.nan
-                       for r in records])
-        force = np.full(xs.shape, np.nan)
-        ok = ~np.isnan(om)
-        for i in range(len(xs)):
-            if not ok[i]:
-                continue
-            if 0 < i < len(xs) - 1 and ok[i - 1] and ok[i + 1]:
-                force[i] = -(om[i + 1] - om[i - 1]) / (xs[i + 1] - xs[i - 1])
-            elif i == 0 and ok[1]:
-                force[i] = -(om[1] - om[0]) / (xs[1] - xs[0])
-            elif i == len(xs) - 1 and ok[i - 1]:
-                force[i] = -(om[i] - om[i - 1]) / (xs[i] - xs[i - 1])
+    for tag in ("s", "a"):
+        om = np.array([np.nan if z is None else z.omega_tilde
+                       for z in (getattr(r, "z_" + tag) for r in records)])
+        force = np.empty(xs.shape)
+        force[1:-1] = -(om[2:] - om[:-2]) / (xs[2:] - xs[:-2])
+        force[[0, -1]] = -(om[[1, -1]] - om[[0, -2]]) / (xs[[1, -1]] - xs[[0, -2]])
+        # a nan om breaks its own point and every stencil that reads it
+        force[np.isnan(om) | np.isnan(force)] = np.nan
         out[tag] = (xs, force)
     return out
 
 
-def stable_points(force_series: tuple[np.ndarray, np.ndarray],
-                  noise_floor: float = 1e-12) -> list[tuple[float, bool]]:
+def _crossings(xs, f):
+    """Indices i and zeros of the samples f(xs) in [xs[i], xs[i+1]): xs[i]
+    where f[i] = 0, else the linear-interpolation zero where f changes sign
+    (a nan sample changes no sign)."""
+    f0, f1 = f[:-1], f[1:]
+    i = np.flatnonzero((f0 == 0) | (f0 * f1 < 0))
+    return i, xs[i] - f0[i] * (xs[i + 1] - xs[i]) / np.where(f0[i] == 0, 1.0, f1[i] - f0[i])
+
+
+def stable_points(force_series: tuple[np.ndarray, np.ndarray]) -> list[tuple[float, bool]]:
     """Zeros of the force curve with a stability flag (dF/dx21 < 0).
 
     Roots are located by sign-change bracketing and linear interpolation on
-    the finite-difference series; stretches below the noise floor are
-    degenerate and yield nothing."""
+    the finite-difference series (`_crossings`); a bracket whose ends are
+    both below 1e-12 in |F| is degenerate, and one that ends in a nan is
+    broken: neither yields a point."""
     xs, force = force_series
-    out = []
-    for i in range(len(xs) - 1):
-        f0, f1 = force[i], force[i + 1]
-        if np.isnan(f0) or np.isnan(f1):
-            continue
-        if max(abs(f0), abs(f1)) < noise_floor:
-            continue
-        if f0 == 0.0:
-            root = xs[i]
-        elif f0 * f1 < 0:
-            root = xs[i] - f0 * (xs[i + 1] - xs[i]) / (f1 - f0)
-        else:
-            continue
-        stable = f1 < f0
-        out.append((float(root), bool(stable)))
-    return out
+    i, roots = _crossings(xs, force)
+    f0, f1 = force[i], force[i + 1]
+    keep = np.maximum(np.abs(f0), np.abs(f1)) >= 1e-12     # false at a nan f1
+    return [(float(x), bool(s)) for x, s in zip(roots[keep], (f1 < f0)[keep])]
 
 
 @dataclass(frozen=True)
@@ -245,15 +236,15 @@ def angular_factor(d: int, sector, u) -> float | np.ndarray:
     return out if np.ndim(u) else float(out[0])
 
 
-def subradiance_roots(d: int, sector, u_range: tuple[float, float],
-                      n_scan: int = 20000) -> np.ndarray:
+def subradiance_roots(d: int, sector, u_range: tuple[float, float]) -> np.ndarray:
     """Zeros of the angular factor inside u_range.
 
     d=1 returns the exact periodic lattice ((2n+1) pi for the symmetric
     sector, 2n pi with n >= 1 for the antisymmetric; u=0 excluded as
     degenerate geometry). d=2,3 bracket numerically; for d=3 the symmetric
     factor is strictly positive and the antisymmetric one vanishes only as
-    u -> 0, so both return empty on (0, inf)."""
+    u -> 0, so both return empty on (0, inf). The numerical bracket is
+    `_crossings` on 20 000 samples."""
     sector = as_sector(sector)
     lo, hi = u_range
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo >= 0):
@@ -267,16 +258,8 @@ def subradiance_roots(d: int, sector, u_range: tuple[float, float],
             first = max(int(np.ceil(lo / (2 * np.pi))), 1)
             vals = 2 * np.pi * np.arange(first, int(np.floor(hi / (2 * np.pi))) + 1)
         return vals[(vals >= max(lo, 1e-12)) & (vals <= hi)]
-    us = np.linspace(max(lo, 1e-9), hi, n_scan)
-    vals = angular_factor(d, sector, us)
-    roots = []
-    for i in range(len(us) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(us[i])
-        elif v0 * v1 < 0:
-            roots.append(us[i] - v0 * (us[i + 1] - us[i]) / (v1 - v0))
-    return np.asarray(roots)
+    us = np.linspace(max(lo, 1e-9), hi, 20000)
+    return _crossings(us, angular_factor(d, sector, us))[1]
 
 
 def sweep_to_csv(records: list[SweepRecord], path,

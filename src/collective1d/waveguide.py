@@ -72,14 +72,20 @@ class WaveguideParams:
         return lead_energy(0.0, 1, self.W)
 
     def validate(self) -> "WaveguideParams":
+        """The energies square n/D and l/W, and `_channel_sum` the coupling
+        peak pi g0 k_c^2 channel_decay^(l-1), in double precision: D, W and
+        k_c must lie in [1e-150, 1e150], and the peak within 1e150."""
         for name in ("D", "W", "k_c", "g0", "channel_decay"):
             value = finite_real(getattr(self, name), f"waveguide {name}")
-            if name in ("D", "W", "k_c") and not value > 0:
-                raise ConfigError(f"waveguide {name} must be positive, got {value!r}")
+            if name in ("D", "W", "k_c") and not 1e-150 <= value <= 1e150:
+                raise ConfigError(f"waveguide {name} must be in [1e-150, 1e150], got {value!r}")
         for name in ("m0", "n0", "l_max"):
             finite_integer(getattr(self, name), f"waveguide {name}")
         if self.l_max < 2:
             raise ConfigError("l_max must be >= 2 (keep at least one closed channel)")
+        decay = (self.l_max - 1) * math.log10(max(1.0, abs(self.channel_decay)))
+        if max(decay, decay + math.log10(math.pi * abs(self.g0) or 1.0) + 2 * math.log10(self.k_c)) > 150:
+            raise ConfigError("waveguide coupling peak pi g0 k_c^2 channel_decay^(l_max-1) exceeds 1e150")
         if not (self.threshold < self.xi0 < lead_energy(0.0, 2, self.W)):
             raise ConfigError(
                 f"single-open-channel window violated: need E_01={self.threshold} < "

@@ -33,6 +33,9 @@
 * ``fourier_halfline``: the linear Filon transform summed panel by panel,
   one time at a time; the oracle of the chirp-z lattice sums of
   ``collective1d.quadrature.fourier_halfline``.
+* ``force_indicator``, ``stable_points`` and ``sign_changes``: the force
+  stencils and the sign-change scans point by point, the package's loops
+  before ``collective1d.sweep._crossings``; the oracles of its array form.
 * ``waveguide_channel_sum`` and ``residue_integral``: the waveguide channel
   integrals and their real-line kernel G(a, x) by tight adaptive quadrature,
   tail included; the oracles of the residue sums of
@@ -321,7 +324,7 @@ def find_pole(sector, x21, seed, params: ModelParams,
             alpha *= 0.5
             if alpha < 1e-6:
                 break
-    z, df = newton(fdf, z, ROOT_TOL, _MAX_NEWTON, "pole Newton", f, df)
+    z, df = newton(fdf, z, ROOT_TOL, _MAX_NEWTON, "pole Newton")
     return ComplexEnergy.from_root(z, sector, lattice_index, 1.0 / df)
 
 
@@ -449,3 +452,58 @@ def residue_integral(a: complex, x: float, k_c: float) -> complex:
         return 2.0 * k**2 * np.cos(k * x) / ((k**2 + k_c**2) ** 2 * (a * a - k**2))
 
     return halfline_integral(f, WAVEGUIDE_SPEC)
+
+
+def force_indicator(records) -> dict:
+    """{"s": (x21, F), "a": (x21, F)}: central differences point by point,
+    one-sided at the ends, nan where a stencil meets a non-converged row."""
+    xs = np.array([r.x21 for r in records])
+    out = {}
+    for tag, getter in (("s", lambda r: r.z_s), ("a", lambda r: r.z_a)):
+        om = np.array([getter(r).omega_tilde if getter(r) is not None else np.nan
+                       for r in records])
+        force = np.full(xs.shape, np.nan)
+        ok = ~np.isnan(om)
+        for i in range(len(xs)):
+            if not ok[i]:
+                continue
+            if 0 < i < len(xs) - 1 and ok[i - 1] and ok[i + 1]:
+                force[i] = -(om[i + 1] - om[i - 1]) / (xs[i + 1] - xs[i - 1])
+            elif i == 0 and ok[1]:
+                force[i] = -(om[1] - om[0]) / (xs[1] - xs[0])
+            elif i == len(xs) - 1 and ok[i - 1]:
+                force[i] = -(om[i] - om[i - 1]) / (xs[i] - xs[i - 1])
+        out[tag] = (xs, force)
+    return out
+
+
+def stable_points(force_series, noise_floor: float = 1e-12) -> list:
+    """(root, dF/dx21 < 0) bracket by bracket, skipping brackets with a nan
+    end or with both ends below noise_floor."""
+    xs, force = force_series
+    out = []
+    for i in range(len(xs) - 1):
+        f0, f1 = force[i], force[i + 1]
+        if np.isnan(f0) or np.isnan(f1) or max(abs(f0), abs(f1)) < noise_floor:
+            continue
+        if f0 == 0.0:
+            root = xs[i]
+        elif f0 * f1 < 0:
+            root = xs[i] - f0 * (xs[i + 1] - xs[i]) / (f1 - f0)
+        else:
+            continue
+        out.append((float(root), bool(f1 < f0)))
+    return out
+
+
+def sign_changes(xs, vals) -> np.ndarray:
+    """xs[i] where vals[i] = 0, else the linear-interpolation zero where
+    vals changes sign, bracket by bracket."""
+    roots = []
+    for i in range(len(xs) - 1):
+        v0, v1 = vals[i], vals[i + 1]
+        if v0 == 0.0:
+            roots.append(xs[i])
+        elif v0 * v1 < 0:
+            roots.append(xs[i] - v0 * (xs[i + 1] - xs[i]) / (v1 - v0))
+    return np.asarray(roots)

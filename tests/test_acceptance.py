@@ -160,7 +160,7 @@ def test_criterion_06_bounce_kink_slopes(params, zs29, survival_and_quadrature):
 def test_criterion_07_resummation_identity(params):
     t0 = time.perf_counter()
     x21 = params.x21              # defaults: x1=0, x2=1
-    dec = BounceDecomposition.build(x21, params, t_max=3 * x21)
+    dec = BounceDecomposition.build(x21, params)
     worst = max(resummed(t, dec).rel_discrepancy
                 for t in np.linspace(0.0, 3 * x21, 13))
     dt = time.perf_counter() - t0

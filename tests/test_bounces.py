@@ -257,7 +257,7 @@ def test_zs1_unique_in_scan_rectangle(params, z1):
 
 @pytest.fixture(scope="module")
 def dec1(params):
-    return BounceDecomposition.build(1.0, params, t_max=3.0)
+    return BounceDecomposition.build(1.0, params)
 
 
 def test_f0_is_plus_exponential(dec1):
@@ -290,7 +290,7 @@ def test_bounce_sum_before_first_bounce(dec1):
 
 def test_bounce_sum_kink(params):
     """|I_0|^2 decay rate changes abruptly at t = x21."""
-    dec = BounceDecomposition.build(8.0, params, t_max=20.0)
+    dec = BounceDecomposition.build(8.0, params)
     eps, h = 0.05, 0.4
     def slope(t):
         return (np.log(abs(bounce_sum(t + h, dec)) ** 2)
@@ -309,7 +309,7 @@ def test_bounce_sum_tracks_lattice_survival(params):
     model = build_lattice(p, 120.0, 1201, "s")
     times = np.linspace(0.0, 2.6 * x21, 40)
     lattice = survival_probability(model, "s", times)
-    dec = BounceDecomposition.build(x21, params, t_max=float(times.max()))
+    dec = BounceDecomposition.build(x21, params)
     series = np.array([0.5 * abs(bounce_sum(t, dec)) ** 2 for t in times])
     assert np.max(np.abs(series - lattice.values)) < 0.012
 
@@ -337,7 +337,7 @@ def test_resummed_against_exact_greens_pole(dec1):
 
 def test_resummed_divergence_detected(params):
     """At x21 = 29.025 the untruncated series grows like (|Delta| e x21)^n ~ 3.6^n."""
-    dec = BounceDecomposition.build(X21, params, t_max=X21)
+    dec = BounceDecomposition.build(X21, params)
     with pytest.raises(ResummationError, match="tail bound"):
         resummed(0.5 * X21, dec)
     rep = resummed(0.5 * X21, dec, allow_divergent=True)
@@ -347,7 +347,7 @@ def test_resummed_divergence_detected(params):
 def test_long_time_limit(params):
     """e^{i z t} I_0(t) / N -> 1 (theta-truncated sum approaches the pole term)."""
     x21 = 8.0
-    dec = BounceDecomposition.build(x21, params, t_max=12 * x21)
+    dec = BounceDecomposition.build(x21, params)
     rep = resummed(0.0, dec, allow_divergent=False)
     gaps = []
     for tfac in (4.0, 8.0, 12.0):

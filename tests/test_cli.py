@@ -324,6 +324,17 @@ def test_large_form_factor_exponent_solves(tmp_path, capsys):
     ("poles", "model.lambda=true"),
     ("poles", "model.omega1=abc"),
     ("sweep", "sweep.x21_max=1e308"),
+    ("waveguide", "waveguide.D=1e-300"),
+    ("waveguide", "waveguide.D=1e-170"),
+    ("waveguide", "waveguide.W=1e-300"),
+    ("waveguide", "waveguide.g0=1e300"),
+    ("waveguide", "waveguide.k_c=1e300"),
+    ("waveguide", "waveguide.channel_decay=1e300"),
+    ("poles", "model.lambda=1e300"),
+    ("poles", "model.omegaM=1e300"),
+    ("poles", "poles.n_min=5"),
+    ("evolve", "evolve.x21=-3"),
+    ("evolve", "evolve.t_max_factor=-1"),
 ])
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, command, override):
     # "--config=DIR" names a directory as the config file and "--config=TEXT"
@@ -339,3 +350,20 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, command, override)
     assert code == 1
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_empty_or_misread_ranges_name_their_key(tmp_path, capsys):
+    """An empty lattice-index range and a negative evolve distance or time
+    factor are config errors that name the offending key."""
+    for command, override, key in (("poles", "poles.n_min=5", "poles.n_min"),
+                                   ("evolve", "evolve.x21=-3", "evolve.x21"),
+                                   ("evolve", "evolve.t_max_factor=-1", "evolve.t_max_factor")):
+        assert run(tmp_path, command, override) == 1
+        assert key in capsys.readouterr().err
+
+
+def test_sweep_at_a_vanishing_coupling_exits_0(tmp_path, capsys):
+    """At lambda = 1e-300, gamma_1 underflows to 0; the sweep's 1/gamma_1
+    range warning must not divide by it."""
+    assert run(tmp_path, "sweep", "model.lambda=1e-300") == 0
+    assert "Traceback" not in capsys.readouterr().err

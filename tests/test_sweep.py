@@ -24,6 +24,7 @@ from collective1d import greens, sweep
 from collective1d.core import SolverError
 from collective1d.greens import ComplexEnergy, ConvergenceError, _evaluator, solve_poles
 from collective1d.sweep import sweep_to_csv, zero_decay_to_json
+import reference
 
 
 # ------------------------------------------------------------------- the sweep
@@ -88,8 +89,8 @@ def test_sweep_solves_the_whole_grid_in_few_batches(params):
     census, each on its own one-row evaluator: 8 of them."""
     calls, censuses, census = [], [], greens._census
 
-    def counted_solve(ev, seeds, rows=None):
-        out = solve_poles(ev, seeds, rows)
+    def counted_solve(ev, seeds):
+        out = solve_poles(ev, seeds)
         calls.append((len(seeds), list(out)))
         return out
 
@@ -215,6 +216,34 @@ def test_stable_points_degenerate_input_suppressed():
     xs = np.linspace(1.0, 2.0, 11)
     force = (xs, np.full(xs.shape, 1e-14))
     assert stable_points(force) == []
+
+
+def test_force_and_stable_points_equal_the_loops_bitwise(sweep_records):
+    """The array stencils and `_crossings` reproduce the point-by-point
+    loops bit for bit, nan included, on the default sweep with rows broken
+    at both ends, inside and next to each other."""
+    records = list(sweep_records)
+    for i, drop in ((0, "s"), (5, "a"), (6, "sa"), (300, "s"), (301, "a"), (700, "sa")):
+        rec = records[i]
+        records[i] = type(rec)(rec.x21, None if "s" in drop else rec.z_s,
+                               None if "a" in drop else rec.z_a)
+    for recs in (sweep_records, records):
+        got, want = force_indicator(recs), reference.force_indicator(recs)
+        for tag in ("s", "a"):
+            assert got[tag][1].tobytes() == want[tag][1].tobytes()
+            assert stable_points(got[tag]) == reference.stable_points(want[tag])
+    xs = np.linspace(1.0, 2.0, 7)
+    series = (xs, np.array([0.0, 0.0, 1.0, np.nan, -1.0, 0.0, np.nan]))
+    assert stable_points(series) == reference.stable_points(series) == [(xs[1], False)]
+    assert sweep._crossings(*series)[1].tobytes() == reference.sign_changes(*series).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
+def test_subradiance_roots_equal_the_loop_bitwise(d, sector):
+    us = np.linspace(1e-9, 60.0, 20000)
+    want = reference.sign_changes(us, angular_factor(d, sector, us))
+    assert subradiance_roots(d, sector, (0.0, 60.0)).tobytes() == want.tobytes()
 
 
 def test_force_needs_enough_points():
