@@ -102,6 +102,15 @@ def _real(cfg: dict, dotted: str, many: bool = False):
     return [finite_real(v, f"{dotted}[{i}]") for i, v in enumerate(value)]
 
 
+def _positive(cfg: dict, dotted: str, zero_ok: bool = False) -> float:
+    """The finite number at block.key, > 0 (>= 0 with zero_ok): a distance
+    or a time factor."""
+    value = _real(cfg, dotted)
+    if not (value >= 0 if zero_ok else value > 0):
+        raise ConfigError(f"{dotted} must be {'>= 0' if zero_ok else 'positive'}, got {value!r}")
+    return value
+
+
 def _integer(cfg: dict, dotted: str, minimum: int | None = None) -> int:
     """The integer at block.key (core.finite_integer's rule)."""
     block, key = dotted.split(".")
@@ -129,7 +138,7 @@ def _check_coupled(params: ModelParams) -> None:
 def cmd_poles(cfg: dict, out: Path) -> list[Path]:
     params = _resolve(cfg)
     _check_coupled(params)
-    x21 = _real(cfg, "poles.x21")
+    x21 = _positive(cfg, "poles.x21")
     n_min, n_max = _integer(cfg, "poles.n_min"), _integer(cfg, "poles.n_max")
     if n_min > n_max:
         raise ConfigError(f"poles.n_min must be <= poles.n_max, got {n_min} > {n_max}")
@@ -155,7 +164,7 @@ def cmd_contour(cfg: dict, out: Path) -> list[Path]:
     if not (region[0] < region[1] and region[2] < region[3]):
         raise ConfigError(f"contour region {region} is empty: need re_min < re_max "
                           "and im_min < im_max")
-    cmap = gr.contour_map(region, grid, c["sector"], _real(cfg, "contour.x21"), params)
+    cmap = gr.contour_map(region, grid, c["sector"], _positive(cfg, "contour.x21"), params)
     path = out / f"contour_{c['sector']}.csv"
     gr.contour_to_csv(cmap, path)
     return [path]
@@ -176,11 +185,8 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
         if first != i:
             raise ConfigError(f"evolve.profile_time_factors {factors[first]!r} and {fac!r} both "
                               f"name field_{initial}_t{fac:g}.csv")
-    x21, t_max_factor = _real(cfg, "evolve.x21"), _real(cfg, "evolve.t_max_factor")
-    if not x21 > 0:
-        raise ConfigError(f"evolve.x21 must be positive, got {x21!r}")
-    if not t_max_factor >= 0:
-        raise ConfigError(f"evolve.t_max_factor must be >= 0, got {t_max_factor!r}")
+    x21 = _positive(cfg, "evolve.x21")
+    t_max_factor = _positive(cfg, "evolve.t_max_factor", zero_ok=True)
     p = params.with_x21(x21)
     model = dyn.build_lattice(p, _real(cfg, "lattice.L"),
                               _integer(cfg, "lattice.n_modes"), initial)
@@ -191,11 +197,13 @@ def cmd_evolve(cfg: dict, out: Path) -> list[Path]:
     paths = [out / f"p1_{initial}.csv", out / f"p1_{initial}_collective.csv"]
     dyn.timeseries_to_csv(series, paths[0])
     dyn.timeseries_to_csv(overlay, paths[1])
+    if not factors:
+        return paths
     xs = np.linspace(-1.5 * x21 + p.x1, p.x2 + 1.5 * x21, n_x)
-    for fac in factors:
-        t = fac * x21
-        prof = dyn.field_intensity(model, initial, xs, t)
-        col = dyn.collective_field(p, initial, x21, xs, t, pole=pole)
+    ts = [fac * x21 for fac in factors]
+    profiles = zip(factors, dyn._field_profiles(model, initial, xs, ts),
+                   dyn._collective_fields(p, initial, x21, xs, ts, pole=pole))
+    for fac, prof, col in profiles:
         p1 = out / f"field_{initial}_t{fac:g}.csv"
         p2 = out / f"field_{initial}_t{fac:g}_collective.csv"
         dyn.profile_to_csv(prof, p1)
@@ -249,8 +257,8 @@ def cmd_sweep(cfg: dict, out: Path) -> list[Path]:
 def cmd_bounces(cfg: dict, out: Path) -> list[Path]:
     params = _resolve(cfg)
     _check_coupled(params)
-    x21 = _real(cfg, "bounces.x21")
-    t_max = _real(cfg, "bounces.t_max_factor") * x21
+    x21 = _positive(cfg, "bounces.x21")
+    t_max = _positive(cfg, "bounces.t_max_factor", zero_ok=True) * x21
     factors = _real(cfg, "bounces.resum_time_factors", many=True)
     dec = bn.BounceDecomposition.build(x21, params)
     times = np.linspace(0.0, t_max, _integer(cfg, "bounces.n_t", 1))

@@ -21,7 +21,9 @@ come from Chebyshev interpolants built once per block, exact to rounding.
 An iteration then costs O(rows x (window + _CHEB)) instead of
 O(rows x modes). The survival amplitude sum_E w_E e^{-iEt} is the
 package's one phase sum, `quadrature._phase_sums`, which the off-lattice
-Filon panels share.
+Filon panels share. The field profiles of a run share one pass over the
+blocks, `_mode_amplitudes`, which builds each block's 1/(E - k) once for
+all of the run's times.
 """
 from __future__ import annotations
 
@@ -368,9 +370,12 @@ def _check_initial(model: LatticeModel, initial) -> None:
                            "|1>, |2> = (|s> +- |a>)/sqrt(2) combine both boxes")
 
 
-def _check_horizon(model: LatticeModel, t_max: float) -> None:
-    if not np.isfinite(t_max):
-        raise ConfigError(f"time t={t_max} must be finite")
+def _check_horizon(model: LatticeModel, times) -> None:
+    times = np.asarray(times, dtype=float)
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ConfigError(f"time t={bad[0]} must be finite")
+    t_max = times.max()
     if t_max >= model.box_length / 2.0:
         warnings.warn(
             f"t={t_max} at or beyond the wrap horizon L/2={model.box_length / 2}; "
@@ -383,18 +388,33 @@ def evolve(model: LatticeModel, initial, t: float) -> np.ndarray:
         <j|psi(t)> = sum_E w_E e^{-iEt},
         <k|psi(t)> = g_k sum_E w_E e^{-iEt} / (E - k),
 
-    summed over blocks of eigenvalues, so no N x N array is formed."""
+    the mode part as the one-time case of `_mode_amplitudes`."""
     _check_initial(model, initial)
-    _check_horizon(model, float(t))
-    phased = model.weights * np.exp(-1j * model.evals * t)
-    d = model.k[model.coupled]
-    modes = np.zeros(d.size, dtype=complex)
-    for rows in _blocks(phased.size if d.size else 0):     # no coupled mode: |j> alone
-        modes += phased[rows] @ (1.0 / _gaps(d, model.nearest[rows], model.offsets[rows]))
+    _check_horizon(model, [t])
     state = np.zeros(model.dim, dtype=complex)
-    state[0] = phased.sum()
-    state[2 + model.coupled] = model.couplings[model.coupled] * modes
+    state[0] = (model.weights * np.exp(-1j * model.evals * t)).sum()
+    state[2 + model.coupled] = _mode_amplitudes(model, [t])[0]
     return state
+
+
+def _mode_amplitudes(model: LatticeModel, ts) -> np.ndarray:
+    """<k|psi(t)> = g_k sum_E w_E e^{-iEt} / (E - k) on the coupled modes,
+    one row per time. The eigenvalues go in blocks, so no N x N array is
+    formed, and each block builds its (E, k) matrix of 1 / (E - k) once for
+    all times. Each time then takes its own real (2, block) @ (block, k)
+    product of Re and Im of w_E e^{-iEt}: a product of one fixed shape, so
+    a time's bits do not depend on which other times share the call."""
+    parts = []
+    for t in ts:
+        phased = model.weights * np.exp(-1j * model.evals * t)
+        parts.append(np.stack([phased.real, phased.imag]))
+    d = model.k[model.coupled]
+    sums = np.zeros((len(parts), 2, d.size))
+    for rows in _blocks(model.evals.size if d.size else 0):     # no coupled mode: |j> alone
+        inverse = 1.0 / _gaps(d, model.nearest[rows], model.offsets[rows])
+        for part, total in zip(parts, sums):
+            total += part[:, rows] @ inverse
+    return model.couplings[model.coupled] * (sums[:, 0] + 1j * sums[:, 1])
 
 
 def survival_probability(model: LatticeModel, initial, times) -> TimeSeries:
@@ -405,7 +425,7 @@ def survival_probability(model: LatticeModel, initial, times) -> TimeSeries:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ConfigError("survival_probability needs a 1-D grid of at least one time")
-    _check_horizon(model, float(times.max()))
+    _check_horizon(model, times)
     amp = _phase_sums(times, model.evals, model.weights[:, None])[:, 0]
     return TimeSeries(times, 0.5 * np.abs(amp) ** 2, label=f"P1 initial={initial}")
 
@@ -424,19 +444,42 @@ def collective_survival(params: ModelParams, sector, x21, times,
 
 def field_intensity(model: LatticeModel, initial, xs, t: float) -> FieldProfile:
     """P(x, t) = |<psi(x)| e^{-iHt} |initial>|^2 with
-    <psi(x)| = sum_k (2 omega_k L)^{-1/2} e^{ikx} <k| (k=0 dropped), which on
-    the reduced mode k of sector sigma is
-    (2 k L)^{-1/2} (cos k(x - x1) + sigma cos k(x - x2)) / sqrt(1 + sigma cos k x21)."""
+    <psi(x)| = sum_k (2 omega_k L)^{-1/2} e^{ikx} <k| (k=0 dropped), the
+    one-time case of `_field_profiles`."""
+    return _field_profiles(model, initial, xs, [t])[0]
+
+
+def _field_profiles(model: LatticeModel, initial, xs, ts) -> list[FieldProfile]:
+    """P(x, t) at each time of ts, from one `_mode_amplitudes` call. On the
+    reduced mode k of sector sigma, <psi(x)| is
+    (2 k L)^{-1/2} (cos k(x - x1) + sigma cos k(x - x2)) / sqrt(1 + sigma cos k x21),
+    which with h = (x2 - x1)/2 and u = (x - x1) - h is exactly
+    sign(cos kh) cos(ku) / sqrt(kL) for sigma = +1 and
+    -sign(sin kh) sin(ku) / sqrt(kL) for sigma = -1: one trig matrix, built
+    once, and no small/small quotient at nearly deflated modes. u is formed
+    from x - x1, not from the midpoint, so it is as accurate as x - x1 at
+    any shift of the pair. Each time takes its own real (x, k) @ (k, 2)
+    product, so its bits do not depend on the other times."""
+    _check_initial(model, initial)
+    _check_horizon(model, ts)
     xs = np.asarray(xs, dtype=float)
     p = model.params
-    if np.any(np.abs(xs - 0.5 * (p.x1 + p.x2)) > 0.5 * model.box_length):
+    h = 0.5 * (p.x2 - p.x1)
+    u = (xs - p.x1) - h
+    if np.any(np.abs(u) > 0.5 * model.box_length):
         raise ConfigError("x grid leaves the periodic box around the emitter pair")
-    mode_amp = evolve(model, initial, t)[2 + model.coupled]
-    k, sigma = model.k[model.coupled], model.sector.sigma
-    x = xs[:, None]
-    weights = ((np.cos(k * (x - p.x1)) + sigma * np.cos(k * (x - p.x2)))
-               / np.sqrt(2.0 * k * model.box_length * (1.0 + sigma * np.cos(k * p.x21))))
-    return FieldProfile(xs, np.abs(weights @ mode_amp) ** 2, float(t), label=f"P(x,t={t:g})")
+    k = model.k[model.coupled]
+    kh = k * h
+    if model.sector.sigma > 0:
+        shape = np.cos(k * u[:, None]) * (np.sign(np.cos(kh)) / np.sqrt(k * model.box_length))
+    else:
+        shape = np.sin(k * u[:, None]) * (-np.sign(np.sin(kh)) / np.sqrt(k * model.box_length))
+    profiles = []
+    for t, amp in zip(ts, _mode_amplitudes(model, ts)):
+        field = shape @ amp.view(float).reshape(-1, 2)         # Re and Im columns
+        profiles.append(FieldProfile(xs, np.hypot(field[:, 0], field[:, 1]) ** 2, float(t),
+                                     label=f"P(x,t={t:g})"))
+    return profiles
 
 
 def _phase_integrals(z: complex, d: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -457,11 +500,20 @@ def _phase_integrals(z: complex, d: np.ndarray, params: ModelParams) -> np.ndarr
 def collective_field(params: ModelParams, sector, x21, xs, t: float,
                      pole: ComplexEnergy | None = None) -> FieldProfile:
     """Pure collective-state intensity P_{zj}(x,t) = |<psi(x)|phi_j>|^2 |N_j|
-    e^{-2 gamma_j t}; the amplitude is assembled from the four continued
-    phase integrals e^{+-ik(x - x_i)}, which is what produces the spatial
-    exponential envelope with no light-cone truncation."""
-    if not np.isfinite(t):
-        raise ConfigError(f"time t={t} must be finite")
+    e^{-2 gamma_j t}, the one-time case of `_collective_fields`."""
+    return _collective_fields(params, sector, x21, xs, [t], pole)[0]
+
+
+def _collective_fields(params: ModelParams, sector, x21, xs, ts,
+                       pole: ComplexEnergy | None = None) -> list[FieldProfile]:
+    """P_{zj}(x,t) at each time of ts. The amplitude is assembled from the
+    four continued phase integrals e^{+-ik(x - x_i)}, which is what produces
+    the spatial exponential envelope with no light-cone truncation; its
+    shape |<psi(x)|phi_j>|^2 |N_j| is formed once and scaled by
+    e^{-2 gamma_j t} at each time."""
+    for t in ts:
+        if not np.isfinite(t):
+            raise ConfigError(f"time t={t} must be finite")
     sector = as_sector(sector)
     p = params.with_x21(float(x21)) if abs(params.x21 - float(x21)) > 1e-12 else params
     if pole is None:
@@ -475,8 +527,9 @@ def collective_field(params: ModelParams, sector, x21, xs, t: float,
                               p).reshape(2, xs.size)
     pref = p.lam / (2.0 * np.sqrt(2.0 * np.pi))
     amp = np.sqrt(pole.normalization) * pref * (q1 + sector.sigma * q2)
-    intensity = np.abs(amp) ** 2 * abs(pole.normalization) * np.exp(-2.0 * pole.gamma * t)
-    return FieldProfile(xs, intensity, float(t), label=f"P_z{pole.sector[0]}(x,t={t:g})")
+    shape = np.abs(amp) ** 2 * abs(pole.normalization)
+    return [FieldProfile(xs, shape * np.exp(-2.0 * pole.gamma * t), float(t),
+                         label=f"P_z{pole.sector[0]}(x,t={t:g})") for t in ts]
 
 
 def timeseries_to_csv(series: TimeSeries, path) -> None:

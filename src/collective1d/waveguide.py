@@ -62,6 +62,18 @@ class WaveguideParams:
         a change here needs a new closed form there."""
         return self.g0 * k / (1.0 + (k / self.k_c) ** 2) * self.channel_decay ** (l - 1)
 
+    def _channels(self) -> int:
+        """About the number of channels `_channel_sum` takes: l_max where
+        |channel_decay| >= 1, otherwise those before the term scale
+        0.5 (pi g0 k_c^2 channel_decay^(l-1))^2 underflows to 0."""
+        decay = abs(self.channel_decay)
+        if decay >= 1.0:
+            return self.l_max
+        if decay * self.g0 == 0.0:
+            return 2
+        head = 2.0 * (math.log(math.pi * abs(self.g0)) + 2.0 * math.log(self.k_c)) - math.log(2.0)
+        return min(self.l_max, 2 + int((head - _LOG_TINY) / (-2.0 * math.log(decay))))
+
     @property
     def xi0(self) -> float:
         return cavity_energy(self.m0, self.n0, self.D)
@@ -86,6 +98,9 @@ class WaveguideParams:
         decay = (self.l_max - 1) * math.log10(max(1.0, abs(self.channel_decay)))
         if max(decay, decay + math.log10(math.pi * abs(self.g0) or 1.0) + 2 * math.log10(self.k_c)) > 150:
             raise ConfigError("waveguide coupling peak pi g0 k_c^2 channel_decay^(l_max-1) exceeds 1e150")
+        if self._channels() > _MAX_CHANNELS:
+            raise ConfigError(f"waveguide.l_max={self.l_max} sums more than {_MAX_CHANNELS} "
+                              "channels before their terms vanish: lower it or |channel_decay|")
         if not (self.threshold < self.xi0 < lead_energy(0.0, 2, self.W)):
             raise ConfigError(
                 f"single-open-channel window violated: need E_01={self.threshold} < "
@@ -135,6 +150,10 @@ def trap_distance(xi: float, n: int, sector, W: float) -> float:
 TRAP_TOL = 1e-12
 # |eta_wg| < 1e-11 at the default trap, where |z| ~ xi0 = 2
 WG_POLE_TOL = 5e-12
+# channel terms per `_channel_sum` call, a Python loop; a term whose scale
+# falls below half the smallest subnormal 5e-324 is 0
+_MAX_CHANNELS = 10000
+_LOG_TINY = math.log(5e-324)
 # e^u = 1 + u + u^2 sum_n u^n/(n+2)!, truncated where |u| < 1 leaves 1/22! ~ 1e-21
 _PHI2 = tuple(1.0 / math.factorial(n + 2) for n in range(20))
 
@@ -188,6 +207,9 @@ def _channel_sum(z: complex, wg: WaveguideParams, sigma: int, x21: float,
                           "assumption violated")
     total = slope = 0j
     for l in range(1, wg.l_max + 1):
+        scale = 0.5 * (math.pi * wg.g0 * wg.k_c**2 * wg.channel_decay ** (l - 1)) ** 2
+        if scale == 0.0 and abs(wg.channel_decay) <= 1.0:     # every later term is 0 too
+            break
         if l == 1:
             a = math.pi * cmath.sqrt(z - wg.threshold)
         else:
@@ -198,7 +220,6 @@ def _channel_sum(z: complex, wg: WaveguideParams, sigma: int, x21: float,
         if sigma:
             gx, dgx = _residue_integral(a, abs(x21), wg.k_c)
             g, dg = g + sigma * gx, dg + sigma * dgx
-        scale = 0.5 * (math.pi * wg.g0 * wg.k_c**2 * wg.channel_decay ** (l - 1)) ** 2
         total += scale * g
         if derivative:
             slope += scale * dg * math.pi**2 / (2.0 * a)

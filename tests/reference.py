@@ -20,6 +20,10 @@
 * ``survival_amplitude``: sum_E w_E e^{-iEt}, one exponential per
   (time, eigenvalue); the oracle of the factored phase table of
   ``collective1d.dynamics.survival_probability``.
+* ``field_intensity``: P(x, t) from ``evolve``'s mode amplitudes and the
+  two-cosine mode shape (cos k(x - x1) + sigma cos k(x - x2)) /
+  sqrt(2kL(1 + sigma cos k x21)), as one complex product; the oracle of
+  the one-trig shape of ``collective1d.dynamics._field_profiles``.
 * ``find_pole``: the scalar pole solver (one damped loop and one
   ``newton`` per seed); the oracle of the batched ``solve_poles``.
 * ``rung_scan``: lattice poles hunted by one ``newton`` per seed on a
@@ -47,7 +51,7 @@ import math
 
 import numpy as np
 
-from collective1d import ModelParams, validate
+from collective1d import ModelParams, evolve, validate
 from collective1d.core import SolverError, as_sector
 from collective1d.greens import (
     _FAST_REGION_SLOPE,
@@ -288,6 +292,16 @@ class FullBox:
         left = self.evecs.conj().T @ self.initial(bra, self.dim)
         right = self.evecs.conj().T @ self.initial(ket, self.dim)
         return np.exp(-1j * np.outer(times, self.evals)) @ (left.conj() * right)
+
+
+def field_intensity(model, initial, xs, t: float) -> np.ndarray:
+    """|<psi(x)| e^{-iHt} |initial>|^2 with the mode shape in its
+    two-cosine form, one complex (x, k) @ (k,) product."""
+    p, k, sigma = model.params, model.k[model.coupled], model.sector.sigma
+    x = np.asarray(xs, dtype=float)[:, None]
+    shape = ((np.cos(k * (x - p.x1)) + sigma * np.cos(k * (x - p.x2)))
+             / np.sqrt(2.0 * k * model.box_length * (1.0 + sigma * np.cos(k * p.x21))))
+    return np.abs(shape @ evolve(model, initial, t)[2 + model.coupled]) ** 2
 
 
 def find_pole(sector, x21, seed, params: ModelParams,

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +83,16 @@ def test_evolve_command(tmp_path):
     assert (tmp_path / "field_s_t1_collective.csv").exists()
     p1 = np.genfromtxt(tmp_path / "p1_s.csv", delimiter=",", names=True)
     assert p1["value"][0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_evolve_profiles_do_not_depend_on_the_other_factors(tmp_path):
+    """One run at three profile times writes the field bytes of three
+    one-time runs."""
+    assert run(tmp_path / "all", "evolve", "evolve.profile_time_factors=[2.0, 3.0, 4.02]") == 0
+    for fac in ("2", "3", "4.02"):
+        assert run(tmp_path / fac, "evolve", f"evolve.profile_time_factors=[{fac}]") == 0
+        for name in (f"field_s_t{fac}.csv", f"field_s_t{fac}_collective.csv"):
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / fac / name).read_bytes()
 
 
 def test_evolve_empty_grid_is_config_error(tmp_path):
@@ -184,6 +198,29 @@ def test_waveguide_command(tmp_path):
     assert doc["margin"] > 0
     assert abs(doc["gamma_residual"]) < 1e-6
     assert doc["sector"] == "symmetric" and doc["n"] == 1
+
+
+def test_waveguide_channels_stop_where_their_terms_vanish(tmp_path):
+    """At the default channel_decay the channel terms underflow to 0 near
+    l = 233, so l_max = 10^8 writes the bytes of l_max = 1000 within
+    seconds. Where no term vanishes, or only beyond l = 10 000
+    (channel_decay = 0.999, near l = 37 000), an l_max beyond 10 000 is a
+    config error naming it. Each run is a process with a time limit, so a
+    loop over every channel fails instead of hanging."""
+    def waveguide(out, *overrides):
+        argv = [sys.executable, "-m", "collective1d", "waveguide", "--out", str(out)]
+        for item in overrides:
+            argv += ["--override", item]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=20)
+
+    for l_max in (1000, 100000000):
+        assert waveguide(tmp_path / str(l_max), f"waveguide.l_max={l_max}").returncode == 0
+    assert ((tmp_path / "1000" / "waveguide_trap.json").read_bytes()
+            == (tmp_path / "100000000" / "waveguide_trap.json").read_bytes())
+    for decay, l_max in ((1, 10001), (0.999, 100000000)):
+        proc = waveguide(tmp_path, f"waveguide.channel_decay={decay}", f"waveguide.l_max={l_max}")
+        assert proc.returncode == 1 and "waveguide.l_max" in proc.stderr
 
 
 def test_config_file_unknown_block(tmp_path):
@@ -353,11 +390,15 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, command, override)
 
 
 def test_empty_or_misread_ranges_name_their_key(tmp_path, capsys):
-    """An empty lattice-index range and a negative evolve distance or time
-    factor are config errors that name the offending key."""
+    """An empty lattice-index range and a negative distance or time factor
+    are config errors that name the offending key."""
     for command, override, key in (("poles", "poles.n_min=5", "poles.n_min"),
                                    ("evolve", "evolve.x21=-3", "evolve.x21"),
-                                   ("evolve", "evolve.t_max_factor=-1", "evolve.t_max_factor")):
+                                   ("evolve", "evolve.t_max_factor=-1", "evolve.t_max_factor"),
+                                   ("poles", "poles.x21=-3", "poles.x21"),
+                                   ("contour", "contour.x21=-3", "contour.x21"),
+                                   ("bounces", "bounces.x21=-3", "bounces.x21"),
+                                   ("bounces", "bounces.t_max_factor=-1", "bounces.t_max_factor")):
         assert run(tmp_path, command, override) == 1
         assert key in capsys.readouterr().err
 

@@ -26,6 +26,7 @@ from collective1d.dynamics import (
     profile_to_csv,
     timeseries_to_csv,
 )
+import reference
 from reference import (
     FullBox,
     arrowhead_spectrum,
@@ -529,6 +530,61 @@ def test_field_intensity_is_translation_covariant(d):
     moved = field_intensity(build_lattice(ModelParams(x1=d, x2=d + 5.0), 60.0, 201, "s"),
                             "s", xs + d, 7.0).intensity
     assert np.max(np.abs(moved - base)) <= 1e-12 * base.max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.floats(-100.0, 100.0), x21=st.sampled_from([5.0, -5.0, 12.7, -3.3]),
+       tag=st.sampled_from(["s", "a"]))
+def test_one_trig_mode_shape_matches_two_cosine_oracle(d, x21, tag):
+    """sign(cos kh) cos(ku) and -sign(sin kh) sin(ku) over sqrt(kL) give the
+    field of the two-cosine mode shape to 1e-13 of its peak, in both
+    sectors, at any shift of the pair and with x2 < x1 too."""
+    p = ModelParams(x1=d, x2=d + x21)
+    model = build_lattice(p, 60.0, 201, tag)
+    xs = np.linspace(min(p.x1, p.x2) - 20.0, max(p.x1, p.x2) + 20.0, 41)
+    got = field_intensity(model, tag, xs, 7.0).intensity
+    want = reference.field_intensity(model, tag, xs, 7.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+
+
+_PROFILE_TIMES = [0.0, 3.5, 7.0, 19.25, 41.0]
+_PROFILE_XS = np.linspace(-30.0, 35.0, 57)
+
+
+@pytest.fixture(scope="module")
+def blocked_boxes(small_params):
+    """Per sector, a box with four blocks of eigenvalues and the sector's pole."""
+    z1 = one_atom_pole(small_params).value
+    return {tag: (build_lattice(small_params, 150.0, 1001, tag),
+                  find_pole(tag, small_params.x21, z1, small_params)) for tag in ("s", "a")}
+
+
+@settings(max_examples=20, deadline=None)
+@given(ts=st.lists(st.sampled_from(_PROFILE_TIMES), min_size=1, max_size=5, unique=True),
+       tag=st.sampled_from(["s", "a"]))
+def test_a_profile_does_not_depend_on_the_other_times_of_its_run(blocked_boxes, ts, tag):
+    """Each time of a batch, in any subset and order of the others, gets the
+    bits it gets alone: the lattice field, its mode amplitudes and the
+    collective field."""
+    model, pole = blocked_boxes[tag]
+    p, xs = model.params, _PROFILE_XS
+    lattice = dyn._field_profiles(model, tag, xs, ts)
+    collective = dyn._collective_fields(p, tag, p.x21, xs, ts, pole)
+    modes = dyn._mode_amplitudes(model, ts)
+    for i, t in enumerate(ts):
+        assert lattice[i].time == t
+        assert np.array_equal(lattice[i].intensity, field_intensity(model, tag, xs, t).intensity)
+        assert np.array_equal(collective[i].intensity,
+                              collective_field(p, tag, p.x21, xs, t, pole=pole).intensity)
+        assert np.array_equal(modes[i], dyn._mode_amplitudes(model, [t])[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(t=st.floats(0.0, 70.0), tag=st.sampled_from(["s", "a"]))
+def test_evolve_mode_part_is_the_one_time_mode_amplitudes(blocked_boxes, t, tag):
+    model = blocked_boxes[tag][0]
+    state = evolve(model, tag, t)
+    assert np.array_equal(state[2 + model.coupled], dyn._mode_amplitudes(model, [t])[0])
 
 
 @settings(max_examples=20, deadline=None)

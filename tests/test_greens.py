@@ -125,6 +125,23 @@ def test_eta_and_derivative_match_ray_oracle(re, frac, x21, sector, n_ff):
     assert abs(eta - want) < scale and abs(deta - dwant) < scale
 
 
+@settings(max_examples=20, deadline=None)
+@given(d=st.floats(-100.0, 100.0), x21=st.floats(1.0, 40.0), flip=st.booleans(),
+       sector=st.sampled_from([SYMMETRIC, ANTISYMMETRIC]))
+def test_eta_is_translation_covariant(params, d, x21, flip, sector):
+    """Moving x1 and x2 together at fixed x21 (either atom first) leaves
+    EtaEvaluator's eta^+ and eta^+' and find_pole's root bitwise unchanged:
+    they see the pair through x21 alone."""
+    base = ModelParams(x1=0.0, x2=x21)
+    moved = ModelParams(x1=d + x21, x2=d) if flip else ModelParams(x1=d, x2=d + x21)
+    z = np.array([1.3 - 0.02j, 2.0 + 0j, 2.4 - 0.5j, 7.5 - 0.1j])
+    got = EtaEvaluator(moved, sector.sigma, x21).values(z, derivative=True)
+    want = EtaEvaluator(base, sector.sigma, x21).values(z, derivative=True)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    seed = one_atom_pole(params).value
+    assert find_pole(sector, x21, seed, moved) == find_pole(sector, x21, seed, base)
+
+
 @pytest.mark.parametrize("z, sector, sigma, x21", [
     (0.01 + 0j, None, None, 0.0), (0.0284 + 0.0142j, SYMMETRIC, 1, 32.8)])
 def test_eta_near_origin_is_resolved(params, quad, z, sector, sigma, x21):
